@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet race bench bench-all bench-diff bench-json results attr-gate staticcheck pipeview-gate lane-gate kernel-gate sweep-gate bpred-gate
+.PHONY: all build test check fmt vet race bench bench-all bench-diff bench-json results attr-gate staticcheck pipeview-gate kernel-gate sweep-gate bpred-gate
 
 # Pinned staticcheck version: `go run` resolves it through the module
 # proxy, so the exact analyzer version is reproducible everywhere.
@@ -49,28 +49,16 @@ staticcheck:
 		echo "staticcheck: module proxy unreachable under GOFLAGS= and GOFLAGS=-mod=mod, skipping (offline)"; \
 	fi
 
-# Lane-core gate: the lanes=1-vs-W differentials — pipeline.LaneGroup
-# against scalar Machines, and the harness lane scheduler against the
-# scalar suite — plus the attribution and pipeview observer gates, all
-# under the race detector and uncached, so lane batching can never
-# silently share mutable state across lanes or change a single byte of
-# results or telemetry.
-lane-gate:
-	$(GO) test -race -count 1 \
-		-run 'TestLaneGroup|TestLanesDifferential|TestRunBatched|TestAttr|TestRunAttrDiff|TestPipeview|TestLifecycle|TestKonata|TestWaterfall' \
-		./internal/pipeline/ ./internal/harness/ ./internal/engine/ \
-		./internal/pipeview/ ./internal/textplot/ ./internal/trace/
-
 # Kernel-dispatch gate: the switch-vs-kernels differentials — the
 # per-opcode exec property fuzz, the pipeline stats/memory A/B, the
 # functional simulator A/B (including adversarial PREDICT oracles and
-# instruction-cap straddling), and the end-to-end harness byte-identity
-# at lanes 1 and auto — under the race detector and uncached, so the
-# predecoded kernel table can never change a result byte or be shared
-# unsafely across lanes.
+# instruction-cap straddling), the shared-Program differentials, and the
+# end-to-end harness byte-identity — under the race detector and
+# uncached, so the predecoded kernel table can never change a result byte
+# or be shared unsafely across concurrent machines.
 kernel-gate:
 	$(GO) test -race -count 1 \
-		-run 'TestKernel|TestDispatch|TestInterpDispatch|TestCompileRejects|TestStepUnknown|TestDivRem|TestFus' \
+		-run 'TestKernel|TestDispatch|TestProgram|TestInterpDispatch|TestCompileRejects|TestStepUnknown|TestDivRem|TestFus' \
 		./internal/exec/ ./internal/pipeline/ ./internal/interp/ ./internal/harness/
 
 # Sweep flight-recorder gate: an uncached end-to-end benchmark run with
@@ -98,7 +86,7 @@ bpred-gate:
 		./internal/harness/ ./internal/engine/
 
 # Pre-PR gate: run this before every commit.
-check: fmt vet build staticcheck lane-gate kernel-gate sweep-gate bpred-gate race
+check: fmt vet build staticcheck kernel-gate sweep-gate bpred-gate race
 
 # Attribution-conservation gate: every attributed fast-suite simulation
 # must charge exactly cycles x width issue slots (pipeline invariant

@@ -324,14 +324,14 @@ func BenchmarkSimDecomposedW4(b *testing.B) {
 	benchSim(b, exp, m, 4)
 }
 
-// ---- sweep-shaped throughput (the lane-parallel core's target shape) ----
+// ---- sweep-shaped throughput ----
 //
 // A sweep is many short, config-identical simulations differing only in
 // seed — exactly what ablation ladders and sensitivity studies enumerate
-// by the thousands. BenchmarkSimSweepW4 runs a 64-unit sweep through the
-// default lane policy; BenchmarkSimSweepScalarW4 forces one-at-a-time
-// stepping, so the pair isolates what lane grouping amortizes.
-// Both report aggregate sim-MIPS across the whole sweep.
+// by the thousands. BenchmarkSimSweepW4 runs a 64-unit sweep as scalar
+// machines over one shared predecoded Program, the way the harness runs
+// the simulations of one patched image, and reports aggregate sim-MIPS
+// across the whole sweep.
 
 const sweepUnits = 64
 
@@ -344,7 +344,7 @@ var sweepSetup struct {
 
 // sweepImages builds (once) the shared baseline perlbench binary and one
 // REF memory image per sweep unit (a distinct seed each, same iteration
-// count — the same-config different-input shape lane groups coalesce).
+// count — the same-config different-input shape that shares a Program).
 func sweepImages(b *testing.B) (*ir.Image, []*mem.Memory) {
 	b.Helper()
 	s := &sweepSetup
@@ -374,42 +374,25 @@ func sweepImages(b *testing.B) (*ir.Image, []*mem.Memory) {
 	return s.im, s.mems
 }
 
-// benchSimSweep runs the whole 64-unit sweep once per iteration, stepping
-// the units in lane groups of the given width (1 = scalar), and reports
-// aggregate throughput as sim-MIPS.
-func benchSimSweep(b *testing.B, lanes int) {
-	b.Helper()
+func BenchmarkSimSweepW4(b *testing.B) {
 	im, mems := sweepImages(b)
 	cfg := pipeline.DefaultConfig(4)
 	var instrs int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for lo := 0; lo < len(mems); lo += lanes {
-			hi := lo + lanes
-			if hi > len(mems) {
-				hi = len(mems)
+		prog := pipeline.Predecode(im)
+		for _, m := range mems {
+			st, err := prog.NewMachine(m.Clone(), cfg).Run()
+			if err != nil {
+				b.Fatal(err)
 			}
-			lm := make([]*mem.Memory, 0, hi-lo)
-			for _, m := range mems[lo:hi] {
-				lm = append(lm, m.Clone())
-			}
-			g := pipeline.NewLaneGroup(im, lm, cfg)
-			stats, errs := g.Run()
-			for li, st := range stats {
-				if errs[li] != nil {
-					b.Fatal(errs[li])
-				}
-				instrs += st.Committed
-			}
+			instrs += st.Committed
 		}
 	}
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(instrs)/secs/1e6, "sim-MIPS")
 	}
 }
-
-func BenchmarkSimSweepScalarW4(b *testing.B) { benchSimSweep(b, 1) }
-func BenchmarkSimSweepW4(b *testing.B)       { benchSimSweep(b, pipeline.DefaultLanes) }
 
 // BenchmarkTable1Machine measures raw simulator throughput on the Table 1
 // configuration — cycles simulated per second on a representative

@@ -13,9 +13,7 @@ import (
 	"os"
 
 	"vanguard/internal/engine"
-	"vanguard/internal/exec"
 	"vanguard/internal/harness"
-	"vanguard/internal/pipeline"
 	"vanguard/internal/trace"
 	"vanguard/internal/workload"
 )
@@ -30,9 +28,7 @@ func main() {
 		bpredRep = flag.Bool("bpred-report", false, "probe the predictor on every simulation and print the ablation benchmarks' table-level studies")
 		bpredCSV = flag.String("bpred-csv", "", "probe the predictor on every simulation and write the ablation benchmarks' per-branch classifications as CSV to this file")
 		jsonF    = flag.String("json", "", "also write the sweeps as a structured telemetry report to this file")
-		dispatch = flag.String("dispatch", "kernels", "instruction dispatch engine: kernels (per-PC compiled at load) or switch (reference exec.Step); results are byte-identical")
 		jobs     = flag.Int("jobs", 0, "simulation worker pool size (0 = GOMAXPROCS)")
-		lanes    = flag.Int("lanes", 0, fmt.Sprintf("max same-image simulations stepped as one lane group (0 = auto, %d; 1 = scalar); results are byte-identical at any value", pipeline.DefaultLanes))
 		cacheDir = flag.String("cache-dir", engine.DefaultDir(), "on-disk run cache directory")
 		noCache  = flag.Bool("no-cache", false, "disable the on-disk run cache")
 		progress = flag.Bool("progress", false, "render a live engine status line on stderr")
@@ -47,17 +43,11 @@ func main() {
 		o = harness.FastOptions()
 		o.RefInputs = o.RefInputs[:1]
 	}
-	disp, err := exec.ParseDispatch(*dispatch)
-	if err != nil {
-		log.Fatal(err)
-	}
 	es := &harness.EngineStats{}
 	o.Jobs = *jobs
-	o.Lanes = *lanes
 	o.EngineStats = es
 	o.Attr = *attrF
 	o.Probe = *bpredRep || *bpredCSV != ""
-	o.Dispatch = disp
 	if !*noCache && *cacheDir != "" {
 		c, err := engine.Open(*cacheDir)
 		if err != nil {

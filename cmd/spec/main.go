@@ -25,9 +25,7 @@ import (
 	"runtime/pprof"
 
 	"vanguard/internal/engine"
-	"vanguard/internal/exec"
 	"vanguard/internal/harness"
-	"vanguard/internal/pipeline"
 	"vanguard/internal/sample"
 	"vanguard/internal/textplot"
 	"vanguard/internal/trace"
@@ -83,9 +81,7 @@ func main() {
 		bpredRep  = flag.Bool("bpred-report", false, "probe the predictor on every simulation and print each benchmark's table-level study; -json reports gain per-run bpredstudy sections (schema "+trace.SchemaV6+")")
 		bpredCSV  = flag.String("bpred-csv", "", "probe the predictor on every simulation and write the per-branch classifications of all suites as CSV to this file")
 		pview     = flag.String("pipeview", "", "capture per-instruction pipeline lifetimes on the named benchmark's simulations; -json reports gain per-run pipeview sections (schema "+trace.SchemaV4+")")
-		dispatch  = flag.String("dispatch", "kernels", "instruction dispatch engine: kernels (per-PC compiled at load) or switch (reference exec.Step); results are byte-identical")
 		jobs      = flag.Int("jobs", 0, "simulation worker pool size (0 = GOMAXPROCS)")
-		lanes     = flag.Int("lanes", 0, fmt.Sprintf("max same-image simulations stepped as one lane group (0 = auto, %d; 1 = scalar); results are byte-identical at any value", pipeline.DefaultLanes))
 		cacheDir  = flag.String("cache-dir", engine.DefaultDir(), "on-disk run cache directory")
 		noCache   = flag.Bool("no-cache", false, "disable the on-disk run cache")
 		progress  = flag.Bool("progress", false, "render a live engine status line on stderr")
@@ -122,18 +118,12 @@ func main() {
 	if *fast {
 		o = harness.FastOptions()
 	}
-	disp, err := exec.ParseDispatch(*dispatch)
-	if err != nil {
-		log.Fatal(err)
-	}
 	es := &harness.EngineStats{}
 	o.Jobs = *jobs
-	o.Lanes = *lanes
 	o.EngineStats = es
 	o.SampleWindow = *sampleWin
 	o.Attr = *attrF
 	o.Probe = *bpredRep || *bpredCSV != ""
-	o.Dispatch = disp
 	o.PipeviewBench = *pview
 	if !*noCache && *cacheDir != "" {
 		c, err := engine.Open(*cacheDir)

@@ -70,9 +70,7 @@ func main() {
 		attrCSV   = flag.String("attr-csv", "", "with -attr-diff: also write PREFIX.cpistack.csv and PREFIX.branches.csv")
 		bpredOn   = flag.Bool("bpred-report", false, "probe the direction predictor: print the table-level study and per-branch predictability classes, add a bpredstudy section to -json reports (schema "+trace.SchemaV6+")")
 		bpredCSV  = flag.String("bpred-csv", "", "write the probed run's per-branch classification as CSV to this file (implies -bpred-report)")
-		dispatch  = flag.String("dispatch", "kernels", "instruction dispatch engine: kernels (per-PC compiled at load) or switch (reference exec.Step); results are byte-identical")
 		jobs      = flag.Int("jobs", 0, "simulation worker pool size (0 = GOMAXPROCS)")
-		lanes     = flag.Int("lanes", 0, fmt.Sprintf("max same-image simulations stepped as one lane group (0 = auto, %d; 1 = scalar); vgrun's units are single runs over distinct binaries, so they always take the scalar fallback — the flag exists for parity with spec/ablate", pipeline.DefaultLanes))
 		cacheDir  = flag.String("cache-dir", engine.DefaultDir(), "on-disk run cache directory")
 		noCache   = flag.Bool("no-cache", false, "disable the on-disk run cache")
 		progress  = flag.Bool("progress", false, "render a live engine status line on stderr")
@@ -88,10 +86,6 @@ func main() {
 	}
 	if *attrDiff && *transform {
 		log.Fatal("-attr-diff builds both binaries itself; drop -transform")
-	}
-	disp, err := exec.ParseDispatch(*dispatch)
-	if err != nil {
-		log.Fatal(err)
 	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -146,7 +140,7 @@ func main() {
 
 	im := ir.MustLinearize(p)
 	gm := mem.New()
-	gst, fstats, err := interp.Run(im, gm, interp.Options{MaxInstrs: *maxInstrs, Dispatch: disp})
+	gst, fstats, err := interp.Run(im, gm, interp.Options{MaxInstrs: *maxInstrs})
 	if err != nil {
 		log.Fatalf("interpret: %v", err)
 	}
@@ -183,7 +177,7 @@ func main() {
 	}
 
 	if *attrDiff {
-		runAttrDiff(p, im, gm, src, cache, mon, recorder, stopStatus, *width, *maxInstrs, *jobs, *lanes, disp, *attrCSV, *sweepOut, *sweepChr)
+		runAttrDiff(p, im, gm, src, cache, mon, recorder, stopStatus, *width, *maxInstrs, *jobs, *attrCSV, *sweepOut, *sweepChr)
 		return
 	}
 	// Event tracing needs a live machine, so those runs bypass the cache
@@ -207,12 +201,13 @@ func main() {
 	// probed runs stay cacheable too.
 	probeOn := *bpredOn || *bpredCSV != ""
 	// v4: the dispatch engine joined the key — kernels and switch are
-	// byte-identical, but the namespace moves with the simulator core.
+	// byte-identical, but the namespace moves with the simulator core; it
+	// is fixed to kernels now and keeps its slot so v5 entries stay valid.
 	// v5: the probe joined the key, so probed runs (whose Stats carry a
 	// bpredstudy) never alias plain entries.
 	key := ""
 	if !tracing {
-		key = engine.Key("vgrun/v5", string(src), *width, *transform, *maxInstrs, *sampleWin, *attrOn, pvCfg, disp.String(), probeOn)
+		key = engine.Key("vgrun/v5", string(src), *width, *transform, *maxInstrs, *sampleWin, *attrOn, pvCfg, exec.DispatchKernels.String(), probeOn)
 	}
 
 	runTiming := func(context.Context) (*pipeline.Stats, error) {
@@ -220,7 +215,6 @@ func main() {
 		cfg.SampleWindow = *sampleWin
 		cfg.Attr = *attrOn
 		cfg.Pipeview = pvCfg
-		cfg.Dispatch = disp
 		cfg.Probe = probeOn
 		mach := pipeline.New(im, mem.New(), cfg)
 
@@ -261,7 +255,7 @@ func main() {
 	}
 
 	results, est, err := engine.Run(context.Background(),
-		engine.Config{Jobs: *jobs, Cache: cache, Monitor: mon, Lanes: *lanes, Recorder: recorder},
+		engine.Config{Jobs: *jobs, Cache: cache, Monitor: mon, Recorder: recorder},
 		[]engine.Unit[*pipeline.Stats]{{Label: "timing/" + flag.Arg(0), Key: key, Run: runTiming}})
 	if stopStatus != nil {
 		stopStatus()
@@ -394,7 +388,7 @@ func main() {
 // differential — which causes shrank, and which branches paid off.
 func runAttrDiff(p *ir.Program, baseIm *ir.Image, gm *mem.Memory, src []byte,
 	cache *engine.Cache, mon *engine.Monitor, recorder *engine.SweepRecorder, stopStatus func(),
-	width int, maxInstrs int64, jobs, lanes int, disp exec.Dispatch, csvPrefix, sweepOut, sweepChr string) {
+	width int, maxInstrs int64, jobs int, csvPrefix, sweepOut, sweepChr string) {
 	prof, err := profile.CollectDefault(baseIm, mem.New(), maxInstrs)
 	if err != nil {
 		log.Fatalf("profile: %v", err)
@@ -410,11 +404,10 @@ func runAttrDiff(p *ir.Program, baseIm *ir.Image, gm *mem.Memory, src []byte,
 	sim := func(im *ir.Image, binary string) engine.Unit[*pipeline.Stats] {
 		return engine.Unit[*pipeline.Stats]{
 			Label: binary + "/" + flag.Arg(0),
-			Key:   engine.Key("vgrun-attrdiff/v2", string(src), width, maxInstrs, binary, disp.String()),
+			Key:   engine.Key("vgrun-attrdiff/v2", string(src), width, maxInstrs, binary, exec.DispatchKernels.String()),
 			Run: func(context.Context) (*pipeline.Stats, error) {
 				cfg := pipeline.DefaultConfig(width)
 				cfg.Attr = true
-				cfg.Dispatch = disp
 				mach := pipeline.New(im, mem.New(), cfg)
 				st, err := mach.Run()
 				if err != nil {
@@ -428,7 +421,7 @@ func runAttrDiff(p *ir.Program, baseIm *ir.Image, gm *mem.Memory, src []byte,
 		}
 	}
 	results, _, err := engine.Run(context.Background(),
-		engine.Config{Jobs: jobs, Cache: cache, Monitor: mon, Lanes: lanes, Recorder: recorder},
+		engine.Config{Jobs: jobs, Cache: cache, Monitor: mon, Recorder: recorder},
 		[]engine.Unit[*pipeline.Stats]{sim(baseIm, "base"), sim(expIm, "exp")})
 	if stopStatus != nil {
 		stopStatus()

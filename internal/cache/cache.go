@@ -48,8 +48,7 @@ type Cache struct {
 
 // Geom is one level's derived tag geometry: the line shift and set count
 // every tag computation indexes through. Deriving it is where the
-// power-of-two validation lives, so a lane group can compute and check
-// the geometry once and stamp it into every lane's caches.
+// power-of-two validation lives.
 type Geom struct {
 	Shift  uint   // log2(LineBytes)
 	SetCnt uint64 // number of sets (power of two)
@@ -69,11 +68,8 @@ func (cfg Config) Geom() Geom {
 }
 
 // New builds a cache from its configuration.
-func New(cfg Config) *Cache { return NewWithGeom(cfg, cfg.Geom()) }
-
-// NewWithGeom builds a cache over precomputed geometry; g must be
-// cfg.Geom() (lane groups derive it once and share it across lanes).
-func NewWithGeom(cfg Config, g Geom) *Cache {
+func New(cfg Config) *Cache {
+	g := cfg.Geom()
 	c := &Cache{
 		cfg:    cfg,
 		setCnt: g.SetCnt,

@@ -53,35 +53,14 @@ type Miss struct {
 	Latency int64  // total load-to-use latency charged
 }
 
-// HierGeom bundles the derived tag geometry of all four levels (see
-// Geom): a lane group derives it from one HierConfig and shares it when
-// building every lane's hierarchy.
-type HierGeom struct {
-	L1I, L1D, L2, L3 Geom
-}
-
-// Geom derives (and validates) the geometry of every level.
-func (cfg HierConfig) Geom() HierGeom {
-	return HierGeom{
-		L1I: cfg.L1I.Geom(), L1D: cfg.L1D.Geom(),
-		L2: cfg.L2.Geom(), L3: cfg.L3.Geom(),
-	}
-}
-
-// NewHierarchyWithGeom builds a hierarchy over precomputed per-level
-// geometry; g must be cfg.Geom().
-func NewHierarchyWithGeom(cfg HierConfig, g HierGeom) *Hierarchy {
-	return &Hierarchy{
-		cfg: cfg,
-		L1I: NewWithGeom(cfg.L1I, g.L1I), L1D: NewWithGeom(cfg.L1D, g.L1D),
-		L2: NewWithGeom(cfg.L2, g.L2), L3: NewWithGeom(cfg.L3, g.L3),
-		inflight: make(map[uint64]int64),
-	}
-}
-
 // NewHierarchy builds the hierarchy.
 func NewHierarchy(cfg HierConfig) *Hierarchy {
-	return NewHierarchyWithGeom(cfg, cfg.Geom())
+	return &Hierarchy{
+		cfg: cfg,
+		L1I: New(cfg.L1I), L1D: New(cfg.L1D),
+		L2: New(cfg.L2), L3: New(cfg.L3),
+		inflight: make(map[uint64]int64),
+	}
 }
 
 // NewDefault builds the Table 1 hierarchy.

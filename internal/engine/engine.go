@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -35,13 +34,6 @@ type Unit[T any] struct {
 	// unit error; in-flight units run to completion, but no further units
 	// start.
 	Run func(ctx context.Context) (T, error)
-	// BatchKey, when non-empty, marks the unit as groupable: RunBatched
-	// may hand up to Config.Lanes units sharing a BatchKey to the batch
-	// runner as one task. Units whose results could differ when computed
-	// together must use distinct keys; the run cache stays per-unit (Key)
-	// regardless, so cached scalar and batched results never alias unless
-	// they are equal.
-	BatchKey string
 }
 
 // Config is the execution policy of one engine run.
@@ -56,17 +48,6 @@ type Config struct {
 	// cache hits, failures) for the -progress status line and the
 	// -listen HTTP endpoints. Several Run calls may share one monitor.
 	Monitor *Monitor
-	// Lanes bounds how many same-BatchKey units one RunBatched task may
-	// carry; <= 1 disables batching (every unit runs through its scalar
-	// Run func).
-	Lanes int
-	// Labels, when non-empty, is an alternating key/value list of
-	// runtime/pprof labels applied to every worker goroutine (e.g.
-	// "dispatch", "kernels", "lanes", "8"), so CPU profiles attribute
-	// simulation time per execution-policy axis. A trailing odd element
-	// is ignored. Labels are observability only — they never change
-	// scheduling or results.
-	Labels []string
 	// Recorder, when non-nil, receives one span per unit lifecycle phase
 	// (the sweep flight recording; see SweepRecorder). Like Monitor it is
 	// observability only, may span several Run calls, and costs nothing
@@ -100,66 +81,12 @@ type Stats struct {
 // must not be used. Unit results are independent slots, so the returned
 // slice is identical for any worker count.
 func Run[T any](ctx context.Context, cfg Config, units []Unit[T]) ([]T, Stats, error) {
-	return RunBatched(ctx, cfg, units, nil)
-}
-
-// batchTasks partitions unit indexes into scheduling tasks: batchable
-// units (non-empty BatchKey) coalesce into groups of up to lanes
-// same-key units, everything else is a singleton task. Tasks are emitted
-// in order of their lowest index, and a group flushes as soon as it is
-// full, so the partition is a pure function of the unit list.
-func batchTasks[T any](units []Unit[T], lanes int) [][]int {
-	tasks := make([][]int, 0, len(units))
-	pending := map[string][]int{}
-	var keys []string // flush order for partial groups
-	for i := range units {
-		k := units[i].BatchKey
-		if k == "" || lanes <= 1 {
-			tasks = append(tasks, []int{i})
-			continue
-		}
-		if len(pending[k]) == 0 {
-			keys = append(keys, k)
-		}
-		pending[k] = append(pending[k], i)
-		if len(pending[k]) == lanes {
-			tasks = append(tasks, pending[k])
-			pending[k] = nil
-		}
-	}
-	for _, k := range keys {
-		// keys may repeat when a group refills after flushing full;
-		// clearing the entry makes the trailing flush once-per-key.
-		if len(pending[k]) > 0 {
-			tasks = append(tasks, pending[k])
-			pending[k] = nil
-		}
-	}
-	return tasks
-}
-
-// RunBatched is Run with group scheduling: units sharing a non-empty
-// BatchKey are handed to batchRun in groups of up to cfg.Lanes, as one
-// task on one worker. batchRun receives the unit indexes still needing
-// computation (cache hits are served per-unit before it is called) and
-// must return a result and error slot per index; a failing unit fails
-// the run like a scalar unit failure but does not poison its batch
-// siblings. Cache entries remain strictly per-unit. A singleton group
-// falls back to the unit's scalar Run func, as does every unit when
-// batchRun is nil or cfg.Lanes <= 1.
-func RunBatched[T any](ctx context.Context, cfg Config, units []Unit[T],
-	batchRun func(ctx context.Context, idxs []int) ([]T, []error)) ([]T, Stats, error) {
-	lanes := cfg.Lanes
-	if batchRun == nil {
-		lanes = 1
-	}
-	tasks := batchTasks(units, lanes)
 	jobs := cfg.Jobs
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	if jobs > len(tasks) {
-		jobs = len(tasks)
+	if jobs > len(units) {
+		jobs = len(units)
 	}
 	st := Stats{Jobs: jobs, Units: make([]UnitStat, len(units))}
 	if len(units) == 0 {
@@ -171,7 +98,7 @@ func RunBatched[T any](ctx context.Context, cfg Config, units []Unit[T],
 	rec := cfg.Recorder
 	base := 0
 	if rec != nil {
-		base = recorderAddRun(rec, units, tasks, jobs, lanes)
+		base = recorderAddRun(rec, units, jobs)
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -234,7 +161,7 @@ func RunBatched[T any](ctx context.Context, cfg Config, units []Unit[T],
 				hits++
 				mu.Unlock()
 				if rec != nil {
-					rec.finish(base+i, trace.SweepRetire, 0)
+					rec.finish(base+i, trace.SweepRetire)
 				}
 				done(true, false)
 				return
@@ -242,7 +169,7 @@ func RunBatched[T any](ctx context.Context, cfg Config, units []Unit[T],
 		}
 		if ctx.Err() != nil {
 			if rec != nil {
-				rec.finish(base+i, trace.SweepCancel, 0)
+				rec.finish(base+i, trace.SweepCancel)
 			}
 			done(false, false)
 			return
@@ -254,7 +181,7 @@ func RunBatched[T any](ctx context.Context, cfg Config, units []Unit[T],
 		if err != nil {
 			fail(i, fmt.Errorf("%s: %w", u.Label, err))
 			if rec != nil {
-				rec.finish(base+i, trace.SweepFail, 1)
+				rec.finish(base+i, trace.SweepFail)
 			}
 			done(false, true)
 			return
@@ -269,108 +196,9 @@ func RunBatched[T any](ctx context.Context, cfg Config, units []Unit[T],
 			mu.Unlock()
 		}
 		if rec != nil {
-			rec.finish(base+i, trace.SweepRetire, 1)
+			rec.finish(base+i, trace.SweepRetire)
 		}
 		done(false, false)
-	}
-
-	// runBatch executes one multi-unit task: serve per-unit cache hits,
-	// hand the remainder to batchRun in one call, then attribute results,
-	// errors, and cache writes back to each unit.
-	runBatch := func(wid int, idxs []int) {
-		t0 := time.Now()
-		slots := make([]int, len(idxs))
-		for j, i := range idxs {
-			slots[j] = -1
-			if cfg.Monitor != nil {
-				slots[j] = cfg.Monitor.beginUnit(units[i].Label)
-			}
-			if rec != nil {
-				rec.dequeue(base+i, wid)
-			}
-		}
-		done := func(j, i int, hit, failed bool) {
-			wall := time.Since(t0)
-			st.Units[i] = UnitStat{Label: units[i].Label, Wall: wall, CacheHit: hit}
-			if slots[j] >= 0 {
-				cfg.Monitor.endUnit(slots[j], wall, hit, failed)
-			}
-		}
-		need := make([]int, 0, len(idxs))
-		needSlot := make([]int, 0, len(idxs))
-		for j, i := range idxs {
-			u := &units[i]
-			if cfg.Cache != nil && u.Key != "" {
-				var p0 time.Duration
-				if rec != nil {
-					p0 = rec.since()
-				}
-				hit := false
-				if data, ok := cfg.Cache.Get(u.Key); ok {
-					var v T
-					if err := json.Unmarshal(data, &v); err == nil {
-						results[i] = v
-						hit = true
-					}
-				}
-				if rec != nil {
-					rec.probe(base+i, p0, hit)
-				}
-				if hit {
-					mu.Lock()
-					hits++
-					mu.Unlock()
-					if rec != nil {
-						rec.finish(base+i, trace.SweepRetire, 0)
-					}
-					done(j, i, true, false)
-					continue
-				}
-			}
-			need = append(need, i)
-			needSlot = append(needSlot, j)
-		}
-		if len(need) == 0 {
-			return
-		}
-		if ctx.Err() != nil {
-			for j, i := range need {
-				if rec != nil {
-					rec.finish(base+i, trace.SweepCancel, 0)
-				}
-				done(needSlot[j], i, false, false)
-			}
-			return
-		}
-		if rec != nil {
-			for _, i := range need {
-				rec.computeStart(base + i)
-			}
-		}
-		vs, errs := batchRun(ctx, need)
-		for j, i := range need {
-			if errs[j] != nil {
-				fail(i, fmt.Errorf("%s: %w", units[i].Label, errs[j]))
-				if rec != nil {
-					rec.finish(base+i, trace.SweepFail, len(need))
-				}
-				done(needSlot[j], i, false, true)
-				continue
-			}
-			results[i] = vs[j]
-			if cfg.Cache != nil && units[i].Key != "" {
-				if data, err := json.Marshal(vs[j]); err == nil {
-					cfg.Cache.Put(units[i].Key, data)
-				}
-				mu.Lock()
-				misses++
-				mu.Unlock()
-			}
-			if rec != nil {
-				rec.finish(base+i, trace.SweepRetire, len(need))
-			}
-			done(needSlot[j], i, false, false)
-		}
 	}
 
 	start := time.Now()
@@ -378,27 +206,18 @@ func RunBatched[T any](ctx context.Context, cfg Config, units []Unit[T],
 	var wg sync.WaitGroup
 	worker := func(wid int) {
 		defer wg.Done()
-		for t := range idx {
-			if len(tasks[t]) == 1 {
-				runUnit(wid, tasks[t][0])
-			} else {
-				runBatch(wid, tasks[t])
-			}
+		for i := range idx {
+			runUnit(wid, i)
 		}
-	}
-	labeled := worker
-	if kv := cfg.Labels; len(kv) >= 2 {
-		labels := pprof.Labels(kv[:len(kv)&^1]...)
-		labeled = func(wid int) { pprof.Do(ctx, labels, func(context.Context) { worker(wid) }) }
 	}
 	for w := 0; w < jobs; w++ {
 		wg.Add(1)
-		go labeled(w)
+		go worker(w)
 	}
 feed:
-	for t := range tasks {
+	for i := range units {
 		select {
-		case idx <- t:
+		case idx <- i:
 		case <-ctx.Done():
 			break feed
 		}

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestRunOrder: results come back in enumeration order no matter how the
@@ -45,7 +46,8 @@ func TestRunOrder(t *testing.T) {
 }
 
 // TestRunFirstError: the lowest-indexed failure wins regardless of which
-// worker sees its error first, and later units are cancelled.
+// worker sees its error first, carries its unit's label, and later units
+// are cancelled.
 func TestRunFirstError(t *testing.T) {
 	errA := errors.New("unit 3 failed")
 	var ran atomic.Int64
@@ -66,8 +68,61 @@ func TestRunFirstError(t *testing.T) {
 	if !errors.Is(err, errA) {
 		t.Fatalf("err = %v, want %v", err, errA)
 	}
+	if want := "u3: unit 3 failed"; err.Error() != want {
+		t.Fatalf("err = %q, want %q", err.Error(), want)
+	}
 	if got := ran.Load(); got == 100 {
 		t.Logf("all 100 units ran before cancellation (slow cancel, but legal)")
+	}
+}
+
+// TestRunBatchedErrorAttribution: with several failing units, the
+// lowest-indexed failure wins even when a later unit fails first, and the
+// error carries the failing unit's own label. (The name is kept from the
+// batched scheduler Run replaced.)
+func TestRunBatchedErrorAttribution(t *testing.T) {
+	errLow := errors.New("low unit blew up")
+	errHigh := errors.New("high unit blew up")
+	mk := func(waitHigh bool) []Unit[int] {
+		highFailed := make(chan struct{})
+		var units []Unit[int]
+		for i := 0; i < 4; i++ {
+			units = append(units, Unit[int]{
+				Label: fmt.Sprintf("u%d", i),
+				Run: func(context.Context) (int, error) {
+					switch i {
+					case 1:
+						if waitHigh {
+							select {
+							case <-highFailed:
+							case <-time.After(10 * time.Second):
+								return 0, errors.New("u2 never failed")
+							}
+						}
+						return 0, errLow
+					case 2:
+						close(highFailed)
+						return 0, errHigh
+					}
+					return i, nil
+				},
+			})
+		}
+		return units
+	}
+	// Serially u1 fails first; on four workers u1 waits until u2 has
+	// failed, so the later failure reaches the engine first.
+	for _, tc := range []struct {
+		jobs     int
+		waitHigh bool
+	}{{1, false}, {4, true}} {
+		_, _, err := Run(context.Background(), Config{Jobs: tc.jobs}, mk(tc.waitHigh))
+		if !errors.Is(err, errLow) {
+			t.Fatalf("jobs=%d: err = %v, want %v", tc.jobs, err, errLow)
+		}
+		if want := "u1: low unit blew up"; err.Error() != want {
+			t.Fatalf("jobs=%d: err = %q, want %q", tc.jobs, err.Error(), want)
+		}
 	}
 }
 
@@ -161,6 +216,65 @@ func TestCacheRoundTrip(t *testing.T) {
 		}
 		if !st2.Units[i].CacheHit {
 			t.Fatalf("warm run unit %d not marked as a cache hit", i)
+		}
+	}
+}
+
+// TestRunBatchedPerUnitCache: cache probes and fills are per unit, so a
+// partially cached run computes only the misses, and a second run over
+// the same keys is served entirely from cache. (The name is kept from the
+// batched scheduler Run replaced.)
+func TestRunBatchedPerUnitCache(t *testing.T) {
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var computed []int
+	mk := func() []Unit[int] {
+		var units []Unit[int]
+		for i := 0; i < 4; i++ {
+			units = append(units, Unit[int]{
+				Label: fmt.Sprintf("u%d", i),
+				Key:   fmt.Sprintf("key%d", i),
+				Run: func(context.Context) (int, error) {
+					mu.Lock()
+					computed = append(computed, i)
+					mu.Unlock()
+					return 7 * i, nil
+				},
+			})
+		}
+		return units
+	}
+	// Pre-seed unit 2's entry: only the other three may compute.
+	data, _ := json.Marshal(14)
+	c.Put("key2", data)
+	_, st, err := Run(context.Background(), Config{Jobs: 1, Cache: c}, mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(computed) != "[0 1 3]" {
+		t.Fatalf("computed units %v, want [0 1 3]", computed)
+	}
+	if st.CacheHits != 1 || st.CacheMisses != 3 {
+		t.Fatalf("hits/misses = %d/%d, want 1/3", st.CacheHits, st.CacheMisses)
+	}
+	// Second run: all four served from per-unit entries.
+	computed = nil
+	res, st2, err := Run(context.Background(), Config{Jobs: 2, Cache: c}, mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(computed) != 0 {
+		t.Fatalf("fully cached run computed units %v", computed)
+	}
+	if st2.CacheHits != 4 {
+		t.Fatalf("hits = %d, want 4", st2.CacheHits)
+	}
+	for i, v := range res {
+		if v != 7*i {
+			t.Fatalf("res[%d] = %d, want %d", i, v, 7*i)
 		}
 	}
 }
@@ -263,187 +377,5 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 	if ran.Load() == 10 {
 		t.Log("all units ran despite cancellation (legal but slow)")
-	}
-}
-
-// TestRunBatchedGroups: same-BatchKey units coalesce into batches of at
-// most Lanes, units without a BatchKey stay scalar, and results land in
-// enumeration order either way.
-func TestRunBatchedGroups(t *testing.T) {
-	var units []Unit[int]
-	for i := 0; i < 10; i++ {
-		key := "g1"
-		if i >= 6 {
-			key = "g2"
-		}
-		if i == 9 {
-			key = "" // scalar straggler
-		}
-		units = append(units, Unit[int]{
-			Label:    fmt.Sprintf("u%d", i),
-			BatchKey: key,
-			Run:      func(context.Context) (int, error) { return 100 + i, nil },
-		})
-	}
-	var mu sync.Mutex
-	var batches [][]int
-	batchRun := func(_ context.Context, idxs []int) ([]int, []error) {
-		mu.Lock()
-		batches = append(batches, append([]int(nil), idxs...))
-		mu.Unlock()
-		vs := make([]int, len(idxs))
-		for j, i := range idxs {
-			vs[j] = 100 + i
-		}
-		return vs, make([]error, len(idxs))
-	}
-	res, _, err := RunBatched(context.Background(), Config{Jobs: 2, Lanes: 4}, units, batchRun)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range res {
-		if v != 100+i {
-			t.Fatalf("res[%d] = %d, want %d", i, v, 100+i)
-		}
-	}
-	// g1 = {0..5} chunks to [0 1 2 3] + [4 5]; g2 = {6,7,8} is one batch;
-	// unit 9 is scalar (never passed to batchRun).
-	want := map[string]bool{"[0 1 2 3]": true, "[4 5]": true, "[6 7 8]": true}
-	if len(batches) != 3 {
-		t.Fatalf("got %d batches %v, want 3", len(batches), batches)
-	}
-	for _, b := range batches {
-		if !want[fmt.Sprint(b)] {
-			t.Fatalf("unexpected batch %v (all: %v)", b, batches)
-		}
-	}
-}
-
-// TestRunBatchedPerUnitCache: a batch probes and fills the cache per
-// unit, so a later scalar run over the same keys is served entirely from
-// cache, and a partially cached batch hands batchRun only the misses.
-func TestRunBatchedPerUnitCache(t *testing.T) {
-	c, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func() []Unit[int] {
-		var units []Unit[int]
-		for i := 0; i < 4; i++ {
-			units = append(units, Unit[int]{
-				Label:    fmt.Sprintf("u%d", i),
-				Key:      fmt.Sprintf("key%d", i),
-				BatchKey: "g",
-				Run:      func(context.Context) (int, error) { return 7 * i, nil },
-			})
-		}
-		return units
-	}
-	batchRun := func(_ context.Context, idxs []int) ([]int, []error) {
-		vs := make([]int, len(idxs))
-		for j, i := range idxs {
-			vs[j] = 7 * i
-		}
-		return vs, make([]error, len(idxs))
-	}
-	// Pre-seed unit 2's entry, then run the batch: batchRun must see the
-	// other three only.
-	data, _ := json.Marshal(14)
-	c.Put("key2", data)
-	var got [][]int
-	probe := func(ctx context.Context, idxs []int) ([]int, []error) {
-		got = append(got, append([]int(nil), idxs...))
-		return batchRun(ctx, idxs)
-	}
-	_, st, err := RunBatched(context.Background(), Config{Jobs: 1, Lanes: 4, Cache: c}, mk(), probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || fmt.Sprint(got[0]) != "[0 1 3]" {
-		t.Fatalf("batchRun saw %v, want [[0 1 3]]", got)
-	}
-	if st.CacheHits != 1 || st.CacheMisses != 3 {
-		t.Fatalf("hits/misses = %d/%d, want 1/3", st.CacheHits, st.CacheMisses)
-	}
-	// Second run: all four served from per-unit entries, batchRun unused.
-	got = nil
-	res, st2, err := RunBatched(context.Background(), Config{Jobs: 1, Lanes: 4, Cache: c}, mk(), probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("batchRun ran on fully cached units: %v", got)
-	}
-	if st2.CacheHits != 4 {
-		t.Fatalf("hits = %d, want 4", st2.CacheHits)
-	}
-	for i, v := range res {
-		if v != 7*i {
-			t.Fatalf("res[%d] = %d, want %d", i, v, 7*i)
-		}
-	}
-}
-
-// TestRunBatchedErrorAttribution: a failing unit inside a batch fails
-// the run with its own label and index, and the lowest-indexed failure
-// wins; batch siblings still get their results.
-func TestRunBatchedErrorAttribution(t *testing.T) {
-	errB := errors.New("lane blew up")
-	var units []Unit[int]
-	for i := 0; i < 4; i++ {
-		units = append(units, Unit[int]{
-			Label:    fmt.Sprintf("u%d", i),
-			BatchKey: "g",
-			Run:      func(context.Context) (int, error) { return i, nil },
-		})
-	}
-	batchRun := func(_ context.Context, idxs []int) ([]int, []error) {
-		vs := make([]int, len(idxs))
-		errs := make([]error, len(idxs))
-		for j, i := range idxs {
-			if i == 1 {
-				errs[j] = errB
-				continue
-			}
-			vs[j] = i
-		}
-		return vs, errs
-	}
-	_, _, err := RunBatched(context.Background(), Config{Jobs: 1, Lanes: 4}, units, batchRun)
-	if !errors.Is(err, errB) {
-		t.Fatalf("err = %v, want %v", err, errB)
-	}
-	if want := "u1: lane blew up"; err.Error() != want {
-		t.Fatalf("err = %q, want %q", err.Error(), want)
-	}
-}
-
-// TestRunBatchedLanesDisabled: Lanes <= 1 (or a nil batchRun) degrades
-// to the scalar scheduler even when units carry batch keys.
-func TestRunBatchedLanesDisabled(t *testing.T) {
-	var units []Unit[int]
-	for i := 0; i < 4; i++ {
-		units = append(units, Unit[int]{
-			Label:    fmt.Sprintf("u%d", i),
-			BatchKey: "g",
-			Run:      func(context.Context) (int, error) { return i, nil },
-		})
-	}
-	called := false
-	batchRun := func(_ context.Context, idxs []int) ([]int, []error) {
-		called = true
-		return make([]int, len(idxs)), make([]error, len(idxs))
-	}
-	res, _, err := RunBatched(context.Background(), Config{Jobs: 2, Lanes: 1}, units, batchRun)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if called {
-		t.Fatal("batchRun called with Lanes=1")
-	}
-	for i, v := range res {
-		if v != i {
-			t.Fatalf("res[%d] = %d, want %d", i, v, i)
-		}
 	}
 }

@@ -9,9 +9,8 @@ import (
 
 // SweepRecorder is the engine flight recorder: when attached via
 // Config.Recorder it captures one span per unit lifecycle phase
-// (enqueued → dequeued → cache probe → compute → terminal) plus
-// lane-group formation records, and renders them as a
-// trace.SweepReport. One recorder may span several engine runs (a CLI
+// (enqueued → dequeued → cache probe → compute → terminal) and renders
+// them as a trace.SweepReport. One recorder may span several engine runs (a CLI
 // invocation enqueues unit sets as it goes); unit indexes are global
 // across runs in enumeration order, so the span ordering of a recording
 // is deterministic even though wall times vary.
@@ -25,25 +24,23 @@ type SweepRecorder struct {
 	start   time.Time
 	workers int
 	units   []unitRec
-	groups  []trace.SweepGroup
 }
 
 // unitRec is the mutable per-unit lifecycle record; all times are
 // offsets from the recorder's creation.
 type unitRec struct {
-	label, key, batch string
-	enq               time.Duration
-	deq               time.Duration
-	probeStart        time.Duration
-	probeEnd          time.Duration
-	runStart          time.Duration
-	end               time.Duration
-	worker            int // -1 until dequeued
-	probed            bool
-	hit               bool
-	ran               bool
-	outcome           string
-	width             int
+	label, key string
+	enq        time.Duration
+	deq        time.Duration
+	probeStart time.Duration
+	probeEnd   time.Duration
+	runStart   time.Duration
+	end        time.Duration
+	worker     int // -1 until dequeued
+	probed     bool
+	hit        bool
+	ran        bool
+	outcome    string
 }
 
 // NewSweepRecorder returns an empty recorder; its creation instant is
@@ -56,11 +53,10 @@ func NewSweepRecorder() *SweepRecorder {
 // immutable, so reading the clock takes no lock.
 func (r *SweepRecorder) since() time.Duration { return time.Since(r.start) }
 
-// recorderAddRun registers one engine run's units (all enqueued now) and
-// its scheduling tasks as group records, returning the global base index
-// of the run's unit 0. Generic because it reads Unit[T] metadata; a
-// method cannot be.
-func recorderAddRun[T any](r *SweepRecorder, units []Unit[T], tasks [][]int, jobs, lanes int) int {
+// recorderAddRun registers one engine run's units (all enqueued now),
+// returning the global base index of the run's unit 0. Generic because it
+// reads Unit[T] metadata; a method cannot be.
+func recorderAddRun[T any](r *SweepRecorder, units []Unit[T], jobs int) int {
 	now := r.since()
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -69,34 +65,12 @@ func recorderAddRun[T any](r *SweepRecorder, units []Unit[T], tasks [][]int, job
 		r.units = append(r.units, unitRec{
 			label:  units[i].Label,
 			key:    units[i].Key,
-			batch:  units[i].BatchKey,
 			enq:    now,
 			worker: -1,
 		})
 	}
 	if jobs > r.workers {
 		r.workers = jobs
-	}
-	for _, t := range tasks {
-		g := trace.SweepGroup{
-			BatchKey: units[t[0]].BatchKey,
-			Width:    len(t),
-			Units:    make([]int, len(t)),
-		}
-		for j, i := range t {
-			g.Units[j] = base + i
-		}
-		if len(t) == 1 {
-			switch {
-			case g.BatchKey == "":
-				g.ScalarReason = "no-batch-key"
-			case lanes <= 1:
-				g.ScalarReason = "lanes-off"
-			default:
-				g.ScalarReason = "singleton"
-			}
-		}
-		r.groups = append(r.groups, g)
 	}
 	return base
 }
@@ -134,14 +108,12 @@ func (r *SweepRecorder) computeStart(u int) {
 	r.mu.Unlock()
 }
 
-// finish records the unit's terminal outcome. width is the lane-group
-// width the unit computed at (1 = scalar, 0 = never computed).
-func (r *SweepRecorder) finish(u int, outcome string, width int) {
+// finish records the unit's terminal outcome.
+func (r *SweepRecorder) finish(u int, outcome string) {
 	now := r.since()
 	r.mu.Lock()
 	rec := &r.units[u]
 	rec.outcome = outcome
-	rec.width = width
 	rec.end = now
 	r.mu.Unlock()
 }
@@ -235,7 +207,6 @@ func (r *SweepRecorder) Report() *trace.SweepReport {
 			s.Spans = append(s.Spans, trace.SweepSpan{
 				Unit: u, Label: rec.label, Phase: trace.SweepPhaseCompute,
 				Worker: rec.worker, StartUS: us(rec.runStart), DurUS: cw,
-				Batch: rec.batch, Width: rec.width,
 			})
 			switch outcome {
 			case trace.SweepRetire:
@@ -245,6 +216,5 @@ func (r *SweepRecorder) Report() *trace.SweepReport {
 			}
 		}
 	}
-	s.Groups = append([]trace.SweepGroup(nil), r.groups...)
 	return s
 }

@@ -9,37 +9,22 @@ import (
 	"vanguard/internal/trace"
 )
 
-// recUnits builds n deterministic cacheable units; every third one is
-// batchable under a shared key so RunBatched forms real lane groups.
+// recUnits builds n deterministic cacheable units.
 func recUnits(n int) []Unit[int] {
 	units := make([]Unit[int], n)
 	for i := range units {
-		i := i
 		units[i] = Unit[int]{
 			Label: fmt.Sprintf("unit-%d", i),
 			Key:   Key(fmt.Sprintf("recorder-test-%d", i)),
 			Run:   func(ctx context.Context) (int, error) { return i * i, nil },
 		}
-		if i%3 == 0 {
-			units[i].BatchKey = "grp"
-		}
 	}
 	return units
 }
 
-// recBatchRun is the batch runner for recUnits: same results as the
-// scalar paths, computed as one task.
-func recBatchRun(ctx context.Context, idxs []int) ([]int, []error) {
-	vs := make([]int, len(idxs))
-	for j, i := range idxs {
-		vs[j] = i * i
-	}
-	return vs, make([]error, len(idxs))
-}
-
-// TestRecorderLifecycle drives the full span model through a real
-// RunBatched — cold misses, lane groups, then a warm rerun for hits on
-// the same recorder — and holds the recording to the conservation
+// TestRecorderLifecycle drives the full span model through a real Run —
+// cold misses, then a warm rerun for hits on the same recorder — and
+// holds the recording to the conservation
 // invariant plus the structural properties Report promises.
 func TestRecorderLifecycle(t *testing.T) {
 	cache, err := Open(t.TempDir())
@@ -48,12 +33,12 @@ func TestRecorderLifecycle(t *testing.T) {
 	}
 	rec := NewSweepRecorder()
 	units := recUnits(9)
-	cfg := Config{Jobs: 2, Lanes: 2, Cache: cache, Recorder: rec}
-	if _, _, err := RunBatched(context.Background(), cfg, units, recBatchRun); err != nil {
+	cfg := Config{Jobs: 2, Cache: cache, Recorder: rec}
+	if _, _, err := Run(context.Background(), cfg, units); err != nil {
 		t.Fatal(err)
 	}
 	// Warm rerun on the same recorder: every unit is a cache hit now.
-	if _, _, err := RunBatched(context.Background(), cfg, units, recBatchRun); err != nil {
+	if _, _, err := Run(context.Background(), cfg, units); err != nil {
 		t.Fatal(err)
 	}
 
@@ -83,7 +68,7 @@ func TestRecorderLifecycle(t *testing.T) {
 		}
 		lastUnit = sp.Unit
 	}
-	var unitSpans, computeSpans, batched int
+	var unitSpans, computeSpans int
 	for _, sp := range s.Spans {
 		switch sp.Phase {
 		case trace.SweepPhaseUnit:
@@ -100,12 +85,6 @@ func TestRecorderLifecycle(t *testing.T) {
 			}
 		case trace.SweepPhaseCompute:
 			computeSpans++
-			if sp.Width > 1 {
-				batched++
-				if sp.Batch != "grp" {
-					t.Errorf("batched compute span %d has batch %q", sp.Unit, sp.Batch)
-				}
-			}
 		}
 	}
 	if unitSpans != 18 {
@@ -113,34 +92,6 @@ func TestRecorderLifecycle(t *testing.T) {
 	}
 	if computeSpans != 9 {
 		t.Errorf("%d compute spans, want 9 (warm run computes nothing)", computeSpans)
-	}
-	// recUnits(9) has units 0,3,6 under one BatchKey at Lanes 2: at least
-	// one group of two computes together.
-	if batched < 2 {
-		t.Errorf("%d batched compute spans, want >= 2", batched)
-	}
-
-	// Group formation records cover both runs and explain scalar tasks.
-	reasons := map[string]int{}
-	var wide int
-	for _, g := range s.Groups {
-		if g.Width > 1 {
-			wide++
-			if g.BatchKey != "grp" {
-				t.Errorf("wide group has batch key %q", g.BatchKey)
-			}
-		} else {
-			reasons[g.ScalarReason]++
-		}
-	}
-	if wide == 0 {
-		t.Error("no lane group recorded")
-	}
-	if reasons["no-batch-key"] == 0 {
-		t.Errorf("no no-batch-key scalar reason recorded: %v", reasons)
-	}
-	if reasons["singleton"] == 0 {
-		t.Errorf("no singleton scalar reason recorded: %v", reasons)
 	}
 	if s.QueueDelay == nil || s.QueueDelay.Count != 18 {
 		t.Errorf("queue-delay histogram = %+v, want 18 observations", s.QueueDelay)
@@ -203,7 +154,7 @@ func TestRecorderFailureAndCancel(t *testing.T) {
 func TestRecorderMidRunReport(t *testing.T) {
 	rec := NewSweepRecorder()
 	units := recUnits(3)
-	_ = recorderAddRun(rec, units, [][]int{{0}, {1}, {2}}, 2, 1)
+	_ = recorderAddRun(rec, units, 2)
 	rec.dequeue(0, 0)
 	rec.computeStart(0)
 	s := rec.Report()
@@ -226,12 +177,12 @@ func TestRecorderOffByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		units := recUnits(12)
-		cfg := Config{Jobs: 3, Lanes: 2, Cache: cache, Recorder: rec}
-		cold, coldSt, err := RunBatched(context.Background(), cfg, units, recBatchRun)
+		cfg := Config{Jobs: 3, Cache: cache, Recorder: rec}
+		cold, coldSt, err := Run(context.Background(), cfg, units)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, warmSt, err := RunBatched(context.Background(), cfg, units, recBatchRun)
+		warm, warmSt, err := Run(context.Background(), cfg, units)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,17 +44,6 @@ func (d Dispatch) String() string {
 	return "kernels"
 }
 
-// ParseDispatch parses a -dispatch flag value.
-func ParseDispatch(s string) (Dispatch, error) {
-	switch s {
-	case "kernels":
-		return DispatchKernels, nil
-	case "switch":
-		return DispatchSwitch, nil
-	}
-	return DispatchKernels, fmt.Errorf("unknown dispatch mode %q (want kernels or switch)", s)
-}
-
 // Kernel is one instruction's compiled semantics: calling it executes the
 // instruction exactly as Step would at its compile-time PC (including the
 // final State.PC update) and returns the same Result and error. A kernel

@@ -12,9 +12,9 @@ import (
 // kernel-gate`: the full harness pipeline — build, profile, transform,
 // golden check, timing simulation, report — must produce byte-identical
 // reports (modulo the engine section) under kernel and switch dispatch,
-// both scalar (Lanes=1) and lane-grouped (Lanes=0, auto). Runs under
-// -race in `make check`, so it also audits the compiled kernel table for
-// cross-lane sharing hazards.
+// on one worker and on eight. Runs under -race in `make check`, so it
+// also audits the compiled kernel table, which every simulation of one
+// patched image shares, for cross-goroutine sharing hazards.
 func TestKernelDispatchDifferential(t *testing.T) {
 	cs := []workload.Config{}
 	for _, name := range []string{"h264ref", "milc"} {
@@ -25,10 +25,10 @@ func TestKernelDispatchDifferential(t *testing.T) {
 		cs = append(cs, c)
 	}
 
-	run := func(d exec.Dispatch, lanes int) []byte {
+	run := func(d exec.Dispatch, jobs int) []byte {
 		o := fastOptions()
 		o.Dispatch = d
-		o.Lanes = lanes
+		o.Jobs = jobs
 		rs, err := RunBenchmarks(cs, o)
 		if err != nil {
 			t.Fatal(err)
@@ -37,10 +37,10 @@ func TestKernelDispatchDifferential(t *testing.T) {
 	}
 
 	ref := run(exec.DispatchSwitch, 1)
-	for _, lanes := range []int{1, 0} {
-		if got := run(exec.DispatchKernels, lanes); !bytes.Equal(ref, got) {
-			t.Fatalf("kernel dispatch (lanes=%d) diverged from switch reference:\n--- switch ---\n%s\n--- kernels ---\n%s",
-				lanes, ref, got)
+	for _, jobs := range []int{1, 8} {
+		if got := run(exec.DispatchKernels, jobs); !bytes.Equal(ref, got) {
+			t.Fatalf("kernel dispatch (jobs=%d) diverged from switch reference:\n--- switch ---\n%s\n--- kernels ---\n%s",
+				jobs, ref, got)
 		}
 	}
 }

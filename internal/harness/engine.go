@@ -51,8 +51,8 @@ type benchJob struct {
 // at most once (sync.Once) by whichever unit needs them first; every
 // product is read-only after construction, so simulation units on other
 // workers may consume them concurrently. Each simulation still gets its
-// own pipeline.Machine, memory clone, and patched image copy — the "one
-// machine per goroutine" contract DESIGN.md documents.
+// own pipeline.Machine and memory clone — the "one machine per goroutine"
+// contract DESIGN.md documents — over a Program shared per patched image.
 type jobArts struct {
 	once sync.Once
 	err  error
@@ -63,6 +63,23 @@ type jobArts struct {
 	staticBase, staticExp int
 
 	inputs []*inputArts // parallel to o.RefInputs
+	// progs memoizes the iteration-patched image and its predecoded
+	// Program per (binary, iters). Its keys are fixed by newBenchJob, so
+	// lookups need no lock; each entry builds under its own sync.Once.
+	progs map[progKey]*progArts
+}
+
+// progKey names one patched image of a job: PatchIters bakes the REF
+// iteration count into the binary.
+type progKey struct {
+	binary string
+	iters  int64
+}
+
+// progArts is one memoized patched image, predecoded for simulation.
+type progArts struct {
+	once sync.Once
+	prog *pipeline.Program
 }
 
 // inputArts holds the per-(job, input) shared products: the initialized
@@ -76,13 +93,19 @@ type inputArts struct {
 }
 
 func newBenchJob(c workload.Config, o Options) *benchJob {
-	return &benchJob{c: c, o: o, arts: &jobArts{inputs: func() []*inputArts {
-		ia := make([]*inputArts, len(o.RefInputs))
-		for i := range ia {
-			ia[i] = &inputArts{}
+	a := &jobArts{
+		inputs: make([]*inputArts, len(o.RefInputs)),
+		progs:  map[progKey]*progArts{},
+	}
+	for i, in := range o.RefInputs {
+		a.inputs[i] = &inputArts{}
+		for _, binary := range []string{"base", "exp"} {
+			if k := (progKey{binary, in.Iters}); a.progs[k] == nil {
+				a.progs[k] = &progArts{}
+			}
 		}
-		return ia
-	}()}}
+	}
+	return &benchJob{c: c, o: o, arts: a}
 }
 
 // artifacts builds (once) and returns the job's shared binaries.
@@ -99,6 +122,24 @@ func (j *benchJob) artifacts() (*jobArts, error) {
 		a.staticBase, a.staticExp = base.NumInstrs(), exp.NumInstrs()
 	})
 	return a, a.err
+}
+
+// program builds (once) and returns the predecoded binary patched to
+// iters REF iterations.
+func (j *benchJob) program(binary string, iters int64) (*pipeline.Program, error) {
+	a, err := j.artifacts()
+	if err != nil {
+		return nil, err
+	}
+	pa := a.progs[progKey{binary, iters}]
+	pa.once.Do(func() {
+		im := a.baseIm
+		if binary == "exp" {
+			im = a.expIm
+		}
+		pa.prog = pipeline.Predecode(j.c.PatchIters(im, iters))
+	})
+	return pa.prog, nil
 }
 
 // input builds (once) and returns the shared per-input products.
@@ -167,39 +208,10 @@ func (j *benchJob) simKey(in workload.Input, width int, binary string) string {
 	})
 }
 
-// simImage resolves the patched program image and machine config of one
-// (input, width, binary) simulation from the shared artifacts — the
-// read-only half of a run, shared verbatim by every lane of a batch.
-func (j *benchJob) simImage(a *jobArts, inputIdx, width int, binary string) (*ir.Image, pipeline.Config) {
-	im := a.baseIm
-	if binary == "exp" {
-		im = a.expIm
-	}
-	cfg := j.o.machineConfig(width)
-	if j.o.PipeviewBench == j.c.Name {
-		pv := pipeview.DefaultConfig()
-		cfg.Pipeview = &pv
-	}
-	return j.c.PatchIters(im, j.o.RefInputs[inputIdx].Iters), cfg
-}
-
-// checkRun applies simulate's post-run contract to one machine: wrap the
-// timing error with the unit's identity, then verify architectural memory
-// against the golden model.
-func (j *benchJob) checkRun(mach *pipeline.Machine, gold *mem.Memory, width int, binary string, err error) error {
-	if err != nil {
-		return fmt.Errorf("%s/%s w%d: %w", j.c.Name, binary, width, err)
-	}
-	if gold != nil && !mach.Memory().Equal(gold) {
-		return fmt.Errorf("%s/%s w%d: architectural state diverged from golden model", j.c.Name, binary, width)
-	}
-	return nil
-}
-
-// simulate executes one (input, width, binary) timing run against the
-// shared artifacts and verifies it against the golden model.
+// simulate executes one (input, width, binary) timing run over the
+// shared Program and verifies it against the golden model.
 func (j *benchJob) simulate(inputIdx, width int, binary string) (*pipeline.Stats, error) {
-	a, err := j.artifacts()
+	prog, err := j.program(binary, j.o.RefInputs[inputIdx].Iters)
 	if err != nil {
 		return nil, err
 	}
@@ -207,91 +219,28 @@ func (j *benchJob) simulate(inputIdx, width int, binary string) (*pipeline.Stats
 	if err != nil {
 		return nil, err
 	}
-	im, cfg := j.simImage(a, inputIdx, width, binary)
-	mach := pipeline.New(im, ia.refMem.Clone(), cfg)
+	cfg := j.o.machineConfig(width)
+	if j.o.PipeviewBench == j.c.Name {
+		pv := pipeview.DefaultConfig()
+		cfg.Pipeview = &pv
+	}
+	mach := prog.NewMachine(ia.refMem.Clone(), cfg)
 	st, err := mach.Run()
-	if err := j.checkRun(mach, ia.gold, width, binary, err); err != nil {
-		return nil, err
+	if err != nil {
+		return nil, fmt.Errorf("%s/%s w%d: %w", j.c.Name, binary, width, err)
+	}
+	if ia.gold != nil && !mach.Memory().Equal(ia.gold) {
+		return nil, fmt.Errorf("%s/%s w%d: architectural state diverged from golden model", j.c.Name, binary, width)
 	}
 	return st, nil
-}
-
-// simRef locates one simulation unit for the batch scheduler: the job it
-// belongs to plus the (input, width, binary) coordinates its scalar
-// closure would use. runBenchJobs builds one per simulation unit, in the
-// same order the units are enumerated.
-type simRef struct {
-	j        *benchJob
-	inputIdx int
-	width    int
-	binary   string
-}
-
-// simulateBatch runs a group of same-BatchKey simulations as one
-// pipeline.LaneGroup. All refs share (job, width, binary, iters) — the
-// batch key pins them — so the patched image and machine config are
-// resolved once; each lane gets its own REF memory clone and its own
-// golden check. Per-lane results and errors land in the slot of the ref
-// that produced them, so a failing lane does not poison its siblings.
-func simulateBatch(refs []simRef) ([]*pipeline.Stats, []error) {
-	j := refs[0].j
-	stats := make([]*pipeline.Stats, len(refs))
-	errs := make([]error, len(refs))
-	fill := func(err error) ([]*pipeline.Stats, []error) {
-		for i := range errs {
-			errs[i] = err
-		}
-		return stats, errs
-	}
-	a, err := j.artifacts()
-	if err != nil {
-		return fill(err)
-	}
-	im, cfg := j.simImage(a, refs[0].inputIdx, refs[0].width, refs[0].binary)
-
-	// Resolve each lane's input artifacts; a lane whose input fails drops
-	// out of the group before the machines are built.
-	ok := make([]int, 0, len(refs))
-	mems := make([]*mem.Memory, 0, len(refs))
-	golds := make([]*mem.Memory, 0, len(refs))
-	for i, r := range refs {
-		ia, err := j.input(r.inputIdx)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		ok = append(ok, i)
-		mems = append(mems, ia.refMem.Clone())
-		golds = append(golds, ia.gold)
-	}
-	if len(ok) == 0 {
-		return stats, errs
-	}
-
-	g := pipeline.NewLaneGroup(im, mems, cfg)
-	laneStats, laneErrs := g.Run()
-	for li, i := range ok {
-		r := refs[i]
-		if err := j.checkRun(g.Lane(li), golds[li], r.width, r.binary, laneErrs[li]); err != nil {
-			errs[i] = err
-			continue
-		}
-		stats[i] = laneStats[li]
-	}
-	return stats, errs
 }
 
 // units enumerates the job's engine units in deterministic order: the
 // build unit first, then (input x width x {base, exp}) simulations. The
 // build unit is uncacheable on purpose — the aggregated BenchResult needs
 // the profile and transform report even when every simulation below is a
-// cache hit. Each simulation also gets a simRef (parallel slice, same
-// order) and a BatchKey pinning everything the lanes of one group must
-// share — job, width, binary, and iteration count (PatchIters bakes
-// Iters into the image) — so only simulations over the exact same
-// patched image and config ever coalesce; seeds may differ per lane
-// because they live in the per-lane memory image.
-func (j *benchJob) units(jobIdx int) ([]engine.Unit[*pipeline.Stats], []simRef) {
+// cache hit.
+func (j *benchJob) units(jobIdx int) []engine.Unit[*pipeline.Stats] {
 	us := []engine.Unit[*pipeline.Stats]{{
 		Label: fmt.Sprintf("%d/%s/build", jobIdx, j.c.Name),
 		Run: func(context.Context) (*pipeline.Stats, error) {
@@ -299,24 +248,21 @@ func (j *benchJob) units(jobIdx int) ([]engine.Unit[*pipeline.Stats], []simRef) 
 			return nil, err
 		},
 	}}
-	refs := []simRef{{}} // build unit placeholder; never batched
 	for ii, in := range j.o.RefInputs {
 		for _, w := range j.o.Widths {
 			for _, binary := range []string{"base", "exp"} {
 				us = append(us, engine.Unit[*pipeline.Stats]{
 					Label: fmt.Sprintf("%d/%s/seed=%d,iters=%d/w%d/%s",
 						jobIdx, j.c.Name, in.Seed, in.Iters, w, binary),
-					Key:      j.simKey(in, w, binary),
-					BatchKey: fmt.Sprintf("%d/w%d/%s/iters=%d", jobIdx, w, binary, in.Iters),
+					Key: j.simKey(in, w, binary),
 					Run: func(context.Context) (*pipeline.Stats, error) {
 						return j.simulate(ii, w, binary)
 					},
 				})
-				refs = append(refs, simRef{j: j, inputIdx: ii, width: w, binary: binary})
 			}
 		}
 	}
-	return us, refs
+	return us
 }
 
 // runBenchJobs executes a (possibly heterogeneous) set of benchmark jobs
@@ -325,26 +271,14 @@ func (j *benchJob) units(jobIdx int) ([]engine.Unit[*pipeline.Stats], []simRef) 
 // comes from o; each job's own Options govern what it simulates.
 func runBenchJobs(jobs []*benchJob, o Options) ([]*BenchResult, error) {
 	var units []engine.Unit[*pipeline.Stats]
-	var refs []simRef
 	first := make([]int, len(jobs)) // index of each job's first simulation unit
 	for ji, j := range jobs {
-		us, rs := j.units(ji)
 		first[ji] = len(units) + 1 // skip the build unit
-		units = append(units, us...)
-		refs = append(refs, rs...)
+		units = append(units, j.units(ji)...)
 	}
-	batchRun := func(_ context.Context, idxs []int) ([]*pipeline.Stats, []error) {
-		group := make([]simRef, len(idxs))
-		for k, i := range idxs {
-			group[k] = refs[i]
-		}
-		return simulateBatch(group)
-	}
-	results, est, err := engine.RunBatched(context.Background(),
-		engine.Config{Jobs: o.Jobs, Cache: o.Cache, Monitor: o.Monitor, Lanes: o.laneCount(),
-			Recorder: o.Recorder,
-			Labels:   []string{"dispatch", o.Dispatch.String(), "lanes", fmt.Sprint(o.laneCount())}},
-		units, batchRun)
+	results, est, err := engine.Run(context.Background(),
+		engine.Config{Jobs: o.Jobs, Cache: o.Cache, Monitor: o.Monitor, Recorder: o.Recorder},
+		units)
 	if o.EngineStats != nil {
 		o.EngineStats.add(est)
 	}
@@ -386,16 +320,6 @@ func runBenchJobs(jobs []*benchJob, o Options) ([]*BenchResult, error) {
 		out[ji] = res
 	}
 	return out, nil
-}
-
-// laneCount resolves Options.Lanes to an effective group width: 0 means
-// automatic (pipeline.DefaultLanes); anything else passes through, with
-// 1 (or a negative value) selecting the scalar path.
-func (o *Options) laneCount() int {
-	if o.Lanes == 0 {
-		return pipeline.DefaultLanes
-	}
-	return o.Lanes
 }
 
 // EngineStats accumulates experiment-engine telemetry across every

@@ -2,10 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
+	"sync"
 	"testing"
 
 	"vanguard/internal/bpred"
 	"vanguard/internal/engine"
+	"vanguard/internal/pipeline"
 	"vanguard/internal/trace"
 	"vanguard/internal/workload"
 )
@@ -27,7 +30,9 @@ func reportBytes(t *testing.T, rs []*BenchResult) []byte {
 // must produce byte-identical reports (modulo the engine section). This is
 // the determinism guarantee the engine's ordered aggregation provides; it
 // runs under -race in `make check`, doubling as the concurrency audit of
-// the shared build artifacts.
+// the shared build artifacts. FastOptions' two REF inputs share an
+// iteration count, so at eight workers several simulations run over one
+// shared pipeline.Program at once.
 func TestJobsDifferential(t *testing.T) {
 	cs := []workload.Config{}
 	for _, name := range []string{"h264ref", "milc", "gobmk"} {
@@ -114,39 +119,80 @@ func TestJobs1RepeatDifferential(t *testing.T) {
 	}
 }
 
-// TestLanesDifferential: the lane-group scheduler is pure execution
-// policy. The same suite run scalar (Lanes=1) and lane-grouped (Lanes=0,
-// the auto default) must produce byte-identical reports at any jobs
-// count — the harness-level face of the pipeline lanes differential.
-// FastOptions' two REF inputs share an iteration count, so the laned runs
-// genuinely coalesce multi-lane groups rather than degenerating to
-// singletons.
+// TestLanesDifferential: simulations of one job share a memoized
+// pipeline.Program per patched image. Run concurrently, each must produce
+// byte-identical Stats to a machine built by pipeline.New over a private
+// patched image and memory. FastOptions' two REF inputs share an
+// iteration count, so both inputs' simulations of one binary share one
+// Program. (The name is kept from the lane-group scheduler the shared
+// Program replaced.)
 func TestLanesDifferential(t *testing.T) {
-	cs := []workload.Config{}
-	for _, name := range []string{"h264ref", "milc"} {
-		c, ok := workload.ByName(name)
-		if !ok {
-			t.Fatalf("missing benchmark %q", name)
+	c, ok := workload.ByName("h264ref")
+	if !ok {
+		t.Fatal("missing benchmark h264ref")
+	}
+	o := fastOptions()
+	o.Widths = []int{2, 4}
+	j := newBenchJob(c, o)
+	a, err := j.artifacts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.RefInputs[0].Iters != o.RefInputs[1].Iters {
+		t.Fatal("FastOptions REF inputs no longer share an iteration count")
+	}
+	for _, binary := range []string{"base", "exp"} {
+		p0, err0 := j.program(binary, o.RefInputs[0].Iters)
+		p1, err1 := j.program(binary, o.RefInputs[1].Iters)
+		if err0 != nil || err1 != nil || p0 != p1 {
+			t.Fatalf("%s: inputs with one iteration count got distinct Programs (errs %v, %v)", binary, err0, err1)
 		}
-		cs = append(cs, c)
 	}
 
-	run := func(lanes, jobs int) []byte {
-		o := fastOptions()
-		o.Lanes = lanes
-		o.Jobs = jobs
-		rs, err := RunBenchmarks(cs, o)
+	type sim struct {
+		input, width int
+		binary       string
+	}
+	var sims []sim
+	for ii := range o.RefInputs {
+		for _, w := range o.Widths {
+			for _, binary := range []string{"base", "exp"} {
+				sims = append(sims, sim{ii, w, binary})
+			}
+		}
+	}
+	got := make([]*pipeline.Stats, len(sims))
+	errs := make([]error, len(sims))
+	var wg sync.WaitGroup
+	for k, s := range sims {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[k], errs[k] = j.simulate(s.input, s.width, s.binary)
+		}()
+	}
+	wg.Wait()
+
+	for k, s := range sims {
+		if errs[k] != nil {
+			t.Fatalf("%+v: %v", s, errs[k])
+		}
+		ia, err := j.input(s.input)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return reportBytes(t, rs)
-	}
-
-	scalar := run(1, 1)
-	for _, jobs := range []int{1, 8} {
-		if got := run(0, jobs); !bytes.Equal(scalar, got) {
-			t.Fatalf("laned run (jobs=%d) diverged from scalar run:\n--- scalar ---\n%s\n--- laned ---\n%s",
-				jobs, scalar, got)
+		im := a.baseIm
+		if s.binary == "exp" {
+			im = a.expIm
+		}
+		want, err := pipeline.New(c.PatchIters(im, o.RefInputs[s.input].Iters), ia.refMem.Clone(), o.machineConfig(s.width)).Run()
+		if err != nil {
+			t.Fatalf("%+v: private machine: %v", s, err)
+		}
+		wb, _ := json.Marshal(want)
+		gb, _ := json.Marshal(got[k])
+		if !bytes.Equal(wb, gb) {
+			t.Fatalf("%+v: shared-Program simulation diverged from a private machine\nprivate: %s\nshared:  %s", s, wb, gb)
 		}
 	}
 }

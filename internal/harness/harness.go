@@ -58,13 +58,6 @@ type Options struct {
 	Jobs        int
 	Cache       *engine.Cache
 	EngineStats *EngineStats
-	// Lanes bounds how many same-image simulations coalesce into one
-	// lane group (pipeline.LaneGroup): 0 selects pipeline.DefaultLanes,
-	// 1 forces the scalar path, N caps groups at N lanes. Like Jobs it is
-	// pure execution policy — laned and scalar runs are byte-identical
-	// (the lanes differential gate) — so it is not part of the run-cache
-	// key.
-	Lanes int
 	// Monitor, when non-nil, receives live per-unit progress from every
 	// engine run this options value drives (the -progress / -listen
 	// observability surface).

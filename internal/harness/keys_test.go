@@ -55,12 +55,11 @@ func TestRunCacheKeyCoversOptions(t *testing.T) {
 	}
 	// optionsPolicy lists the fields that steer execution or observation
 	// but cannot change any simulated result: Verify only cross-checks,
-	// Jobs/Cache/EngineStats/Lanes are scheduling policy (the jobs and
-	// lanes differentials prove byte-identity), Monitor and Recorder only
-	// watch.
+	// Jobs/Cache/EngineStats are scheduling policy (the jobs differential
+	// proves byte-identity), Monitor and Recorder only watch.
 	optionsPolicy := map[string]bool{
 		"Verify": true, "Jobs": true, "Cache": true, "EngineStats": true,
-		"Lanes": true, "Monitor": true, "Recorder": true,
+		"Monitor": true, "Recorder": true,
 	}
 	ot := reflect.TypeOf(Options{})
 	for i := 0; i < ot.NumField(); i++ {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -16,8 +17,7 @@ import (
 // the predecoded-kernel dispatch engine must produce byte-identical
 // statistics — every cycle count, stall histogram, and branch counter —
 // and identical architectural memory to the reference switch dispatch,
-// on random structured programs across machine widths, both scalar and
-// lane-grouped.
+// on random structured programs across machine widths.
 func TestDispatchDifferential(t *testing.T) {
 	run := func(p *ir.Program, m *mem.Memory, w int, d exec.Dispatch) (*Stats, *mem.Memory) {
 		t.Helper()
@@ -47,40 +47,33 @@ func TestDispatchDifferential(t *testing.T) {
 	}
 }
 
-// TestDispatchDifferentialLanes repeats the A/B across the lane-parallel
-// core: a kernel-dispatch lane group must match scalar switch-dispatch
-// machines stat-for-stat.
+// TestDispatchDifferentialLanes repeats the A/B over a shared Program:
+// kernel-dispatch machines built from one Program and run concurrently
+// must match scalar switch-dispatch machines built by New stat for stat.
+// (The name is kept from the lane-group core that the shared Program
+// replaced.)
 func TestDispatchDifferentialLanes(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	prog, m := randomLoopProgram(r)
-	im := ir.MustLinearize(prog)
-	const lanes = 3
-
-	scalar := make([]*Stats, lanes)
-	for i := range scalar {
-		cfg := DefaultConfig(4)
-		cfg.Dispatch = exec.DispatchSwitch
-		st, err := New(im, m.Clone(), cfg).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		scalar[i] = st
-	}
+	p, m := randomLoopProgram(r)
+	im := ir.MustLinearize(p)
+	mems := memVariants(r, m, 3)
 
 	cfg := DefaultConfig(4)
 	cfg.Dispatch = exec.DispatchKernels
-	mems := make([]*mem.Memory, lanes)
+	got := runShared(t, Predecode(im), cloneAll(mems), cfg, nil)
+
+	cfg.Dispatch = exec.DispatchSwitch
 	for i := range mems {
-		mems[i] = m.Clone()
-	}
-	g := NewLaneGroup(im, mems, cfg)
-	stats, errs := g.Run()
-	for i := 0; i < lanes; i++ {
-		if errs[i] != nil {
-			t.Fatalf("lane %d: %v", i, errs[i])
+		want := runNew(t, im, mems[i].Clone(), cfg)
+		if got[i].err != "" || want.err != "" {
+			t.Fatalf("machine %d: errors kernels=%q switch=%q", i, got[i].err, want.err)
 		}
-		if !reflect.DeepEqual(scalar[i], stats[i]) {
-			t.Fatalf("lane %d: kernel lane group diverged from scalar switch machine", i)
+		if !bytes.Equal(got[i].stats, want.stats) {
+			t.Fatalf("machine %d: kernel machine over a shared Program diverged from switch machine\nswitch:  %s\nkernels: %s",
+				i, want.stats, got[i].stats)
+		}
+		if !got[i].mach.Memory().Equal(want.mach.Memory()) {
+			t.Fatalf("machine %d: architectural memory diverged between dispatch engines", i)
 		}
 	}
 }
@@ -89,35 +82,29 @@ func TestDispatchDifferentialLanes(t *testing.T) {
 // fails per engine: kernel dispatch rejects it when Run starts (the
 // whole image compiles at load), while switch dispatch preserves the
 // reference behavior of faulting only if the bad instruction is reached.
+// The compile error lives on the shared Program while dispatch is per
+// machine, so one Program serves both engines.
 func TestDispatchCompileErrorSurfacing(t *testing.T) {
 	im := &ir.Image{Instrs: []isa.Instr{
 		{Op: isa.HALT},
 		{Op: isa.Op(200)}, // past the HALT: never reached dynamically
 	}}
 
+	prog := Predecode(im)
 	cfg := DefaultConfig(2)
 	cfg.Dispatch = exec.DispatchKernels
-	if _, err := New(im, mem.New(), cfg).Run(); err == nil {
+	if _, err := prog.NewMachine(mem.New(), cfg).Run(); err == nil {
 		t.Fatal("kernel dispatch must reject an uncompilable image at Run start")
 	} else if !strings.Contains(err.Error(), "op(200)") {
 		t.Fatalf("compile rejection must name the opcode: %v", err)
 	}
 
 	cfg.Dispatch = exec.DispatchSwitch
-	st, err := New(im, mem.New(), cfg).Run()
+	st, err := prog.NewMachine(mem.New(), cfg).Run()
 	if err != nil {
 		t.Fatalf("switch dispatch must not reject an unreached bad opcode: %v", err)
 	}
 	if !st.Halted {
 		t.Fatal("switch run must halt normally")
-	}
-
-	cfg.Dispatch = exec.DispatchKernels
-	g := NewLaneGroup(im, []*mem.Memory{mem.New(), mem.New()}, cfg)
-	_, errs := g.Run()
-	for i, err := range errs {
-		if err == nil {
-			t.Fatalf("lane %d: lane group must surface the compile rejection", i)
-		}
 	}
 }

@@ -49,11 +49,30 @@ type fetchSpec struct {
 
 // ---- predecode ----
 
+// Program is an image prepared for simulation: the per-PC predecode
+// table with every instruction's compiled kernel. Nothing writes to it
+// after Predecode returns, so any number of machines — on any number of
+// goroutines — can run over one Program; each owns all of its mutable
+// state (fetch queue, scoreboard, store buffer, predictor, caches, stats)
+// and its results are those of a machine built over a fresh Program.
+type Program struct {
+	im  *ir.Image
+	pre []predecoded
+	err error // predecode's first kernel-compile error
+}
+
+// Predecode prepares im for simulation. The image must not change
+// afterwards.
+func Predecode(im *ir.Image) *Program {
+	pre, err := predecode(im.Instrs)
+	return &Program{im: im, pre: pre, err: err}
+}
+
 // predecoded caches the per-PC instruction metadata the issue stage needs
 // every cycle (register uses/def, functional unit, latency, kind flags),
 // so the hot loop indexes one flat array instead of re-deriving it through
-// isa switches per issued instruction. Built once per machine at load; the
-// image is immutable for the life of the run.
+// isa switches per issued instruction. Built once per Program; the image
+// is immutable for the life of every run over it.
 type predecoded struct {
 	// kernel is the instruction's compiled semantics (exec.Compile): one
 	// direct-through-pointer call replaces exec.Step's megamorphic opcode
@@ -255,9 +274,8 @@ type Machine struct {
 	feDelay  int64 // FrontEndDepth-1: fetched at c, issues no earlier than c+feDelay
 
 	// useKernels mirrors cfg.Dispatch == exec.DispatchKernels for the
-	// issue hot path; preErr is predecode's kernel-compile error (nil for
-	// any program made of known opcodes) and blocks Run only under kernel
-	// dispatch.
+	// issue hot path; preErr is the Program's kernel-compile error and
+	// blocks Run only under kernel dispatch.
 	useKernels bool
 	preErr     error
 
@@ -380,28 +398,24 @@ type Machine struct {
 
 // New builds a machine over the image and memory (mutated during the run).
 func New(im *ir.Image, m *mem.Memory, cfg Config) *Machine {
-	pre, preErr := predecode(im.Instrs)
-	mach := newShared(im, m, cfg, pre, cfg.Hier.Geom())
-	mach.preErr = preErr
-	return mach
+	return Predecode(im).NewMachine(m, cfg)
 }
 
-// newShared builds a machine over caller-supplied predecode and cache
-// geometry. Both are derived deterministically from (im, cfg), so a
-// machine built here is indistinguishable from New's — this is the
-// constructor LaneGroup uses to amortize the per-lane setup across a
-// group of same-image machines.
-func newShared(im *ir.Image, m *mem.Memory, cfg Config, pre []predecoded, geom cache.HierGeom) *Machine {
+// NewMachine builds a machine over the program and memory (mutated
+// during the run). Its allocations do not depend on the image length
+// unless an attribution recorder is configured.
+func (p *Program) NewMachine(m *mem.Memory, cfg Config) *Machine {
+	im := p.im
 	mach := &Machine{
 		cfg:           cfg,
 		im:            im,
 		mem:           m,
-		Hier:          cache.NewHierarchyWithGeom(cfg.Hier, geom),
+		Hier:          cache.NewHierarchy(cfg.Hier),
 		pred:          cfg.NewPredictor(),
 		btb:           bpred.NewBTB(cfg.BTBLogEntries),
 		ras:           bpred.NewRAS(cfg.RASEntries),
 		DBB:           NewDBB(cfg.DBBEntries),
-		pre:           pre,
+		pre:           p.pre,
 		feDelay:       int64(cfg.FrontEndDepth) - 1,
 		fetchPC:       im.Entry,
 		lastFetchLine: math.MaxUint64,
@@ -415,6 +429,7 @@ func newShared(im *ir.Image, m *mem.Memory, cfg Config, pre []predecoded, geom c
 		pendFaultSeq:  -1,
 		repairStart:   -1,
 		useKernels:    cfg.Dispatch == exec.DispatchKernels,
+		preErr:        p.err,
 	}
 	mach.st = exec.NewState(sbView{mach}, im.Entry)
 	mach.nextException = cfg.ExceptionEveryN
@@ -511,28 +526,10 @@ func (m *Machine) Memory() *mem.Memory { return m.mem }
 
 // stepCycle advances the machine by one cycle: resolve speculation, surface
 // committed faults, drain committed stores, inject exceptions, then issue
-// and fetch. It returns done=true when the run is over (HALT drained or an
-// instruction cap hit) and a non-nil error on an architectural fault.
-//
-// The cycle is split into three phases so LaneGroup can interleave them
-// across lanes (all resolves, then all issues, then all fetches, which
-// keeps the shared image/predecode tables hot across the group) while a
-// scalar machine runs them back to back. The phases touch only per-machine
-// state, so the interleaving cannot change any lane's results.
+// and fetch, advance the clock, and close a sample window that ended on
+// this cycle. It returns done=true when the run is over (HALT drained or
+// an instruction cap hit) and a non-nil error on an architectural fault.
 func (m *Machine) stepCycle() (done bool, err error) {
-	if done, err := m.resolvePhase(); done || err != nil {
-		return done, err
-	}
-	m.issuePhase()
-	m.fetchPhase()
-	return false, nil
-}
-
-// resolvePhase is the back half of a cycle: resolve speculation, surface
-// committed faults, drain committed stores, inject exceptions, and report
-// completion. done/err have stepCycle's meaning; when either is set the
-// remaining phases must not run.
-func (m *Machine) resolvePhase() (done bool, err error) {
 	m.resolve()
 	if err := m.commitFaultCheck(); err != nil {
 		return true, err
@@ -543,29 +540,23 @@ func (m *Machine) resolvePhase() (done bool, err error) {
 		m.takeException()
 		m.nextException += m.cfg.ExceptionEveryN
 	}
-	return m.done(), nil
-}
-
-// issuePhase runs the issue stage, attribution-wrapped when enabled.
-func (m *Machine) issuePhase() {
+	if m.done() {
+		return true, nil
+	}
 	if m.attr == nil {
 		m.issue()
-		return
+	} else {
+		issuedBefore := m.stats.Issued
+		m.attrCause, m.attrIdx = attr.Fetch, 0
+		m.issue()
+		m.chargeAttr(int(m.stats.Issued - issuedBefore))
 	}
-	issuedBefore := m.stats.Issued
-	m.attrCause, m.attrIdx = attr.Fetch, 0
-	m.issue()
-	m.chargeAttr(int(m.stats.Issued - issuedBefore))
-}
-
-// fetchPhase runs fetch, advances the clock, and closes a sample window
-// that ended on this cycle.
-func (m *Machine) fetchPhase() {
 	m.fetch()
 	m.now++
 	if m.sampler != nil && m.now >= m.sampler.NextAt() {
 		m.closeSampleWindow()
 	}
+	return false, nil
 }
 
 // closeSampleWindow records the just-finished cycle window and re-arms
@@ -665,10 +656,14 @@ func (m *Machine) attrNoteOperand(pd *predecoded) {
 	m.attrCause, m.attrIdx = attr.OperandWait, 0
 }
 
-// prepareRun attaches the waterfall recorder and the cache-miss event
-// bridge and returns the effective cycle cap — the setup common to
-// Machine.Run and LaneGroup.Run.
-func (m *Machine) prepareRun() int64 {
+// Run simulates to HALT (or an instruction/cycle cap) and returns stats.
+// Only kernel dispatch refuses to start on a kernel-compile error: switch
+// dispatch is the reference semantics and keeps the step-time fault.
+func (m *Machine) Run() (*Stats, error) {
+	if m.useKernels && m.preErr != nil {
+		m.finishStats()
+		return &m.stats, m.preErr
+	}
 	maxCycles := m.cfg.MaxCycles
 	if maxCycles <= 0 {
 		maxCycles = 2_000_000_000
@@ -684,35 +679,10 @@ func (m *Machine) prepareRun() int64 {
 				Cycle: m.now, Seq: -1, Addr: ms.Addr, Val: ms.Latency})
 		}
 	}
-	return maxCycles
-}
-
-// cycleLimitErr is the error a run reports when it hits the cycle cap.
-func (m *Machine) cycleLimitErr(maxCycles int64) error {
-	return fmt.Errorf("pipeline: cycle limit %d reached at pc %d", maxCycles, m.fetchPC)
-}
-
-// compileErr reports the kernel-compile error that blocks this machine
-// from running, or nil. Only kernel dispatch refuses to start: switch
-// dispatch is the reference semantics and keeps the step-time fault.
-func (m *Machine) compileErr() error {
-	if m.useKernels {
-		return m.preErr
-	}
-	return nil
-}
-
-// Run simulates to HALT (or an instruction/cycle cap) and returns stats.
-func (m *Machine) Run() (*Stats, error) {
-	if err := m.compileErr(); err != nil {
-		m.finishStats()
-		return &m.stats, err
-	}
-	maxCycles := m.prepareRun()
 	for {
 		if m.now >= maxCycles {
 			m.finishStats()
-			return &m.stats, m.cycleLimitErr(maxCycles)
+			return &m.stats, fmt.Errorf("pipeline: cycle limit %d reached at pc %d", maxCycles, m.fetchPC)
 		}
 		done, err := m.stepCycle()
 		if err != nil {

@@ -52,30 +52,14 @@ type SweepSpan struct {
 	// Key is the unit's run-cache content key (unit spans only), so the
 	// recording joins against the sha256-keyed artifact store.
 	Key string `json:"key,omitempty"`
-	// Batch and Width describe lane-group execution: the BatchKey the
-	// unit coalesced under and how many units its group computed together
-	// (compute spans; 1 = scalar).
-	Batch string `json:"batch,omitempty"`
-	Width int    `json:"width,omitempty"`
-}
-
-// SweepGroup records one scheduling task the engine formed: either a
-// lane group (Width > 1) or a scalar task with the reason batching did
-// not apply.
-type SweepGroup struct {
-	BatchKey string `json:"batch_key,omitempty"`
-	Width    int    `json:"width"`
-	Units    []int  `json:"units"`
-	// ScalarReason explains a width-1 task: "no-batch-key" (the unit is
-	// not groupable), "lanes-off" (batching disabled for the run), or
-	// "singleton" (a group that never filled past one unit).
-	ScalarReason string `json:"scalar_reason,omitempty"`
 }
 
 // SweepReport is the full flight recording of one sweep: per-phase spans
-// in deterministic enumeration order, lane-group formation records, and
-// the queue-delay / latency / wasted-work accounting derived from the
-// span timestamps. Wall times vary run to run; span ordering does not.
+// in deterministic enumeration order and the queue-delay / latency /
+// wasted-work accounting derived from the span timestamps. Wall times
+// vary run to run; span ordering does not. Readers ignore fields they do
+// not know, so recordings that carry the retired lane-group fields
+// (span batch/width, report groups) still read and check.
 type SweepReport struct {
 	Schema      string `json:"schema"`
 	Workers     int    `json:"workers"`
@@ -90,11 +74,10 @@ type SweepReport struct {
 	QueueWaitUS int64 `json:"queue_wait_us"`
 	// WastedUS totals work that produced nothing: compute time of failed
 	// units plus queue residency of cancelled units.
-	WastedUS    int64        `json:"wasted_us"`
-	QueueDelay  *Hist        `json:"queue_delay_us,omitempty"`
-	UnitLatency *Hist        `json:"unit_latency_us,omitempty"`
-	Spans       []SweepSpan  `json:"spans"`
-	Groups      []SweepGroup `json:"groups,omitempty"`
+	WastedUS    int64       `json:"wasted_us"`
+	QueueDelay  *Hist       `json:"queue_delay_us,omitempty"`
+	UnitLatency *Hist       `json:"unit_latency_us,omitempty"`
+	Spans       []SweepSpan `json:"spans"`
 }
 
 // WriteJSON renders the recording as indented JSON (the sweep_trace.json
@@ -233,9 +216,6 @@ func (s *SweepReport) WriteChrome(w io.Writer) error {
 		if sp.Key != "" {
 			args += fmt.Sprintf(`,"key":"%s"`, jsonEscape(sp.Key))
 		}
-		if sp.Batch != "" {
-			args += fmt.Sprintf(`,"batch":"%s","width":%d`, jsonEscape(sp.Batch), sp.Width)
-		}
 		switch sp.Phase {
 		case SweepPhaseUnit:
 			// The unit span is bookkeeping (it contains the phases below);
@@ -246,11 +226,7 @@ func (s *SweepReport) WriteChrome(w io.Writer) error {
 		case SweepPhaseProbe:
 			c.Span(sweepChromePid, sp.Worker+1, "probe:"+sp.Outcome, "sweep", sp.StartUS, sp.DurUS, args)
 		case SweepPhaseCompute:
-			name := sp.Label
-			if sp.Width > 1 {
-				name = fmt.Sprintf("%s [x%d]", sp.Label, sp.Width)
-			}
-			c.Span(sweepChromePid, sp.Worker+1, name, "sweep", sp.StartUS, sp.DurUS, args)
+			c.Span(sweepChromePid, sp.Worker+1, sp.Label, "sweep", sp.StartUS, sp.DurUS, args)
 		}
 	}
 	// Queue depth over time: all units enqueue at their queue span start;

@@ -13,8 +13,8 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files from current output")
 
 // goldenSweep is a small fixed recording exercising every span shape: a
-// batched miss+compute retire, a cache hit served without compute, a
-// failed batch sibling, and a cancelled unit that never left the queue.
+// miss+compute retire, a cache hit served without compute, a failed
+// compute, and a cancelled unit that never left the queue.
 func goldenSweep() *SweepReport {
 	qd, lat := &Hist{}, &Hist{}
 	for _, v := range []int64{10, 5, 10, 80} {
@@ -32,21 +32,16 @@ func goldenSweep() *SweepReport {
 			{Unit: 0, Label: "alpha", Phase: SweepPhaseUnit, Worker: 0, StartUS: 0, DurUS: 50, Outcome: SweepRetire, Key: "k0"},
 			{Unit: 0, Label: "alpha", Phase: SweepPhaseQueue, Worker: -1, StartUS: 0, DurUS: 10},
 			{Unit: 0, Label: "alpha", Phase: SweepPhaseProbe, Worker: 0, StartUS: 10, DurUS: 2, Outcome: SweepMiss},
-			{Unit: 0, Label: "alpha", Phase: SweepPhaseCompute, Worker: 0, StartUS: 14, DurUS: 36, Batch: "grp", Width: 2},
+			{Unit: 0, Label: "alpha", Phase: SweepPhaseCompute, Worker: 0, StartUS: 14, DurUS: 36},
 			{Unit: 1, Label: "beta", Phase: SweepPhaseUnit, Worker: 1, StartUS: 0, DurUS: 8, Outcome: SweepRetire, Key: "k1"},
 			{Unit: 1, Label: "beta", Phase: SweepPhaseQueue, Worker: -1, StartUS: 0, DurUS: 5},
 			{Unit: 1, Label: "beta", Phase: SweepPhaseProbe, Worker: 1, StartUS: 5, DurUS: 3, Outcome: SweepHit},
 			{Unit: 2, Label: "gamma", Phase: SweepPhaseUnit, Worker: 0, StartUS: 0, DurUS: 50, Outcome: SweepFail, Key: "k2"},
 			{Unit: 2, Label: "gamma", Phase: SweepPhaseQueue, Worker: -1, StartUS: 0, DurUS: 10},
 			{Unit: 2, Label: "gamma", Phase: SweepPhaseProbe, Worker: 0, StartUS: 12, DurUS: 2, Outcome: SweepMiss},
-			{Unit: 2, Label: "gamma", Phase: SweepPhaseCompute, Worker: 0, StartUS: 14, DurUS: 36, Batch: "grp", Width: 2},
+			{Unit: 2, Label: "gamma", Phase: SweepPhaseCompute, Worker: 0, StartUS: 14, DurUS: 36},
 			{Unit: 3, Label: "delta", Phase: SweepPhaseUnit, Worker: -1, StartUS: 0, DurUS: 80, Outcome: SweepCancel},
 			{Unit: 3, Label: "delta", Phase: SweepPhaseQueue, Worker: -1, StartUS: 0, DurUS: 80},
-		},
-		Groups: []SweepGroup{
-			{BatchKey: "grp", Width: 2, Units: []int{0, 2}},
-			{Width: 1, Units: []int{1}, ScalarReason: "no-batch-key"},
-			{Width: 1, Units: []int{3}, ScalarReason: "singleton"},
 		},
 	}
 }
@@ -110,6 +105,28 @@ func TestSweepJSONRoundTrip(t *testing.T) {
 
 	if _, err := ReadSweep(strings.NewReader(`{"schema":"vanguard-sweep-trace/v9"}`)); err == nil {
 		t.Error("future sweep schema accepted")
+	}
+}
+
+// TestSweepReadsLaneFields pins backward compatibility of the v1 wire
+// format: a recording written while the engine still formed lane groups
+// (compute spans carrying batch/width, a top-level groups list) must
+// still read, check, and decode to the same recording without them.
+func TestSweepReadsLaneFields(t *testing.T) {
+	f, err := os.Open(filepath.Join("testdata", "sweep_lanes_v1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	back, err := ReadSweep(f)
+	if err != nil {
+		t.Fatalf("lane-era recording rejected: %v", err)
+	}
+	if err := back.Check(); err != nil {
+		t.Errorf("lane-era recording fails Check: %v", err)
+	}
+	if want := goldenSweep(); !reflect.DeepEqual(back, want) {
+		t.Errorf("lane-era recording decoded differently:\ngot  %+v\nwant %+v", back, want)
 	}
 }
 
@@ -225,7 +242,7 @@ func TestSweepChromeRoundTrip(t *testing.T) {
 		t.Errorf("%d queue-depth counter events, want 5", counters)
 	}
 	for _, want := range []string{
-		"alpha [x2]", // batched compute renders its width
+		"alpha",
 		"probe:hit", "probe:miss",
 		"queue:delta",
 		"tid:worker 0", "tid:worker 1", "tid:queue",
