@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet race bench bench-all bench-diff bench-json results attr-gate staticcheck pipeview-gate kernel-gate sweep-gate bpred-gate
+.PHONY: all build test check fmt vet race bench bench-all bench-diff bench-json results attr-gate staticcheck pipeview-gate kernel-gate sweep-gate bpred-gate gate-patterns
 
 # Pinned staticcheck version: `go run` resolves it through the module
 # proxy, so the exact analyzer version is reproducible everywhere.
@@ -56,10 +56,10 @@ staticcheck:
 # end-to-end harness byte-identity — under the race detector and
 # uncached, so the predecoded kernel table can never change a result byte
 # or be shared unsafely across concurrent machines.
+KERNEL_GATE_RUN := TestKernel|TestDispatch|TestProgram|TestInterpDispatch|TestCompileRejects|TestStepUnknown|TestDivRem|TestFus
+KERNEL_GATE_PKGS := ./internal/exec/ ./internal/pipeline/ ./internal/interp/ ./internal/harness/
 kernel-gate:
-	$(GO) test -race -count 1 \
-		-run 'TestKernel|TestDispatch|TestProgram|TestInterpDispatch|TestCompileRejects|TestStepUnknown|TestDivRem|TestFus' \
-		./internal/exec/ ./internal/pipeline/ ./internal/interp/ ./internal/harness/
+	$(GO) test -race -count 1 -run '$(KERNEL_GATE_RUN)' $(KERNEL_GATE_PKGS)
 
 # Sweep flight-recorder gate: an uncached end-to-end benchmark run with
 # the recorder attached must satisfy the span conservation invariant
@@ -67,10 +67,10 @@ kernel-gate:
 # the recorder-off path must stay byte-identical and allocation-free,
 # and the monitor surface (/metrics exposition, /debug/sweep, the
 # concurrency hammer) must hold up — all under the race detector.
+SWEEP_GATE_RUN := TestSweep|TestRecorder|TestMonitor|TestMetricsPromFormat|TestPromValidator|TestReportSchema|TestWriteSweepArtifacts
+SWEEP_GATE_PKGS := ./internal/engine/ ./internal/harness/ ./internal/trace/
 sweep-gate:
-	$(GO) test -race -count 1 \
-		-run 'TestSweep|TestRecorder|TestMonitor|TestMetricsPromFormat|TestPromValidator|TestReportSchemaV5|TestWriteSweepArtifacts' \
-		./internal/engine/ ./internal/harness/ ./internal/trace/
+	$(GO) test -race -count 1 -run '$(SWEEP_GATE_RUN)' $(SWEEP_GATE_PKGS)
 
 # Predictor-observatory gate: the probe's conservation invariant (every
 # resolve lands in exactly one provider/class bucket) on unit traces and
@@ -79,22 +79,40 @@ sweep-gate:
 # audit of the run-cache key against harness.Options/pipeline.Config,
 # and the monitor's /metrics + /debug/bpred surface — all under the race
 # detector and uncached.
+BPRED_GATE_RUN := TestProbe|TestHist|TestCtr2|TestBpredProbe|TestReportSchema|TestRunBpredDiff|TestWriteBpredCSV|TestBpredCSVImpliesReport|TestRunCacheKey|TestSimKeySeparates|TestMonitorBpred
+BPRED_GATE_PKGS := ./internal/bpred/ ./internal/pipeline/ ./internal/trace/ ./internal/harness/ ./internal/engine/ ./internal/cli/
 bpred-gate:
-	$(GO) test -race -count 1 \
-		-run 'TestProbe|TestHist|TestCtr2|TestBpredProbe|TestReportSchemaV6|TestSchemaConstants|TestRunBpredDiff|TestWriteBpredCSV|TestRunCacheKey|TestSimKeySeparates|TestMonitorBpred' \
-		./internal/bpred/ ./internal/pipeline/ ./internal/trace/ \
-		./internal/harness/ ./internal/engine/
+	$(GO) test -race -count 1 -run '$(BPRED_GATE_RUN)' $(BPRED_GATE_PKGS)
+
+# Gate-pattern audit: every -run alternative of every *-gate must name
+# at least one test in the gate's packages (go test -list), so a renamed
+# or folded test cannot silently drop out of its gate.
+gate-patterns:
+	@check() { \
+		tests="$$($(GO) test -list . $$2 | grep '^Test')" || exit 1; \
+		for alt in $$(echo "$$1" | tr '|' ' '); do \
+			echo "$$tests" | grep -q -- "$$alt" || { echo "gate-patterns: -run alternative $$alt matches no test in $$2"; exit 1; }; \
+		done; \
+	}; \
+	check '$(KERNEL_GATE_RUN)' '$(KERNEL_GATE_PKGS)' && \
+	check '$(SWEEP_GATE_RUN)' '$(SWEEP_GATE_PKGS)' && \
+	check '$(BPRED_GATE_RUN)' '$(BPRED_GATE_PKGS)' && \
+	check '$(ATTR_GATE_RUN)' '$(ATTR_GATE_PKGS)' && \
+	check '$(PIPEVIEW_GATE_RUN)' '$(PIPEVIEW_GATE_PKGS)' && \
+	echo "gate-patterns: every -run alternative matches a test"
 
 # Pre-PR gate: run this before every commit.
-check: fmt vet build staticcheck kernel-gate sweep-gate bpred-gate race
+check: fmt vet build staticcheck gate-patterns kernel-gate sweep-gate bpred-gate race
 
 # Attribution-conservation gate: every attributed fast-suite simulation
 # must charge exactly cycles x width issue slots (pipeline invariant
 # sweeps), match the aggregate counters per static branch, and leave
 # attribution-off runs byte-identical; the differential path must hold
 # the same books on both binaries of a real benchmark.
+ATTR_GATE_RUN := TestAttr|TestRunAttrDiff
+ATTR_GATE_PKGS := ./internal/pipeline/ ./internal/harness/
 attr-gate:
-	$(GO) test -run 'TestAttr|TestRunAttrDiff' -count 1 ./internal/pipeline/ ./internal/harness/
+	$(GO) test -run '$(ATTR_GATE_RUN)' -count 1 $(ATTR_GATE_PKGS)
 
 # Simulator-throughput benchmarks (simulated MIPS + allocation counts),
 # benchstat-friendly: five samples per benchmark, compare against the
@@ -129,9 +147,10 @@ bench-json:
 # instruction reaches exactly one terminal, stage cycles are monotonic),
 # the off-path byte-identity contract, and the golden Konata/waterfall
 # renderings, uncached.
+PIPEVIEW_GATE_RUN := TestPipeview|TestLifecycle|TestKonata|TestWaterfall
+PIPEVIEW_GATE_PKGS := ./internal/pipeline/ ./internal/pipeview/ ./internal/textplot/ ./internal/trace/
 pipeview-gate:
-	$(GO) test -run 'TestPipeview|TestLifecycle|TestKonata|TestWaterfall' -count 1 \
-		./internal/pipeline/ ./internal/pipeview/ ./internal/textplot/ ./internal/trace/
+	$(GO) test -run '$(PIPEVIEW_GATE_RUN)' -count 1 $(PIPEVIEW_GATE_PKGS)
 
 # Regenerate the committed telemetry baselines under results/ through the
 # experiment engine, then fail if they drifted from the committed files.

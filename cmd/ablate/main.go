@@ -12,9 +12,8 @@ import (
 	"log"
 	"os"
 
-	"vanguard/internal/engine"
+	"vanguard/internal/cli"
 	"vanguard/internal/harness"
-	"vanguard/internal/trace"
 	"vanguard/internal/workload"
 )
 
@@ -22,20 +21,12 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ablate: ")
 	var (
-		sweep    = flag.String("sweep", "all", "gap | hoist | dbb | slice | all")
-		fast     = flag.Bool("fast", false, "reduced inputs")
-		attrF    = flag.Bool("attr", false, "attribute every issue slot to a cause on every simulation (feeds the monitor's /metrics per-cause counters)")
-		bpredRep = flag.Bool("bpred-report", false, "probe the predictor on every simulation and print the ablation benchmarks' table-level studies")
-		bpredCSV = flag.String("bpred-csv", "", "probe the predictor on every simulation and write the ablation benchmarks' per-branch classifications as CSV to this file")
-		jsonF    = flag.String("json", "", "also write the sweeps as a structured telemetry report to this file")
-		jobs     = flag.Int("jobs", 0, "simulation worker pool size (0 = GOMAXPROCS)")
-		cacheDir = flag.String("cache-dir", engine.DefaultDir(), "on-disk run cache directory")
-		noCache  = flag.Bool("no-cache", false, "disable the on-disk run cache")
-		progress = flag.Bool("progress", false, "render a live engine status line on stderr")
-		listen   = flag.String("listen", "", "serve live progress over HTTP on this address (e.g. :0): /progress JSON, /metrics Prometheus text, /debug/sweep dashboard, /healthz, /debug/pprof")
-		sweepOut = flag.String("sweep-trace", "", "record the engine flight recording (one span per unit lifecycle phase) and write it as a "+trace.SweepSchema+" JSON artifact to this file; -json reports gain a sweep section (schema "+trace.SchemaV5+")")
-		sweepChr = flag.String("sweep-chrome", "", "record the engine flight recording and write it as a Chrome trace_event timeline (one track per worker) to this file")
+		sweep = flag.String("sweep", "all", "gap | hoist | dbb | slice | all")
+		fast  = flag.Bool("fast", false, "reduced inputs")
+		attrF = flag.Bool("attr", false, "attribute every issue slot to a cause on every simulation (feeds the monitor's /metrics per-cause counters)")
+		jsonF = flag.String("json", "", "also write the sweeps as a structured telemetry report to this file")
 	)
+	shared := cli.Register(flag.CommandLine)
 	flag.Parse()
 
 	o := harness.DefaultOptions()
@@ -43,37 +34,8 @@ func main() {
 		o = harness.FastOptions()
 		o.RefInputs = o.RefInputs[:1]
 	}
-	es := &harness.EngineStats{}
-	o.Jobs = *jobs
-	o.EngineStats = es
 	o.Attr = *attrF
-	o.Probe = *bpredRep || *bpredCSV != ""
-	if !*noCache && *cacheDir != "" {
-		c, err := engine.Open(*cacheDir)
-		if err != nil {
-			log.Printf("warning: run cache disabled: %v", err)
-		} else {
-			o.Cache = c
-		}
-	}
-	if *progress || *listen != "" {
-		o.Monitor = engine.NewMonitor()
-		if *listen != "" {
-			addr, closeSrv, err := o.Monitor.Serve(*listen)
-			if err != nil {
-				log.Fatalf("listen: %v", err)
-			}
-			defer closeSrv()
-			log.Printf("monitor listening on http://%s (/progress, /metrics, /debug/sweep, /debug/bpred, /healthz, /debug/pprof)", addr)
-		}
-		if *progress {
-			stop := o.Monitor.StartStatus(os.Stderr, 0)
-			defer stop()
-		}
-	}
-	if *sweepOut != "" || *sweepChr != "" {
-		o.Recorder = engine.NewSweepRecorder()
-	}
+	sess := shared.Start(&o)
 	names := harness.AblationBenchmarks()
 
 	titles := map[string]string{
@@ -130,57 +92,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if *bpredRep {
-			fmt.Println("\nPredictor observatory (ablation benchmarks, first REF input):")
-			for _, r := range rs {
-				wr := r.Inputs[0].Runs[0]
-				for _, cand := range r.Inputs[0].Runs {
-					if cand.Width == 4 {
-						wr = cand
-					}
-				}
-				if wr.Base.Bpred == nil || wr.Exp.Bpred == nil {
-					continue
-				}
-				fmt.Println()
-				harness.WriteBpredStudy(os.Stdout, fmt.Sprintf("%s/base w%d", r.Config.Name, wr.Width), wr.Base.Bpred, 5)
-				harness.WriteBpredStudy(os.Stdout, fmt.Sprintf("%s/exp w%d", r.Config.Name, wr.Width), wr.Exp.Bpred, 5)
-			}
-		}
-		if *bpredCSV != "" {
-			f, err := os.Create(*bpredCSV)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if _, err := harness.WriteBpredCSV(f, rs); err != nil {
-				f.Close()
-				log.Fatalf("%s: %v", *bpredCSV, err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("wrote %s", *bpredCSV)
-		}
+		fmt.Println()
+		shared.WriteBpred(os.Stdout, rs, 4, 5)
 	}
 	if *jsonF != "" {
 		rep := harness.AblationJSON("ablate", sweeps, order)
-		rep.Engine = es.Report()
-		if o.Recorder != nil {
-			rep.Sweep = o.Recorder.Report()
-		}
-		if err := rep.WriteFile(*jsonF); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s", *jsonF)
+		sess.Telemetry(rep)
+		cli.Write(*jsonF, rep.Write)
 	}
-	if _, err := harness.WriteSweepArtifacts(o.Recorder, *sweepOut, *sweepChr, o.Cache); err != nil {
-		log.Fatal(err)
-	}
-	if *sweepOut != "" {
-		log.Printf("wrote %s", *sweepOut)
-	}
-	if *sweepChr != "" {
-		log.Printf("wrote %s (load in chrome://tracing or ui.perfetto.dev)", *sweepChr)
-	}
-	log.Printf("engine: %s", es.Summary())
+	sess.Finish()
 }

@@ -15,10 +15,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
-	"vanguard/internal/engine"
+	"vanguard/internal/cli"
 	"vanguard/internal/harness"
 	"vanguard/internal/sample"
 	"vanguard/internal/textplot"
@@ -76,43 +77,6 @@ func dumpSamples(path string, plot bool) {
 	}
 }
 
-// writeAttrCSV exports a differential attribution's stacked-CPI and
-// per-branch delta tables as PREFIX.cpistack.csv and PREFIX.branches.csv.
-func writeAttrCSV(prefix string, d *harness.AttrDiff) {
-	writeCSVFile(prefix+".cpistack.csv", func(f *os.File) (int, error) { return harness.WriteCPIStackCSV(f, d) })
-	writeCSVFile(prefix+".branches.csv", func(f *os.File) (int, error) { return harness.WriteBranchDeltaCSV(f, d) })
-}
-
-// writeBpredCSV exports a predictor differential's classification ×
-// conversion join and both binaries' per-branch studies.
-func writeBpredCSV(prefix string, d *harness.BpredDiff) {
-	writeCSVFile(prefix+".bpredjoin.csv", func(f *os.File) (int, error) { return harness.WriteBpredJoinCSV(f, d) })
-	writeCSVFile(prefix+".bpredstudy.csv", func(f *os.File) (int, error) {
-		n, err := harness.WriteBpredStudyCSV(f, d.Benchmark, d.Input, d.Width, "base", d.Base)
-		if err != nil {
-			return n, err
-		}
-		m, err := harness.WriteBpredStudyCSV(f, d.Benchmark, d.Input, d.Width, "exp", d.Exp)
-		return n + m, err
-	})
-}
-
-// writeCSVFile creates path, runs fn on it, and logs the row count.
-func writeCSVFile(path string, fn func(*os.File) (int, error)) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	rows, err := fn(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote %s (%d rows)", path, rows)
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
@@ -122,19 +86,11 @@ func main() {
 		samples     = flag.String("samples", "", "dump the samples sections of a telemetry report (vgrun/spec -json -sample-window output) as CSV on stdout; with -plot, render sparklines instead")
 		cpistack    = flag.String("cpistack", "", "render the baseline-vs-vanguard CPI stack and per-branch delta attribution for this benchmark")
 		width       = flag.Int("width", 4, "issue width for -cpistack")
-		attrCSV     = flag.String("attr-csv", "", "with -cpistack, also write PREFIX.cpistack.csv and PREFIX.branches.csv using this path prefix")
-		bpredRep    = flag.Bool("bpred-report", false, "with -cpistack: also probe both binaries' predictors and render the classification x conversion join (which converted branches were unpredictable vs merely mispredicted)")
-		bpredCSV    = flag.String("bpred-csv", "", "with -cpistack: write the classification x conversion join as PREFIX.bpredjoin.csv and the per-branch studies as PREFIX.bpredstudy.csv (implies -bpred-report)")
+		attrCSV     = flag.String("attr-csv", "", "with -cpistack, also write PREFIX.cpistack.csv and PREFIX.branches.csv using this path prefix, and with -bpred-report the classification x conversion join as PREFIX.bpredjoin.csv")
 		fast        = flag.Bool("fast", false, "reduced inputs (quick smoke run)")
 		plot        = flag.Bool("plot", false, "render ASCII charts instead of tables")
-		jobs        = flag.Int("jobs", 0, "simulation worker pool size (0 = GOMAXPROCS)")
-		cacheDir    = flag.String("cache-dir", engine.DefaultDir(), "on-disk run cache directory")
-		noCache     = flag.Bool("no-cache", false, "disable the on-disk run cache")
-		progress    = flag.Bool("progress", false, "render a live engine status line on stderr")
-		listen      = flag.String("listen", "", "serve live progress over HTTP on this address (e.g. :0): /progress JSON, /metrics Prometheus text, /debug/sweep dashboard, /healthz, /debug/pprof")
-		sweepOut    = flag.String("sweep-trace", "", "record the engine flight recording (one span per unit lifecycle phase) and write it as a "+trace.SweepSchema+" JSON artifact to this file")
-		sweepChr    = flag.String("sweep-chrome", "", "record the engine flight recording and write it as a Chrome trace_event timeline (one track per worker) to this file")
 	)
+	shared := cli.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *samples != "" {
@@ -150,35 +106,7 @@ func main() {
 		o.RefInputs = o.RefInputs[:1]
 		o.Widths = []int{4}
 	}
-	es := &harness.EngineStats{}
-	o.Jobs = *jobs
-	o.EngineStats = es
-	if !*noCache && *cacheDir != "" {
-		c, err := engine.Open(*cacheDir)
-		if err != nil {
-			log.Printf("warning: run cache disabled: %v", err)
-		} else {
-			o.Cache = c
-		}
-	}
-	if *progress || *listen != "" {
-		o.Monitor = engine.NewMonitor()
-		if *listen != "" {
-			addr, closeSrv, err := o.Monitor.Serve(*listen)
-			if err != nil {
-				log.Fatalf("listen: %v", err)
-			}
-			defer closeSrv()
-			log.Printf("monitor listening on http://%s (/progress, /metrics, /debug/sweep, /debug/bpred, /healthz, /debug/pprof)", addr)
-		}
-		if *progress {
-			stop := o.Monitor.StartStatus(os.Stderr, 0)
-			defer stop()
-		}
-	}
-	if *sweepOut != "" || *sweepChr != "" {
-		o.Recorder = engine.NewSweepRecorder()
-	}
+	sess := shared.Start(&o)
 
 	switch {
 	case *fig == 2 || *fig == 3:
@@ -201,7 +129,7 @@ func main() {
 		if !ok {
 			log.Fatalf("unknown benchmark %q", *cpistack)
 		}
-		if *bpredRep || *bpredCSV != "" {
+		if shared.BpredReport {
 			// The joined run: probe + attribution on the same simulations,
 			// so the CPI deltas and the predictability classes line up.
 			bd, err := harness.RunBpredDiff(c, o, *width)
@@ -212,10 +140,11 @@ func main() {
 			fmt.Println()
 			harness.WriteBpredReport(os.Stdout, bd, 10)
 			if *attrCSV != "" {
-				writeAttrCSV(*attrCSV, bd.Attr)
+				cli.WriteAttrCSV(*attrCSV, bd.Attr)
+				cli.Write(*attrCSV+".bpredjoin.csv", func(w io.Writer) error { _, err := harness.WriteBpredJoinCSV(w, bd); return err })
 			}
-			if *bpredCSV != "" {
-				writeBpredCSV(*bpredCSV, bd)
+			if shared.BpredCSV != "" {
+				cli.Write(shared.BpredCSV, func(w io.Writer) error { _, err := harness.WriteBpredDiffCSV(w, bd); return err })
 			}
 			break
 		}
@@ -225,7 +154,7 @@ func main() {
 		}
 		harness.WriteAttrDiff(os.Stdout, d, 10)
 		if *attrCSV != "" {
-			writeAttrCSV(*attrCSV, d)
+			cli.WriteAttrCSV(*attrCSV, d)
 		}
 	case *sensitivity:
 		rows, err := harness.Sensitivity(harness.SensitivityBenchmarks(), o)
@@ -238,14 +167,5 @@ func main() {
 		fmt.Fprintln(os.Stderr, "need -fig 2, -fig 3, -cpistack BENCH, or -sensitivity")
 		os.Exit(2)
 	}
-	if _, err := harness.WriteSweepArtifacts(o.Recorder, *sweepOut, *sweepChr, o.Cache); err != nil {
-		log.Fatal(err)
-	}
-	if *sweepOut != "" {
-		log.Printf("wrote %s", *sweepOut)
-	}
-	if *sweepChr != "" {
-		log.Printf("wrote %s (load in chrome://tracing or ui.perfetto.dev)", *sweepChr)
-	}
-	log.Printf("engine: %s", es.Summary())
+	sess.Finish()
 }

@@ -16,7 +16,7 @@ import (
 	"os"
 
 	"vanguard/internal/bpred"
-	"vanguard/internal/engine"
+	"vanguard/internal/cli"
 	"vanguard/internal/harness"
 	"vanguard/internal/metrics"
 	"vanguard/internal/workload"
@@ -32,14 +32,9 @@ func main() {
 		iters     = flag.Int64("iters", 0, "override REF iteration count")
 		dump      = flag.Bool("dump", false, "disassemble the baseline and experimental binaries")
 		attrF     = flag.Bool("attr", false, "attribute every issue slot to a cause and print the baseline-vs-vanguard cycle stack, per-branch deltas, and offender tables")
-		bpredRep  = flag.Bool("bpred-report", false, "probe the predictor on both binaries and print the table-level studies with per-branch predictability classes")
-		bpredCSV  = flag.String("bpred-csv", "", "probe the predictor and write every run's per-branch classification as CSV to this file (implies -bpred-report)")
 		list      = flag.Bool("list", false, "list available benchmarks and exit")
-		progress  = flag.Bool("progress", false, "render a live engine status line on stderr")
-		listen    = flag.String("listen", "", "serve live progress over HTTP on this address (e.g. :0): /progress JSON, /metrics Prometheus text, /debug/sweep dashboard, /healthz, /debug/pprof")
-		sweepOut  = flag.String("sweep-trace", "", "record the engine flight recording (one span per unit lifecycle phase) and write it as a JSON artifact to this file")
-		sweepChr  = flag.String("sweep-chrome", "", "record the engine flight recording and write it as a Chrome trace_event timeline (one track per worker) to this file")
 	)
+	shared := cli.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *list {
@@ -60,29 +55,11 @@ func main() {
 	o := harness.DefaultOptions()
 	o.Widths = []int{*width}
 	o.Attr = *attrF
-	if *progress || *listen != "" {
-		o.Monitor = engine.NewMonitor()
-		if *listen != "" {
-			addr, closeSrv, err := o.Monitor.Serve(*listen)
-			if err != nil {
-				log.Fatalf("listen: %v", err)
-			}
-			defer closeSrv()
-			log.Printf("monitor listening on http://%s (/progress, /metrics, /debug/sweep, /debug/bpred, /healthz, /debug/pprof)", addr)
-		}
-		if *progress {
-			stop := o.Monitor.StartStatus(os.Stderr, 0)
-			defer stop()
-		}
-	}
-	o.Probe = *bpredRep || *bpredCSV != ""
-	if *sweepOut != "" || *sweepChr != "" {
-		o.Recorder = engine.NewSweepRecorder()
-	}
 	if bpred.ByName(*predictor) == nil {
 		log.Fatalf("unknown predictor %q", *predictor)
 	}
 	o.NewPredictor = func() bpred.DirPredictor { return bpred.ByName(*predictor) }
+	o.PredictorName = *predictor
 	if *iters > 0 {
 		for i := range o.RefInputs {
 			o.RefInputs[i].Iters = *iters
@@ -102,6 +79,8 @@ func main() {
 			len(rep.Converted), rep.PISCS())
 		return
 	}
+
+	sess := shared.Start(&o)
 
 	r, err := harness.RunBenchmark(c, o)
 	if err != nil {
@@ -138,35 +117,9 @@ func main() {
 			harness.WriteAttrDiff(os.Stdout, d, 10)
 		}
 	}
-	if o.Probe && len(r.Inputs) > 0 {
-		wr := r.Inputs[0].Runs[0]
-		if *bpredRep && wr.Base.Bpred != nil && wr.Exp.Bpred != nil {
-			fmt.Println()
-			harness.WriteBpredStudy(os.Stdout, fmt.Sprintf("%s/base w%d", c.Name, wr.Width), wr.Base.Bpred, 10)
-			harness.WriteBpredStudy(os.Stdout, fmt.Sprintf("%s/exp w%d", c.Name, wr.Width), wr.Exp.Bpred, 10)
-		}
-		if *bpredCSV != "" {
-			f, err := os.Create(*bpredCSV)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if _, err := harness.WriteBpredCSV(f, []*harness.BenchResult{r}); err != nil {
-				f.Close()
-				log.Fatalf("%s: %v", *bpredCSV, err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("wrote %s", *bpredCSV)
-		}
+	if o.Probe {
+		fmt.Println()
+		shared.WriteBpred(os.Stdout, []*harness.BenchResult{r}, *width, 10)
 	}
-	if _, err := harness.WriteSweepArtifacts(o.Recorder, *sweepOut, *sweepChr, o.Cache); err != nil {
-		log.Fatal(err)
-	}
-	if *sweepOut != "" {
-		log.Printf("wrote %s", *sweepOut)
-	}
-	if *sweepChr != "" {
-		log.Printf("wrote %s (load in chrome://tracing or ui.perfetto.dev)", *sweepChr)
-	}
+	sess.Finish()
 }

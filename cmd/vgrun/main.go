@@ -24,10 +24,9 @@ import (
 	"io"
 	"log"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"vanguard/internal/asm"
+	"vanguard/internal/cli"
 	"vanguard/internal/core"
 	"vanguard/internal/engine"
 	"vanguard/internal/exec"
@@ -55,12 +54,12 @@ func main() {
 		maxInstrs = flag.Int64("max-instrs", 50_000_000, "functional instruction cap")
 		doTrace   = flag.Bool("trace", false, "print issue/mispredict events from the timing run (historical line format)")
 		traceAll  = flag.Bool("trace-all", false, "like -trace, but print every lifecycle event (fetch, commit, squash, DBB push/pop, cache misses, faults)")
-		jsonOut   = flag.String("json", "", "write a machine-readable telemetry report (schema "+trace.Schema+"; "+trace.SchemaV2+" when sampling is on, "+trace.SchemaV3+" with -attr, "+trace.SchemaV4+" with -pipeview, "+trace.SchemaV5+" with -sweep-trace, "+trace.SchemaV6+" with -bpred-report) to this file")
+		jsonOut   = flag.String("json", "", "write a machine-readable telemetry report (schema "+trace.Schema+") to this file")
 		chromeOut = flag.String("chrome-trace", "", "write a Chrome trace_event timeline (open in chrome://tracing or ui.perfetto.dev) to this file")
 		noHists   = flag.Bool("no-hists", false, "suppress the ASCII histograms in the text report")
 		sampleWin = flag.Int64("sample-window", 0, fmt.Sprintf("record a counter time series every N cycles (0 disables; the conventional window is %d)", sample.DefaultWindow))
 		attrOn    = flag.Bool("attr", false, "charge every issue slot to a cause: print the CPI stack and offender tables, add an attribution section to -json reports")
-		pviewOn   = flag.Bool("pipeview", false, "record per-instruction pipeline lifetimes: print an ASCII waterfall and squash genealogy, add a pipeview section to -json reports (schema "+trace.SchemaV4+")")
+		pviewOn   = flag.Bool("pipeview", false, "record per-instruction pipeline lifetimes: print an ASCII waterfall and squash genealogy, add a pipeview section to -json reports")
 		konataOut = flag.String("konata", "", "write the captured lifetimes in Konata/O3PipeView format (open in the Konata viewer) to this file; implies -pipeview")
 		pvAround  = flag.Int("pipeview-around", 0, "capture around the Nth squash/misprediction instead of the run's tail (implies -pipeview)")
 		pvFrom    = flag.Int64("pipeview-from", 0, "with -pipeview-to: capture the explicit cycle range [from, to) (implies -pipeview)")
@@ -68,18 +67,8 @@ func main() {
 		pvEvery   = flag.Int64("pipeview-every", 0, "capture one burst of records at the start of every N-cycle window (implies -pipeview)")
 		attrDiff  = flag.Bool("attr-diff", false, "profile, decompose, and simulate the baseline and vanguard binaries with attribution on; print the CPI-stack delta and per-branch recovery table, then exit")
 		attrCSV   = flag.String("attr-csv", "", "with -attr-diff: also write PREFIX.cpistack.csv and PREFIX.branches.csv")
-		bpredOn   = flag.Bool("bpred-report", false, "probe the direction predictor: print the table-level study and per-branch predictability classes, add a bpredstudy section to -json reports (schema "+trace.SchemaV6+")")
-		bpredCSV  = flag.String("bpred-csv", "", "write the probed run's per-branch classification as CSV to this file (implies -bpred-report)")
-		jobs      = flag.Int("jobs", 0, "simulation worker pool size (0 = GOMAXPROCS)")
-		cacheDir  = flag.String("cache-dir", engine.DefaultDir(), "on-disk run cache directory")
-		noCache   = flag.Bool("no-cache", false, "disable the on-disk run cache")
-		progress  = flag.Bool("progress", false, "render a live engine status line on stderr")
-		listen    = flag.String("listen", "", "serve live progress over HTTP on this address (e.g. :0): /progress JSON, /metrics Prometheus text, /debug/sweep and /debug/bpred dashboards, /healthz, /debug/pprof")
-		sweepOut  = flag.String("sweep-trace", "", "record the engine flight recording (one span per unit lifecycle phase) and write it as a "+trace.SweepSchema+" JSON artifact to this file")
-		sweepChr  = flag.String("sweep-chrome", "", "record the engine flight recording and write it as a Chrome trace_event timeline (one track per worker; open in chrome://tracing or ui.perfetto.dev) to this file")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to a file")
-		memProf   = flag.String("memprofile", "", "write a heap profile to a file on exit")
 	)
+	shared := cli.Register(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		log.Fatal("usage: vgrun [flags] prog.s")
@@ -87,29 +76,8 @@ func main() {
 	if *attrDiff && *transform {
 		log.Fatal("-attr-diff builds both binaries itself; drop -transform")
 	}
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows live data
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatal(err)
-			}
-		}()
-	}
+	var o harness.Options
+	sess := shared.Start(&o)
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		log.Fatal(err)
@@ -135,6 +103,7 @@ func main() {
 	}
 	if *dump {
 		fmt.Print(asm.Format(p))
+		sess.Finish()
 		return
 	}
 
@@ -147,44 +116,15 @@ func main() {
 	fmt.Printf("functional: %d instructions, %d branches (%d taken), halted=%v\n",
 		fstats.Instrs, fstats.Branches, fstats.Taken, gst.Halted)
 
-	var cache *engine.Cache
-	if !*noCache && *cacheDir != "" {
-		if c, err := engine.Open(*cacheDir); err != nil {
-			log.Printf("warning: run cache disabled: %v", err)
-		} else {
-			cache = c
-		}
-	}
-	var mon *engine.Monitor
-	if *progress || *listen != "" {
-		mon = engine.NewMonitor()
-		if *listen != "" {
-			addr, closeSrv, err := mon.Serve(*listen)
-			if err != nil {
-				log.Fatalf("listen: %v", err)
-			}
-			defer closeSrv()
-			fmt.Fprintf(os.Stderr, "monitor listening on http://%s (/progress, /metrics, /debug/sweep, /healthz, /debug/pprof)\n", addr)
-		}
-	}
-	var recorder *engine.SweepRecorder
-	if *sweepOut != "" || *sweepChr != "" {
-		recorder = engine.NewSweepRecorder()
-	}
-	var stopStatus func()
-	if *progress {
-		stopStatus = mon.StartStatus(os.Stderr, 0)
-	}
-
 	if *attrDiff {
-		runAttrDiff(p, im, gm, src, cache, mon, recorder, stopStatus, *width, *maxInstrs, *jobs, *attrCSV, *sweepOut, *sweepChr)
+		runAttrDiff(p, im, gm, src, o, sess, *width, *maxInstrs, *attrCSV)
 		return
 	}
 	// Event tracing needs a live machine, so those runs bypass the cache
-	// (as do profiled runs — a cache hit would profile nothing); cache
+	// (profiled runs have none: -cpuprofile leaves o.Cache nil); cache
 	// hits skip the memory cross-check (the run was verified when its
 	// result was computed and stored).
-	tracing := *doTrace || *traceAll || *chromeOut != "" || *cpuProf != ""
+	tracing := *doTrace || *traceAll || *chromeOut != ""
 
 	// Pipeview capture rides inside Stats, so pipeviewed runs stay
 	// cacheable: the waterfall, genealogy and Konata renderings below all
@@ -198,8 +138,7 @@ func main() {
 		pvCfg = &c
 	}
 	// The predictor observatory rides inside Stats like pipeview, so
-	// probed runs stay cacheable too.
-	probeOn := *bpredOn || *bpredCSV != ""
+	// probed runs (o.Probe) stay cacheable too.
 	// v4: the dispatch engine joined the key — kernels and switch are
 	// byte-identical, but the namespace moves with the simulator core; it
 	// is fixed to kernels now and keeps its slot so v5 entries stay valid.
@@ -207,7 +146,7 @@ func main() {
 	// bpredstudy) never alias plain entries.
 	key := ""
 	if !tracing {
-		key = engine.Key("vgrun/v5", string(src), *width, *transform, *maxInstrs, *sampleWin, *attrOn, pvCfg, exec.DispatchKernels.String(), probeOn)
+		key = engine.Key("vgrun/v5", string(src), *width, *transform, *maxInstrs, *sampleWin, *attrOn, pvCfg, exec.DispatchKernels.String(), o.Probe)
 	}
 
 	runTiming := func(context.Context) (*pipeline.Stats, error) {
@@ -215,7 +154,7 @@ func main() {
 		cfg.SampleWindow = *sampleWin
 		cfg.Attr = *attrOn
 		cfg.Pipeview = pvCfg
-		cfg.Probe = probeOn
+		cfg.Probe = o.Probe
 		mach := pipeline.New(im, mem.New(), cfg)
 
 		// An always-on bounded ring keeps the most recent lifecycle events
@@ -241,7 +180,7 @@ func main() {
 			if err := chrome.Close(); err != nil {
 				return nil, fmt.Errorf("chrome trace: %w", err)
 			}
-			fmt.Fprintf(os.Stderr, "wrote %s (load in chrome://tracing or ui.perfetto.dev)\n", *chromeOut)
+			log.Printf("wrote %s (load in chrome://tracing or ui.perfetto.dev)", *chromeOut)
 		}
 		if simErr != nil {
 			fmt.Fprintf(os.Stderr, "last %d pipeline events before the failure:\n", ring.Len())
@@ -255,33 +194,25 @@ func main() {
 	}
 
 	results, est, err := engine.Run(context.Background(),
-		engine.Config{Jobs: *jobs, Cache: cache, Monitor: mon, Recorder: recorder},
+		engine.Config{Jobs: o.Jobs, Cache: o.Cache, Monitor: o.Monitor, Recorder: o.Recorder},
 		[]engine.Unit[*pipeline.Stats]{{Label: "timing/" + flag.Arg(0), Key: key, Run: runTiming}})
-	if stopStatus != nil {
-		stopStatus()
+	o.EngineStats.Add(est)
+	if err == nil && o.Monitor != nil {
+		st := results[0]
+		if st.Attr != nil {
+			o.Monitor.ObserveAttr(st.Attr.Slots)
+		}
+		if st.Bpred != nil {
+			o.Monitor.ObserveBpred(st.Bpred)
+		}
 	}
+	sweep := sess.Finish()
 	if err != nil {
 		log.Fatalf("simulate: %v", err)
 	}
-	sweep, err := harness.WriteSweepArtifacts(recorder, *sweepOut, *sweepChr, cache)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *sweepOut != "" {
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *sweepOut)
-	}
-	if *sweepChr != "" {
-		fmt.Fprintf(os.Stderr, "wrote %s (load in chrome://tracing or ui.perfetto.dev)\n", *sweepChr)
-	}
 	st := results[0]
 	if est.Units[0].CacheHit {
-		fmt.Fprintf(os.Stderr, "timing run served from the run cache (%s)\n", cache.Dir())
-	}
-	if mon != nil && st.Attr != nil {
-		mon.ObserveAttr(st.Attr.Slots)
-	}
-	if mon != nil && st.Bpred != nil {
-		mon.ObserveBpred(st.Bpred)
+		fmt.Fprintf(os.Stderr, "timing run served from the run cache (%s)\n", o.Cache.Dir())
 	}
 	fmt.Printf("timing:     %d cycles, IPC %.3f, %d issued (%d wrong-path), MPKI %.2f\n",
 		st.Cycles, st.IPC(), st.Issued, st.WrongPathIssued, st.MPKI())
@@ -329,19 +260,11 @@ func main() {
 		}
 		fmt.Println()
 		harness.WriteBpredStudy(os.Stdout, "predictor study", st.Bpred, 10)
-		if *bpredCSV != "" {
-			f, err := os.Create(*bpredCSV)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if _, err := harness.WriteBpredStudyCSV(f, flag.Arg(0), workload.Input{}, *width, "timing", st.Bpred); err != nil {
-				f.Close()
-				log.Fatalf("%s: %v", *bpredCSV, err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *bpredCSV)
+		if shared.BpredCSV != "" {
+			cli.Write(shared.BpredCSV, func(w io.Writer) error {
+				_, err := harness.WriteBpredStudyCSV(w, flag.Arg(0), workload.Input{}, *width, "timing", st.Bpred)
+				return err
+			})
 		}
 	}
 
@@ -355,7 +278,7 @@ func main() {
 			if err := pipeview.WriteKonataFile(*konataOut, pv); err != nil {
 				log.Fatalf("konata: %v", err)
 			}
-			fmt.Fprintf(os.Stderr, "wrote %s (open in the Konata pipeline viewer)\n", *konataOut)
+			log.Printf("wrote %s (open in the Konata pipeline viewer)", *konataOut)
 		}
 	}
 
@@ -375,10 +298,7 @@ func main() {
 			WallMS:      est.Wall.Seconds() * 1000,
 		}
 		report.Sweep = sweep
-		if err := report.WriteFile(*jsonOut); err != nil {
-			log.Fatalf("json report: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
+		cli.Write(*jsonOut, report.Write)
 	}
 }
 
@@ -387,8 +307,7 @@ func main() {
 // attribution on as engine units (cached, monitored), and render the
 // differential — which causes shrank, and which branches paid off.
 func runAttrDiff(p *ir.Program, baseIm *ir.Image, gm *mem.Memory, src []byte,
-	cache *engine.Cache, mon *engine.Monitor, recorder *engine.SweepRecorder, stopStatus func(),
-	width int, maxInstrs int64, jobs int, csvPrefix, sweepOut, sweepChr string) {
+	o harness.Options, sess *cli.Session, width int, maxInstrs int64, csvPrefix string) {
 	prof, err := profile.CollectDefault(baseIm, mem.New(), maxInstrs)
 	if err != nil {
 		log.Fatalf("profile: %v", err)
@@ -420,50 +339,26 @@ func runAttrDiff(p *ir.Program, baseIm *ir.Image, gm *mem.Memory, src []byte,
 			},
 		}
 	}
-	results, _, err := engine.Run(context.Background(),
-		engine.Config{Jobs: jobs, Cache: cache, Monitor: mon, Recorder: recorder},
+	results, est, err := engine.Run(context.Background(),
+		engine.Config{Jobs: o.Jobs, Cache: o.Cache, Monitor: o.Monitor, Recorder: o.Recorder},
 		[]engine.Unit[*pipeline.Stats]{sim(baseIm, "base"), sim(expIm, "exp")})
-	if stopStatus != nil {
-		stopStatus()
+	o.EngineStats.Add(est)
+	if err == nil && o.Monitor != nil {
+		o.Monitor.ObserveAttr(results[0].Attr.Slots)
+		o.Monitor.ObserveAttr(results[1].Attr.Slots)
 	}
+	sess.Finish()
 	if err != nil {
 		log.Fatalf("simulate: %v", err)
-	}
-	if _, err := harness.WriteSweepArtifacts(recorder, sweepOut, sweepChr, cache); err != nil {
-		log.Fatal(err)
 	}
 	d := &harness.AttrDiff{
 		Benchmark: flag.Arg(0), Width: width,
 		Base: results[0].Attr, Exp: results[1].Attr,
 		Profile: prof, Transform: rep,
 	}
-	if mon != nil {
-		mon.ObserveAttr(d.Base.Slots)
-		mon.ObserveAttr(d.Exp.Slots)
-	}
 	fmt.Printf("converted %d branch(es), code size %+.1f%%\n\n", len(rep.Converted), rep.PISCS())
 	harness.WriteAttrDiff(os.Stdout, d, 10)
 	if csvPrefix != "" {
-		for _, out := range []struct {
-			suffix string
-			write  func(io.Writer, *harness.AttrDiff) (int, error)
-		}{
-			{".cpistack.csv", harness.WriteCPIStackCSV},
-			{".branches.csv", harness.WriteBranchDeltaCSV},
-		} {
-			path := csvPrefix + out.suffix
-			f, err := os.Create(path)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if _, err := out.write(f, d); err != nil {
-				f.Close()
-				log.Fatalf("%s: %v", path, err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-		}
+		cli.WriteAttrCSV(csvPrefix, d)
 	}
 }

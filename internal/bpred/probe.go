@@ -267,8 +267,9 @@ func (p *Probe) ObserveResolve(id int, taken, mispredict bool, meta *Meta) {
 	}
 }
 
-// StudyReport is the observatory's wire form: the `bpredstudy` section
-// of telemetry schema v6 and the payload behind -bpred-report/-bpred-csv.
+// StudyReport is the observatory's wire form: the optional `bpredstudy`
+// section of the telemetry report and the payload behind
+// -bpred-report/-bpred-csv.
 type StudyReport struct {
 	Predictor string `json:"predictor"`
 	SizeBits  int    `json:"size_bits,omitempty"`

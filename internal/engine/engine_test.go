@@ -76,11 +76,10 @@ func TestRunFirstError(t *testing.T) {
 	}
 }
 
-// TestRunBatchedErrorAttribution: with several failing units, the
-// lowest-indexed failure wins even when a later unit fails first, and the
-// error carries the failing unit's own label. (The name is kept from the
-// batched scheduler Run replaced.)
-func TestRunBatchedErrorAttribution(t *testing.T) {
+// TestRunErrorAttribution: with several failing units, the lowest-indexed
+// failure wins even when a later unit fails first, and the error carries
+// the failing unit's own label.
+func TestRunErrorAttribution(t *testing.T) {
 	errLow := errors.New("low unit blew up")
 	errHigh := errors.New("high unit blew up")
 	mk := func(waitHigh bool) []Unit[int] {
@@ -220,11 +219,10 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunBatchedPerUnitCache: cache probes and fills are per unit, so a
+// TestRunPartialCache: cache probes and fills are per unit, so a
 // partially cached run computes only the misses, and a second run over
-// the same keys is served entirely from cache. (The name is kept from the
-// batched scheduler Run replaced.)
-func TestRunBatchedPerUnitCache(t *testing.T) {
+// the same keys is served entirely from cache.
+func TestRunPartialCache(t *testing.T) {
 	c, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

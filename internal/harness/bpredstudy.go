@@ -362,3 +362,51 @@ func WriteBpredStudyCSV(w io.Writer, bench string, in workload.Input, width int,
 	cw.Flush()
 	return rows, cw.Error()
 }
+
+// WriteBpredDiffCSV exports both binaries' studies of a predictor
+// differential in the WriteBpredCSV long form, under one header. Returns
+// the data-row count.
+func WriteBpredDiffCSV(w io.Writer, d *BpredDiff) (int, error) {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(bpredCSVHeader); err != nil {
+		return 0, err
+	}
+	rows := 0
+	for _, bin := range []struct {
+		name string
+		st   *bpred.StudyReport
+	}{{"base", d.Base}, {"exp", d.Exp}} {
+		n, err := bpredStudyRows(cw, d.Benchmark, d.Input, d.Width, bin.name, bin.st)
+		rows += n
+		if err != nil {
+			return rows, err
+		}
+	}
+	cw.Flush()
+	return rows, cw.Error()
+}
+
+// WriteBpredStudies renders, per benchmark of a probed result set, the
+// table-level studies of both binaries on the first REF input at the
+// given width (the input's first run when that width was not simulated),
+// with topN rows per table. Benchmarks without a study are skipped.
+func WriteBpredStudies(w io.Writer, results []*BenchResult, width, topN int) {
+	fmt.Fprintln(w, "Predictor observatory (first REF input):")
+	for _, r := range results {
+		if len(r.Inputs) == 0 || len(r.Inputs[0].Runs) == 0 {
+			continue
+		}
+		wr := r.Inputs[0].Runs[0]
+		for _, cand := range r.Inputs[0].Runs {
+			if cand.Width == width {
+				wr = cand
+			}
+		}
+		if wr.Base.Bpred == nil || wr.Exp.Bpred == nil {
+			continue
+		}
+		fmt.Fprintln(w)
+		WriteBpredStudy(w, fmt.Sprintf("%s/base w%d", r.Config.Name, wr.Width), wr.Base.Bpred, topN)
+		WriteBpredStudy(w, fmt.Sprintf("%s/exp w%d", r.Config.Name, wr.Width), wr.Exp.Bpred, topN)
+	}
+}

@@ -280,7 +280,7 @@ func runBenchJobs(jobs []*benchJob, o Options) ([]*BenchResult, error) {
 		engine.Config{Jobs: o.Jobs, Cache: o.Cache, Monitor: o.Monitor, Recorder: o.Recorder},
 		units)
 	if o.EngineStats != nil {
-		o.EngineStats.add(est)
+		o.EngineStats.Add(est)
 	}
 	if err != nil {
 		return nil, err
@@ -334,7 +334,10 @@ type EngineStats struct {
 	miss  int
 }
 
-func (s *EngineStats) add(est engine.Stats) {
+// Add folds one engine run's telemetry into the totals. Commands that
+// drive engine.Run directly call it so their summary reads like the
+// harness drivers'.
+func (s *EngineStats) Add(est engine.Stats) {
 	if s == nil {
 		return
 	}

@@ -119,14 +119,13 @@ func TestJobs1RepeatDifferential(t *testing.T) {
 	}
 }
 
-// TestLanesDifferential: simulations of one job share a memoized
+// TestProgramMemoDifferential: simulations of one job share a memoized
 // pipeline.Program per patched image. Run concurrently, each must produce
 // byte-identical Stats to a machine built by pipeline.New over a private
 // patched image and memory. FastOptions' two REF inputs share an
 // iteration count, so both inputs' simulations of one binary share one
-// Program. (The name is kept from the lane-group scheduler the shared
-// Program replaced.)
-func TestLanesDifferential(t *testing.T) {
+// Program.
+func TestProgramMemoDifferential(t *testing.T) {
 	c, ok := workload.ByName("h264ref")
 	if !ok {
 		t.Fatal("missing benchmark h264ref")

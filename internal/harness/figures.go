@@ -64,7 +64,7 @@ func BiasPredictabilityCurveOpts(suite string, in workload.Input, o Options) (*C
 	curves, est, err := engine.Run(context.Background(),
 		engine.Config{Jobs: o.Jobs, Cache: o.Cache, Monitor: o.Monitor, Recorder: o.Recorder}, units)
 	if o.EngineStats != nil {
-		o.EngineStats.add(est)
+		o.EngineStats.Add(est)
 	}
 	if err != nil {
 		return nil, err

@@ -47,12 +47,10 @@ func TestDispatchDifferential(t *testing.T) {
 	}
 }
 
-// TestDispatchDifferentialLanes repeats the A/B over a shared Program:
+// TestProgramDispatchDifferential repeats the A/B over a shared Program:
 // kernel-dispatch machines built from one Program and run concurrently
-// must match scalar switch-dispatch machines built by New stat for stat.
-// (The name is kept from the lane-group core that the shared Program
-// replaced.)
-func TestDispatchDifferentialLanes(t *testing.T) {
+// must match switch-dispatch machines built by New stat for stat.
+func TestProgramDispatchDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	p, m := randomLoopProgram(r)
 	im := ir.MustLinearize(p)

@@ -658,8 +658,14 @@ func (m *Machine) attrNoteOperand(pd *predecoded) {
 
 // Run simulates to HALT (or an instruction/cycle cap) and returns stats.
 // Only kernel dispatch refuses to start on a kernel-compile error: switch
-// dispatch is the reference semantics and keeps the step-time fault.
+// dispatch is the reference semantics and keeps the step-time fault. A
+// machine narrower than one slot could never issue, so it is refused
+// before the first cycle instead of spinning to the cycle cap.
 func (m *Machine) Run() (*Stats, error) {
+	if m.cfg.Width < 1 {
+		m.finishStats()
+		return &m.stats, fmt.Errorf("pipeline: issue width %d, want at least 1", m.cfg.Width)
+	}
 	if m.useKernels && m.preErr != nil {
 		m.finishStats()
 		return &m.stats, m.preErr

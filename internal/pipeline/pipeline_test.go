@@ -466,6 +466,22 @@ func TestCycleCapErrors(t *testing.T) {
 	}
 }
 
+// TestZeroWidthRefused pins that a machine with no issue slots fails at
+// once rather than spinning to the cycle cap.
+func TestZeroWidthRefused(t *testing.T) {
+	for _, w := range []int{0, -1} {
+		cfg := cfg4()
+		cfg.Width = w
+		st, err := New(ir.MustLinearize(straightLine(10)), mem.New(), cfg).Run()
+		if err == nil || !strings.Contains(err.Error(), "issue width") {
+			t.Fatalf("width %d: want issue-width error, got %v", w, err)
+		}
+		if st.Cycles != 0 {
+			t.Errorf("width %d: ran %d cycles before refusing", w, st.Cycles)
+		}
+	}
+}
+
 func TestWidthScaling(t *testing.T) {
 	// Wider machines must not be slower on parallel code.
 	p := straightLine(600)

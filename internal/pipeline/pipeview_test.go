@@ -221,8 +221,8 @@ func TestPipeviewReportSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Schema != trace.SchemaV4 {
-		t.Errorf("schema %q, want %q", back.Schema, trace.SchemaV4)
+	if back.Schema != trace.Schema {
+		t.Errorf("schema %q, want %q", back.Schema, trace.Schema)
 	}
 	got := back.Benchmarks[0].Runs[0].Pipeview
 	if got == nil || len(got.Records) != len(st.Pipeview.Records) {

@@ -99,14 +99,13 @@ func cloneAll(mems []*mem.Memory) []*mem.Memory {
 	return out
 }
 
-// TestLaneGroupMatchesScalar is the shared-Program correctness oracle: a
+// TestProgramSharedMatchesNew is the shared-Program correctness oracle: a
 // group of machines built from one Program and run concurrently must each
 // produce byte-identical Stats JSON and identical architectural memory to
-// the same run through a scalar New machine, across random programs and
-// machine widths. Under -race it also proves the Program is never written
-// during a run. (The name is kept from the lane-group core that the
-// shared Program replaced.)
-func TestLaneGroupMatchesScalar(t *testing.T) {
+// the same run through a New machine, across random programs and machine
+// widths. Under -race it also proves the Program is never written during
+// a run.
+func TestProgramSharedMatchesNew(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		r := rand.New(rand.NewSource(1000 + seed))
 		p, base := randomLoopProgram(r)
@@ -134,11 +133,11 @@ func TestLaneGroupMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestLaneGroupSingleLaneMatchesScalar pins the degenerate group: one
-// machine over a Program is exactly a scalar run, and so is a second
-// machine built over the same Program after the first has run to
-// completion — a finished run leaves nothing behind in the Program.
-func TestLaneGroupSingleLaneMatchesScalar(t *testing.T) {
+// TestProgramSequentialReuse pins that one machine over a Program is
+// exactly a New run, and so is a second machine built over the same
+// Program after the first has run to completion — a finished run leaves
+// nothing behind in the Program.
+func TestProgramSequentialReuse(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	p, base := randomLoopProgram(r)
 	im := ir.MustLinearize(p)

@@ -3,11 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
-
-	"vanguard/internal/attr"
-	"vanguard/internal/sample"
 )
 
 // TestRingMultiWrapOrdering drives the ring through several complete
@@ -86,99 +82,5 @@ func TestChromeEscapedNamesStayValidJSON(t *testing.T) {
 	}
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("no events")
-	}
-}
-
-// TestReportSchemaV2 pins the versioning contract: a report without
-// samples writes (and reads back) as v1 byte-compatible output; a report
-// with any sampled run is stamped v2; both tags are accepted by
-// ReadReport and anything else is rejected.
-func TestReportSchemaV2(t *testing.T) {
-	plain := NewReport("vgrun")
-	plain.Benchmarks = append(plain.Benchmarks, &BenchReport{
-		Name: "x",
-		Runs: []*RunReport{{Label: "timing", Width: 4, Counters: map[string]int64{"cycles": 1}}},
-	})
-	var buf bytes.Buffer
-	if err := plain.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"schema": "`+SchemaV1+`"`) {
-		t.Errorf("unsampled report not stamped v1:\n%s", buf.String())
-	}
-	if strings.Contains(buf.String(), "samples") {
-		t.Errorf("unsampled report mentions samples:\n%s", buf.String())
-	}
-	if _, err := ReadReport(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Errorf("v1 report rejected: %v", err)
-	}
-
-	sampled := NewReport("vgrun")
-	sampled.Benchmarks = append(sampled.Benchmarks, &BenchReport{
-		Name: "x",
-		Runs: []*RunReport{{
-			Label: "timing", Width: 4, Counters: map[string]int64{"cycles": 1},
-			Samples: &sample.Series{
-				WindowCycles: 100,
-				Windows:      []sample.Window{{Start: 0, End: 100, Committed: 42}},
-			},
-		}},
-	})
-	buf.Reset()
-	if err := sampled.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"schema": "`+SchemaV2+`"`) {
-		t.Errorf("sampled report not stamped v2:\n%s", buf.String())
-	}
-	back, err := ReadReport(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("v2 report rejected: %v", err)
-	}
-	sr := back.Benchmarks[0].Runs[0].Samples
-	if sr == nil || len(sr.Windows) != 1 || sr.Windows[0].Committed != 42 {
-		t.Errorf("samples lost in round trip: %+v", sr)
-	}
-	if _, err := ReadReport(strings.NewReader(`{"schema":"vanguard-telemetry/v999"}`)); err == nil {
-		t.Error("future schema accepted")
-	}
-}
-
-// TestReportSchemaV3 pins the attribution versioning: a report with any
-// attributed run is stamped v3 (winning over v2 when both sections are
-// present), round-trips its attribution section, and v3 is accepted by
-// ReadReport.
-func TestReportSchemaV3(t *testing.T) {
-	rec := attr.NewRecorder(4, 1, 2)
-	rec.ChargeCycle(1, attr.CondWait, 1)
-	attributed := NewReport("vgrun")
-	attributed.Benchmarks = append(attributed.Benchmarks, &BenchReport{
-		Name: "x",
-		Runs: []*RunReport{{
-			Label: "timing", Width: 2, Counters: map[string]int64{"cycles": 1},
-			Samples: &sample.Series{
-				WindowCycles: 100,
-				Windows:      []sample.Window{{Start: 0, End: 100, Committed: 1}},
-			},
-			Attribution: rec.Report(),
-		}},
-	})
-	var buf bytes.Buffer
-	if err := attributed.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"schema": "`+SchemaV3+`"`) {
-		t.Errorf("attributed report not stamped v3:\n%s", buf.String())
-	}
-	back, err := ReadReport(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("v3 report rejected: %v", err)
-	}
-	ar := back.Benchmarks[0].Runs[0].Attribution
-	if ar == nil || ar.Slots[attr.Base.Key()] != 1 || ar.Slots[attr.CondWait.Key()] != 1 {
-		t.Errorf("attribution lost in round trip: %+v", ar)
-	}
-	if err := ar.Check(); err != nil {
-		t.Errorf("round-tripped attribution fails its invariant: %v", err)
 	}
 }

@@ -1,7 +1,7 @@
 package trace
 
 // This file holds the serializable half of the pipeline waterfall viewer:
-// the `pipeview` section of the telemetry schema (SchemaV4). The recorder
+// the optional `pipeview` section of the telemetry report. The recorder
 // that assembles these records from the event stream lives in
 // internal/pipeview; the types live here so pipeline.Stats and the report
 // schema can carry them without importing the recorder (which itself
@@ -70,8 +70,8 @@ type PipeviewFlush struct {
 
 // PipeviewReport is the telemetry schema's `pipeview` section: the
 // captured per-instruction lifetime records (sorted by Seq) plus the
-// squash genealogy observed over the whole run. Its presence bumps a
-// report to SchemaV4.
+// squash genealogy observed over the whole run. Present only when the
+// run recorded lifetimes.
 type PipeviewReport struct {
 	// Trigger names the capture mode: "all", "range", "around-squash" or
 	// "window". TriggerCycle is the cycle of the triggering squash in

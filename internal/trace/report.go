@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/json"
 	"io"
-	"os"
 	"strconv"
 
 	"vanguard/internal/attr"
@@ -11,55 +10,31 @@ import (
 	"vanguard/internal/sample"
 )
 
-// SchemaV1/V2/V3 identify the run-report wire format — the single home of
-// the version strings every producer and consumer keys on. Bump the
-// suffix on any incompatible change; additive changes (new counters, new
-// hists) keep the version.
-//
-// SchemaV2 adds the optional per-run `samples` section (cycle-window
-// time series). SchemaV3 adds the optional per-run `attribution` section
-// (per-cause issue-slot accounting). SchemaV4 adds the optional per-run
-// `pipeview` section (per-instruction lifetime records and squash
-// genealogy). SchemaV5 adds the optional per-report `sweep` section (the
-// engine flight recording). SchemaV6 adds the optional per-run
-// `bpredstudy` section (the predictor observatory: table-level usage and
-// the per-branch predictability classification). A report is stamped
-// with the highest version whose section it actually carries, so
-// sampling-off / attribution-off / pipeview-off / recorder-off /
-// probe-off output is bit-identical to v1 and older consumers are
-// unaffected unless they opt in.
-const (
-	SchemaV1 = "vanguard-telemetry/v1"
-	SchemaV2 = "vanguard-telemetry/v2"
-	SchemaV3 = "vanguard-telemetry/v3"
-	SchemaV4 = "vanguard-telemetry/v4"
-	SchemaV5 = "vanguard-telemetry/v5"
-	SchemaV6 = "vanguard-telemetry/v6"
-)
+// Schema is the run-report wire tag every report is written with. Bump
+// the suffix only on an incompatible change. Additive changes (new
+// counters, new hists, new optional sections) keep it: a section's
+// presence is the capability, so a report without samples, attribution,
+// pipeview, sweep or bpredstudy sections is byte-identical to one written
+// before those sections existed.
+const Schema = "vanguard-telemetry/v1"
 
-// maxSchemaVersion is the single source of truth for the newest schema
-// revision: the accepted-version set in ReadReport and the range printed
-// by SchemaError are both derived from it through schemaVersion, so
-// adding a SchemaVN constant without bumping this is caught by
-// TestSchemaConstantsAccepted rather than silently rejecting new
-// reports.
-const maxSchemaVersion = 6
+// maxReadVersion is the newest tag ReadReport accepts. Earlier writers
+// stamped v2..v6 for each optional section they carried; those reports
+// still read.
+const maxReadVersion = 6
 
 // schemaVersion renders revision n as its wire tag ("vanguard-telemetry/vN").
 func schemaVersion(n int) string { return "vanguard-telemetry/v" + strconv.Itoa(n) }
 
-// schemaAccepted reports whether tag is a known schema revision.
+// schemaAccepted reports whether tag is a readable schema revision.
 func schemaAccepted(tag string) bool {
-	for n := 1; n <= maxSchemaVersion; n++ {
+	for n := 1; n <= maxReadVersion; n++ {
 		if tag == schemaVersion(n) {
 			return true
 		}
 	}
 	return false
 }
-
-// Schema is the base (v1) schema tag new reports start from.
-const Schema = SchemaV1
 
 // Report is the single machine-readable schema shared by every CLI's
 // -json flag: vgrun emits one benchmark with one timing run, spec emits
@@ -76,7 +51,7 @@ type Report struct {
 	Engine *EngineReport `json:"engine,omitempty"`
 	// Sweep is the engine flight recording (per-unit lifecycle spans),
 	// present only when the tool ran with the sweep recorder on
-	// (-sweep-trace); its presence bumps the report to v5. Like Engine it
+	// (-sweep-trace). Like Engine it
 	// carries wall times, so differential consumers strip it too.
 	Sweep *SweepReport `json:"sweep,omitempty"`
 }
@@ -149,20 +124,18 @@ type RunReport struct {
 	Rates    map[string]float64 `json:"rates,omitempty"`
 	Hists    map[string]*Hist   `json:"hists,omitempty"`
 	// Samples is the cycle-window time series, present only when the run
-	// was sampled (-sample-window); its presence bumps the report to v2.
+	// was sampled (-sample-window).
 	Samples *sample.Series `json:"samples,omitempty"`
 	// Attribution is the per-cause issue-slot accounting, present only
-	// when the run attributed cycles (-attr); its presence bumps the
-	// report to v3.
+	// when the run attributed cycles (-attr).
 	Attribution *attr.Report `json:"attribution,omitempty"`
 	// Pipeview is the per-instruction lifetime capture, present only when
-	// the run recorded a pipeline waterfall (-pipeview); its presence
-	// bumps the report to v4.
+	// the run recorded a pipeline waterfall (-pipeview).
 	Pipeview *PipeviewReport `json:"pipeview,omitempty"`
 	// Bpredstudy is the predictor observatory (per-table provider usage,
 	// occupancy/aliasing, and the per-branch predictability
 	// classification), present only when the run probed its predictor
-	// (-bpred-report/-bpred-csv); its presence bumps the report to v6.
+	// (-bpred-report/-bpred-csv).
 	Bpredstudy *bpred.StudyReport `json:"bpredstudy,omitempty"`
 }
 
@@ -178,89 +151,12 @@ type AblationPoint struct {
 	SpeedupPct float64 `json:"speedup_pct"`
 }
 
-// sampled reports whether any run carries a samples section.
-func (r *Report) sampled() bool {
-	for _, b := range r.Benchmarks {
-		for _, run := range b.Runs {
-			if run.Samples != nil {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// attributed reports whether any run carries an attribution section.
-func (r *Report) attributed() bool {
-	for _, b := range r.Benchmarks {
-		for _, run := range b.Runs {
-			if run.Attribution != nil {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// pipeviewed reports whether any run carries a pipeview section.
-func (r *Report) pipeviewed() bool {
-	for _, b := range r.Benchmarks {
-		for _, run := range b.Runs {
-			if run.Pipeview != nil {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// bpredstudied reports whether any run carries a bpredstudy section.
-func (r *Report) bpredstudied() bool {
-	for _, b := range r.Benchmarks {
-		for _, run := range b.Runs {
-			if run.Bpredstudy != nil {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Write renders the report as indented JSON, stamping the highest schema
-// tag whose optional section is present (v6 bpredstudy over v5 sweep
-// over v4 pipeview over v3 attribution over v2 samples; a plain report
-// stays v1).
+// Write renders the report as indented JSON stamped with Schema.
 func (r *Report) Write(w io.Writer) error {
-	if r.Schema == SchemaV1 {
-		switch {
-		case r.bpredstudied():
-			r.Schema = SchemaV6
-		case r.Sweep != nil:
-			r.Schema = SchemaV5
-		case r.pipeviewed():
-			r.Schema = SchemaV4
-		case r.attributed():
-			r.Schema = SchemaV3
-		case r.sampled():
-			r.Schema = SchemaV2
-		}
-	}
+	r.Schema = Schema
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// WriteFile writes the report to path.
-func (r *Report) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // ReadReport parses a report and verifies its schema tag.
@@ -279,5 +175,5 @@ func ReadReport(rd io.Reader) (*Report, error) {
 type SchemaError struct{ Got string }
 
 func (e *SchemaError) Error() string {
-	return "trace: report schema " + e.Got + " (want " + schemaVersion(1) + ".." + schemaVersion(maxSchemaVersion) + ")"
+	return "trace: report schema " + e.Got + " (want " + schemaVersion(1) + ".." + schemaVersion(maxReadVersion) + ")"
 }

@@ -130,35 +130,6 @@ func TestSweepReadsLaneFields(t *testing.T) {
 	}
 }
 
-// TestReportSchemaV5 pins the telemetry versioning: a report carrying a
-// sweep section is stamped v5 (winning over the pipeview section's v4),
-// round-trips it, and v5 is accepted by ReadReport.
-func TestReportSchemaV5(t *testing.T) {
-	rep := NewReport("vgrun")
-	rep.Sweep = goldenSweep()
-	rep.Benchmarks = append(rep.Benchmarks, &BenchReport{
-		Name: "h264ref",
-		Runs: []*RunReport{{Label: "base", Width: 4, Pipeview: &PipeviewReport{Trigger: "all"}}},
-	})
-	var buf bytes.Buffer
-	if err := rep.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"schema": "`+SchemaV5+`"`) {
-		t.Errorf("sweep-carrying report not stamped v5:\n%.200s", buf.String())
-	}
-	back, err := ReadReport(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("v5 report rejected: %v", err)
-	}
-	if back.Sweep == nil || back.Sweep.Units != 4 || len(back.Sweep.Spans) != 13 {
-		t.Errorf("sweep section lost in round trip: %+v", back.Sweep)
-	}
-	if err := back.Sweep.Check(); err != nil {
-		t.Errorf("round-tripped sweep section fails Check: %v", err)
-	}
-}
-
 // TestSweepChromeGolden pins the Chrome timeline export byte-for-byte.
 // Regenerate with
 //
