@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet race bench bench-all bench-diff bench-json results attr-gate staticcheck pipeview-gate kernel-gate sweep-gate bpred-gate gate-patterns
+.PHONY: all build test check fmt vet race bench bench-all bench-diff bench-json results attr-gate staticcheck pipeview-gate kernel-gate sweep-gate bpred-gate sched-gate fuzz-smoke gate-patterns
 
 # Pinned staticcheck version: `go run` resolves it through the module
 # proxy, so the exact analyzer version is reproducible everywhere.
@@ -84,6 +84,22 @@ BPRED_GATE_PKGS := ./internal/bpred/ ./internal/pipeline/ ./internal/trace/ ./in
 bpred-gate:
 	$(GO) test -race -count 1 -run '$(BPRED_GATE_RUN)' $(BPRED_GATE_PKGS)
 
+# Scheduler gate: the near-linear block scheduler against the quadratic
+# reference scheduler kept in sched_test.go, on every region of every
+# benchmark's speculated baseline and transformed programs at two TRAIN
+# seeds (the full matrix, so never -short), uncached.
+SCHED_GATE_RUN := TestScheduleMatchesReference
+SCHED_GATE_PKGS := ./internal/sched/
+sched-gate:
+	$(GO) test -count 1 -run '$(SCHED_GATE_RUN)' $(SCHED_GATE_PKGS)
+
+# Fuzz smoke: ten seconds of each native fuzz target on top of its seed
+# corpus (go test -fuzz takes one target and one package per run). The
+# minimizer's default 60 s budget per new input would spend the whole
+# smoke shrinking the first few finds, so it is capped by count.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzScheduleMatchesReference -fuzztime 10s -fuzzminimizetime 100x ./internal/sched/
+
 # Gate-pattern audit: every -run alternative of every *-gate must name
 # at least one test in the gate's packages (go test -list), so a renamed
 # or folded test cannot silently drop out of its gate.
@@ -97,12 +113,13 @@ gate-patterns:
 	check '$(KERNEL_GATE_RUN)' '$(KERNEL_GATE_PKGS)' && \
 	check '$(SWEEP_GATE_RUN)' '$(SWEEP_GATE_PKGS)' && \
 	check '$(BPRED_GATE_RUN)' '$(BPRED_GATE_PKGS)' && \
+	check '$(SCHED_GATE_RUN)' '$(SCHED_GATE_PKGS)' && \
 	check '$(ATTR_GATE_RUN)' '$(ATTR_GATE_PKGS)' && \
 	check '$(PIPEVIEW_GATE_RUN)' '$(PIPEVIEW_GATE_PKGS)' && \
 	echo "gate-patterns: every -run alternative matches a test"
 
 # Pre-PR gate: run this before every commit.
-check: fmt vet build staticcheck gate-patterns kernel-gate sweep-gate bpred-gate race
+check: fmt vet build staticcheck gate-patterns kernel-gate sweep-gate bpred-gate sched-gate fuzz-smoke race
 
 # Attribution-conservation gate: every attributed fast-suite simulation
 # must charge exactly cycles x width issue slots (pipeline invariant

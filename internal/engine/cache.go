@@ -22,8 +22,8 @@ const Version = "vanguard-engine/v1"
 // are safe for concurrent use; writes are atomic (temp file + rename), so
 // concurrent processes can share one directory.
 type Cache struct {
-	dir          string
-	hits, misses atomic.Int64
+	dir                   string
+	hits, misses, corrupt atomic.Int64
 }
 
 // Open creates (if needed) and opens a cache directory.
@@ -56,15 +56,29 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key[:2], key+".json")
 }
 
-// Get returns the stored bytes for key, if present.
+// Get returns the stored bytes for key, if present. It counts nothing:
+// only the caller's decode tells a usable entry from a corrupt one, so
+// the counters belong to Load.
 func (c *Cache) Get(key string) ([]byte, bool) {
 	data, err := os.ReadFile(c.path(key))
-	if err != nil {
+	return data, err == nil
+}
+
+// Load decodes the JSON entry stored under key into v and reports whether
+// it did. An absent entry counts as a miss; one that does not decode
+// counts as a miss and as corrupt, and the caller recomputes it.
+func (c *Cache) Load(key string, v any) bool {
+	data, ok := c.Get(key)
+	if ok && json.Unmarshal(data, v) != nil {
+		c.corrupt.Add(1)
+		ok = false
+	}
+	if !ok {
 		c.misses.Add(1)
-		return nil, false
+		return false
 	}
 	c.hits.Add(1)
-	return data, true
+	return true
 }
 
 // Put stores data under key. The cache is an optimization, so failures
@@ -96,8 +110,13 @@ func (c *Cache) Put(key string, data []byte) {
 // Hits returns the lifetime lookup-hit count of this handle.
 func (c *Cache) Hits() int64 { return c.hits.Load() }
 
-// Misses returns the lifetime lookup-miss count of this handle.
+// Misses returns the lifetime lookup-miss count of this handle, corrupt
+// entries included.
 func (c *Cache) Misses() int64 { return c.misses.Load() }
+
+// Corrupt returns how many lookups of this handle found an entry that did
+// not decode.
+func (c *Cache) Corrupt() int64 { return c.corrupt.Load() }
 
 // Key derives a content key from the JSON encodings of parts, prefixed by
 // the engine Version. Parts must be pure data (JSON-encodable); a

@@ -144,14 +144,10 @@ func Run[T any](ctx context.Context, cfg Config, units []Unit[T]) ([]T, Stats, e
 			if rec != nil {
 				p0 = rec.since()
 			}
-			hit := false
-			if data, ok := cfg.Cache.Get(u.Key); ok {
-				var v T
-				if err := json.Unmarshal(data, &v); err == nil {
-					results[i] = v
-					hit = true
-				}
-				// A corrupt entry is treated as a miss and recomputed.
+			var v T
+			hit := cfg.Cache.Load(u.Key, &v)
+			if hit {
+				results[i] = v
 			}
 			if rec != nil {
 				rec.probe(base+i, p0, hit)

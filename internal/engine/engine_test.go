@@ -277,7 +277,8 @@ func TestRunPartialCache(t *testing.T) {
 	}
 }
 
-// TestCacheCorruptEntry: a mangled cache file is recomputed, not trusted.
+// TestCacheCorruptEntry: a mangled cache file is recomputed, not trusted,
+// and the handle counts the lookup as a corrupt miss, not a hit.
 func TestCacheCorruptEntry(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir)
@@ -285,16 +286,10 @@ func TestCacheCorruptEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := Key("corrupt", 1)
+	c.Put(key, []byte("{not json"))
 	unit := Unit[payload]{Label: "u", Key: key, Run: func(context.Context) (payload, error) {
 		return payload{A: 7}, nil
 	}}
-	if _, _, err := Run(context.Background(), Config{Cache: c}, []Unit[payload]{unit}); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, key[:2], key+".json")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	res, st, err := Run(context.Background(), Config{Cache: c}, []Unit[payload]{unit})
 	if err != nil {
 		t.Fatal(err)
@@ -305,8 +300,11 @@ func TestCacheCorruptEntry(t *testing.T) {
 	if st.CacheHits != 0 || st.CacheMisses != 1 {
 		t.Fatalf("corrupt entry counted as a hit (hits=%d misses=%d)", st.CacheHits, st.CacheMisses)
 	}
+	if c.Hits() != 0 || c.Misses() != 1 || c.Corrupt() != 1 {
+		t.Fatalf("cache handle counted hits=%d misses=%d corrupt=%d, want 0/1/1", c.Hits(), c.Misses(), c.Corrupt())
+	}
 	// The recompute should have repaired the entry.
-	b, err := os.ReadFile(path)
+	b, err := os.ReadFile(filepath.Join(dir, key[:2], key+".json"))
 	if err != nil {
 		t.Fatal(err)
 	}
