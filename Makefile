@@ -77,9 +77,10 @@ sweep-gate:
 # on a real benchmark end to end, probe-off byte-identity and zero
 # steady-state allocations, the v6 telemetry round-trip, the reflection
 # audit of the run-cache key against harness.Options/pipeline.Config,
-# and the monitor's /metrics + /debug/bpred surface — all under the race
-# detector and uncached.
-BPRED_GATE_RUN := TestProbe|TestHist|TestCtr2|TestBpredProbe|TestReportSchema|TestRunBpredDiff|TestWriteBpredCSV|TestBpredCSVImpliesReport|TestRunCacheKey|TestSimKeySeparates|TestMonitorBpred
+# the monitor's /metrics + /debug/bpred surface, and the stream-level
+# golden digests of every predictor (predictions, Meta, table state,
+# probe books) — all under the race detector and uncached.
+BPRED_GATE_RUN := TestProbe|TestHist|TestCtr2|TestLadderStream|TestBpredProbe|TestReportSchema|TestRunBpredDiff|TestWriteBpredCSV|TestBpredCSVImpliesReport|TestRunCacheKey|TestSimKeySeparates|TestMonitorBpred
 BPRED_GATE_PKGS := ./internal/bpred/ ./internal/pipeline/ ./internal/trace/ ./internal/harness/ ./internal/engine/ ./internal/cli/
 bpred-gate:
 	$(GO) test -race -count 1 -run '$(BPRED_GATE_RUN)' $(BPRED_GATE_PKGS)
@@ -99,6 +100,8 @@ sched-gate:
 # smoke shrinking the first few finds, so it is capped by count.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScheduleMatchesReference -fuzztime 10s -fuzzminimizetime 100x ./internal/sched/
+	$(GO) test -run '^$$' -fuzz FuzzFoldMatchesReference -fuzztime 10s -fuzzminimizetime 100x ./internal/bpred/
+	$(GO) test -run '^$$' -fuzz FuzzAsmRoundTrip -fuzztime 10s -fuzzminimizetime 100x ./internal/asm/
 
 # Gate-pattern audit: every -run alternative of every *-gate must name
 # at least one test in the gate's packages (go test -list), so a renamed

@@ -256,3 +256,31 @@ func TestShippedSamplePrograms(t *testing.T) {
 		}
 	}
 }
+
+// FuzzAsmRoundTrip feeds arbitrary text to the assembler: Parse must
+// never panic, and whatever it accepts must re-parse after Format. The
+// corpus is seeded with the shipped sample programs.
+func FuzzAsmRoundTrip(f *testing.F) {
+	files, err := filepath.Glob("../../examples/asm/*.s")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	f.Add(sample)
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := Parse(src)
+		if err != nil {
+			return
+		}
+		text := Format(p)
+		if _, err := Parse(text); err != nil {
+			t.Fatalf("formatted output does not re-parse: %v\n%s", err, text)
+		}
+	})
+}

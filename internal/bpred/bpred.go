@@ -30,39 +30,50 @@ func (h *Hist) Push(taken bool) {
 }
 
 // Fold compresses the low n bits of history into w bits by chunked xor,
-// the standard TAGE index-folding construction.
+// the standard TAGE index-folding construction: chunk k holds history
+// bits [k*w, min((k+1)*w, n)), shifted down to bit 0, and the chunks are
+// xored together. History past bit 127 reads as zero, and a chunk wider
+// than 64 bits keeps only its low 64.
 func (h Hist) Fold(n, w int) uint64 {
 	if n <= 0 || w <= 0 {
 		return 0
 	}
 	// Fast path: with at most one chunk (n <= w) over the low word, the
-	// fold degenerates to masking the low n bits — no per-bit loop. This
-	// covers every stock predictor (histBits <= 64 folded into w >= n).
+	// fold degenerates to masking the low n bits. This covers gshare and
+	// the tournament (histBits <= 64 folded into w >= n).
 	if n <= 64 && w >= n {
 		if n == 64 {
 			return h[0]
 		}
 		return h[0] & (1<<uint(n) - 1)
 	}
-	var bits uint64
-	var acc uint64
-	got := 0
-	for i := 0; i < n; i++ {
-		var b uint64
-		if i < 64 {
-			b = (h[0] >> i) & 1
-		} else if i < 128 {
-			b = (h[1] >> (i - 64)) & 1
-		}
-		bits |= b << got
-		got++
-		if got == w {
-			acc ^= bits
-			bits, got = 0, 0
-		}
+	// Word path: clear the history past bit n once, then each chunk is
+	// one shift pair across the two words and one mask, so a fold costs
+	// O(n/w) word operations. The &63 on every shift count lets the
+	// compiler drop its shift-overflow guard; the counts are in range.
+	lo, hi := h[0], h[1]
+	switch {
+	case n < 64:
+		lo, hi = lo&(1<<uint(n)-1), 0
+	case n < 128:
+		hi &= 1<<uint(n-64) - 1
+	default:
+		n = 128
 	}
-	acc ^= bits
-	return acc & ((1 << w) - 1)
+	mask := ^uint64(0)
+	if w < 64 {
+		mask = 1<<uint(w) - 1
+	}
+	var acc uint64
+	s := 0
+	for ; s < 64 && s < n; s += w {
+		// hi<<1<<(63-s) is hi<<(64-s), which is 0 at s == 0.
+		acc ^= (lo>>uint(s&63) | hi<<1<<uint((63-s)&63)) & mask
+	}
+	for ; s < n; s += w {
+		acc ^= hi >> uint((s-64)&63) & mask
+	}
+	return acc
 }
 
 // Meta carries the prediction-time state a later Update needs to train the

@@ -453,7 +453,8 @@ func TestLadderSpecsFresh(t *testing.T) {
 }
 
 // foldRef is the original per-bit chunked-xor fold, kept as the oracle
-// for the masked fast path Fold takes when n <= 64 and w >= n.
+// for both of Fold's paths: the masked fast path taken when n <= 64 and
+// w >= n, and the word-level chunk path taken otherwise.
 func foldRef(h Hist, n, w int) uint64 {
 	if n <= 0 || w <= 0 {
 		return 0
@@ -491,4 +492,22 @@ func TestFoldFastPathMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzFoldMatchesReference checks Fold against the per-bit oracle on an
+// arbitrary history for every n in 0..140 and w in 0..70, so both edges
+// (n past the 128-bit register, w at and past the 64-bit word) are
+// covered.
+func FuzzFoldMatchesReference(f *testing.F) {
+	f.Add(uint64(0), uint64(0), uint8(0), uint8(0))
+	f.Add(^uint64(0), ^uint64(0), uint8(128), uint8(10))
+	f.Add(uint64(0x9e3779b97f4a7c15), uint64(0xbf58476d1ce4e5b9), uint8(140), uint8(70))
+	f.Add(uint64(0x8000000000000001), uint64(1), uint8(65), uint8(64))
+	f.Fuzz(func(t *testing.T, lo, hi uint64, nb, wb uint8) {
+		h := Hist{lo, hi}
+		n, w := int(nb)%141, int(wb)%71
+		if got, want := h.Fold(n, w), foldRef(h, n, w); got != want {
+			t.Fatalf("Fold(%d,%d) on %x = %x, reference %x", n, w, h, got, want)
+		}
+	})
 }

@@ -32,6 +32,13 @@ type TAGE struct {
 	lens       []int
 	hist       Hist
 
+	// idx and tags hold every tagged table's index and tag for the
+	// (pc, history) pair of the current Predict or Update call: lookup
+	// hashes once, and every later site of the call reads from here.
+	// Predictors are per-machine, so the scratch needs no locking.
+	idx  []uint64
+	tags []uint16
+
 	ticks int
 	rng   uint64 // deterministic xorshift for allocation choice
 
@@ -53,6 +60,8 @@ func NewTAGE(logBase, logT, tagW int, lens []int) *TAGE {
 		logT:       logT,
 		tagW:       tagW,
 		lens:       append([]int(nil), lens...),
+		idx:        make([]uint64, len(lens)),
+		tags:       make([]uint16, len(lens)),
 		rng:        0x9e3779b97f4a7c15,
 	}
 	for i := range t.base {
@@ -81,21 +90,24 @@ func (t *TAGE) SizeBits() int {
 	return bits
 }
 
-func (t *TAGE) index(i int, pc uint64, h Hist) uint64 {
-	return (pc ^ (pc >> uint(t.logT)) ^ h.Fold(t.lens[i], t.logT) ^ h.Fold(t.lens[i], t.logT-1)<<1) & t.idxMask
-}
-
-func (t *TAGE) tag(i int, pc uint64, h Hist) uint16 {
-	// The tag hash must stay decorrelated from the index hash (different
-	// pc mixing and different fold widths), otherwise when tagW == logT a
-	// slot's tag always equals its index and every lookup falsely matches.
-	return uint16((pc ^ pc>>3 ^ h.Fold(t.lens[i], t.tagW) ^ h.Fold(t.lens[i], t.tagW-2)<<1) & (1<<t.tagW - 1))
+// hash computes every tagged table's index and tag for (pc, h) into the
+// idx and tags scratch.
+func (t *TAGE) hash(pc uint64, h Hist) {
+	for i, n := range t.lens {
+		t.idx[i] = (pc ^ (pc >> uint(t.logT)) ^ h.Fold(n, t.logT) ^ h.Fold(n, t.logT-1)<<1) & t.idxMask
+		// The tag hash must stay decorrelated from the index hash
+		// (different pc mixing and different fold widths), otherwise when
+		// tagW == logT a slot's tag always equals its index and every
+		// lookup falsely matches.
+		t.tags[i] = uint16((pc ^ pc>>3 ^ h.Fold(n, t.tagW) ^ h.Fold(n, t.tagW-2)<<1) & (1<<t.tagW - 1))
+	}
 }
 
 // confident reports whether a 3-bit counter is outside the weak band.
 func confident(c int8) bool { return c >= 1 || c <= -2 }
 
-// lookup scans the tagged tables from longest history to shortest.
+// lookup hashes (pc, h) into the scratch, then scans the tagged tables
+// from longest history to shortest.
 //
 //   - provider is the longest matching entry (it is trained, and drives
 //     allocation decisions); -1 when only the base matched;
@@ -112,9 +124,10 @@ func (t *TAGE) lookup(pc uint64, h Hist) (pred, alt bool, provider int8, weak, t
 	provider = -1
 	havePred := false
 	haveAlt := false
+	t.hash(pc, h)
 	for i := len(t.tables) - 1; i >= 0; i-- {
-		e := &t.tables[i][t.index(i, pc, h)]
-		if e.tag != t.tag(i, pc, h) {
+		e := &t.tables[i][t.idx[i]]
+		if e.tag != t.tags[i] {
 			continue
 		}
 		first := provider == -1
@@ -201,14 +214,14 @@ func (t *TAGE) Survey() []TableSurvey {
 	return out
 }
 
-// Update implements DirPredictor.
+// Update implements DirPredictor. Its lookup leaves the indices and tags
+// of (pc, m.Hist) in the scratch, and every site below reads them there.
 func (t *TAGE) Update(pc uint64, taken bool, m Meta) {
-	h := m.Hist
-	_, alt, provider, _, _ := t.lookup(pc, h)
+	_, alt, provider, _, _ := t.lookup(pc, m.Hist)
 	if t.probe != nil {
 		t.probe.noteEntry(t.probeBase, pc&t.baseMask, pc)
 		if provider >= 0 {
-			t.probe.noteEntry(t.probeTab[provider], t.index(int(provider), pc, h), pc)
+			t.probe.noteEntry(t.probeTab[provider], t.idx[provider], pc)
 		}
 	}
 
@@ -217,8 +230,8 @@ func (t *TAGE) Update(pc uint64, taken bool, m Meta) {
 	basePred := t.base[pc&t.baseMask].taken()
 	taggedPred, haveTagged := basePred, false
 	for i := len(t.tables) - 1; i >= 0; i-- {
-		e := &t.tables[i][t.index(i, pc, h)]
-		if e.tag == t.tag(i, pc, h) && confident(e.ctr) {
+		e := &t.tables[i][t.idx[i]]
+		if e.tag == t.tags[i] && confident(e.ctr) {
 			taggedPred, haveTagged = e.ctr >= 0, true
 			break
 		}
@@ -235,7 +248,7 @@ func (t *TAGE) Update(pc uint64, taken bool, m Meta) {
 	}
 
 	if provider >= 0 {
-		e := &t.tables[provider][t.index(int(provider), pc, h)]
+		e := &t.tables[provider][t.idx[provider]]
 		provPred := e.ctr >= 0
 		if provPred == taken && alt != taken && e.u < 3 {
 			e.u++
@@ -265,9 +278,9 @@ func (t *TAGE) Update(pc uint64, taken bool, m Meta) {
 			if r&1 == 1 && k+1 < len(t.tables) {
 				i = k + 1
 			}
-			e := &t.tables[i][t.index(i, pc, h)]
+			e := &t.tables[i][t.idx[i]]
 			if e.u == 0 {
-				e.tag = t.tag(i, pc, h)
+				e.tag = t.tags[i]
 				if taken {
 					e.ctr = 0
 				} else {
@@ -276,7 +289,7 @@ func (t *TAGE) Update(pc uint64, taken bool, m Meta) {
 				if t.probe != nil {
 					// An allocation overwrites the slot, so it counts as an
 					// entry touch for the aliasing books.
-					t.probe.noteEntry(t.probeTab[i], t.index(i, pc, h), pc)
+					t.probe.noteEntry(t.probeTab[i], t.idx[i], pc)
 				}
 				allocated = true
 				break
@@ -284,7 +297,7 @@ func (t *TAGE) Update(pc uint64, taken bool, m Meta) {
 		}
 		if !allocated {
 			for k := start; k < len(t.tables); k++ {
-				e := &t.tables[k][t.index(k, pc, h)]
+				e := &t.tables[k][t.idx[k]]
 				if e.u > 0 {
 					e.u--
 				}

@@ -65,20 +65,21 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 }
 
 // Load decodes the JSON entry stored under key into v and reports whether
-// it did. An absent entry counts as a miss; one that does not decode
-// counts as a miss and as corrupt, and the caller recomputes it.
-func (c *Cache) Load(key string, v any) bool {
+// it did (hit), and whether an entry was present but did not decode
+// (corrupt). An absent entry counts as a miss; a corrupt one counts as a
+// miss and as corrupt, and the caller recomputes it.
+func (c *Cache) Load(key string, v any) (hit, corrupt bool) {
 	data, ok := c.Get(key)
 	if ok && json.Unmarshal(data, v) != nil {
 		c.corrupt.Add(1)
-		ok = false
+		ok, corrupt = false, true
 	}
 	if !ok {
 		c.misses.Add(1)
-		return false
+		return false, corrupt
 	}
 	c.hits.Add(1)
-	return true
+	return true, false
 }
 
 // Put stores data under key. The cache is an optimization, so failures

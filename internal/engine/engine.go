@@ -145,9 +145,12 @@ func Run[T any](ctx context.Context, cfg Config, units []Unit[T]) ([]T, Stats, e
 				p0 = rec.since()
 			}
 			var v T
-			hit := cfg.Cache.Load(u.Key, &v)
+			hit, corrupt := cfg.Cache.Load(u.Key, &v)
 			if hit {
 				results[i] = v
+			}
+			if corrupt && slot >= 0 {
+				cfg.Monitor.noteCorrupt()
 			}
 			if rec != nil {
 				rec.probe(base+i, p0, hit)

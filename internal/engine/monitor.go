@@ -48,6 +48,10 @@ type Monitor struct {
 	// bpred accumulates the predictor-observatory rollup from probed runs
 	// (ObserveBpred; /metrics vanguard_bpred_* and /debug/bpred).
 	bpred bpredMon
+
+	// cacheCorrupt counts run-cache entries that were present but did not
+	// decode; each was recomputed, so it is also one of cacheMisses.
+	cacheCorrupt int
 }
 
 type activeUnit struct {
@@ -160,6 +164,13 @@ type WorkerUnit struct {
 	RunningMS float64 `json:"running_ms"`
 }
 
+// noteCorrupt records a run-cache entry that did not decode.
+func (m *Monitor) noteCorrupt() {
+	m.mu.Lock()
+	m.cacheCorrupt++
+	m.mu.Unlock()
+}
+
 // Progress is one consistent snapshot of an engine run. ETA is the
 // remaining-unit estimate remaining×EWMA÷active-workers; it is zero
 // until the first computed unit retires.
@@ -183,6 +194,10 @@ type Progress struct {
 	// UnitLatencyUS is the computed-unit wall-time histogram
 	// (microseconds), present once the first computed unit retires.
 	UnitLatencyUS *trace.Hist `json:"unit_latency_us,omitempty"`
+
+	// CacheCorrupt counts the cache misses that found an entry which did
+	// not decode (it was recomputed and rewritten).
+	CacheCorrupt int `json:"cache_corrupt"`
 }
 
 // Snapshot returns the current progress under one lock acquisition, so
@@ -200,6 +215,8 @@ func (m *Monitor) Snapshot() Progress {
 		EWMAUnitMS:  float64(m.ewma) / float64(time.Millisecond),
 		ElapsedMS:   float64(now.Sub(m.started)) / float64(time.Millisecond),
 		Jobs:        m.jobs,
+
+		CacheCorrupt: m.cacheCorrupt,
 	}
 	busy := m.busy
 	for slot, a := range m.active {
@@ -320,6 +337,8 @@ func (m *Monitor) Handler() http.Handler {
 		fmt.Fprintf(w, "# TYPE vanguard_cache_hits_total counter\nvanguard_cache_hits_total %d\n", p.CacheHits)
 		fmt.Fprintf(w, "# HELP vanguard_cache_misses_total Units computed because the run cache had no entry (includes failures).\n")
 		fmt.Fprintf(w, "# TYPE vanguard_cache_misses_total counter\nvanguard_cache_misses_total %d\n", p.CacheMisses)
+		fmt.Fprintf(w, "# HELP vanguard_cache_corrupt_total Run-cache entries that did not decode and were recomputed (also counted as misses).\n")
+		fmt.Fprintf(w, "# TYPE vanguard_cache_corrupt_total counter\nvanguard_cache_corrupt_total %d\n", p.CacheCorrupt)
 		fmt.Fprintf(w, "# HELP vanguard_unit_errors_total Units that returned an error (alias of vanguard_units_failed for error-rate dashboards).\n")
 		fmt.Fprintf(w, "# TYPE vanguard_unit_errors_total counter\nvanguard_unit_errors_total %d\n", p.Failed)
 		fmt.Fprintf(w, "# HELP vanguard_workers_active Units currently executing.\n")

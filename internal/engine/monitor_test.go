@@ -167,6 +167,54 @@ func TestMonitorFailuresAndHits(t *testing.T) {
 	}
 }
 
+// TestMonitorCacheCorrupt plants a garbage run-cache entry through
+// Cache.Put, runs the unit under a monitor, and reads the corrupt-entry
+// counter back from /metrics: one corrupt entry, recomputed as a miss,
+// in an exposition that still passes the text-format validator.
+func TestMonitorCacheCorrupt(t *testing.T) {
+	cache, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := Key("monitor-corrupt")
+	cache.Put(key, []byte("{not json"))
+	mon := NewMonitor()
+	units := []Unit[int]{{Label: "u", Key: key, Run: func(context.Context) (int, error) { return 7, nil }}}
+	res, _, err := Run(context.Background(), Config{Jobs: 1, Cache: cache, Monitor: mon}, units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0] != 7 {
+		t.Fatalf("recomputed value = %d, want 7", res[0])
+	}
+
+	srv := httptest.NewServer(mon.Handler())
+	defer srv.Close()
+	text := getBody(t, srv.URL+"/metrics")
+	if err := validatePromText(text); err != nil {
+		t.Fatalf("/metrics fails Prometheus text-format validation: %v\n%s", err, text)
+	}
+	for _, want := range []string{
+		"# TYPE vanguard_cache_corrupt_total counter",
+		"vanguard_cache_corrupt_total 1",
+		"vanguard_cache_hits_total 0",
+		"vanguard_cache_misses_total 1",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("/metrics missing %q:\n%s", want, text)
+		}
+	}
+
+	// The recompute rewrote the entry, so a second run is a clean hit and
+	// the counter holds.
+	if _, _, err := Run(context.Background(), Config{Jobs: 1, Cache: cache, Monitor: mon}, units); err != nil {
+		t.Fatal(err)
+	}
+	if p := mon.Snapshot(); p.CacheCorrupt != 1 || p.CacheHits != 1 {
+		t.Errorf("after the rewrite: corrupt=%d hits=%d, want 1/1", p.CacheCorrupt, p.CacheHits)
+	}
+}
+
 func TestMonitorStatusLineAndETA(t *testing.T) {
 	mon := NewMonitor()
 	mon.addRun(10, 2)
