@@ -128,8 +128,9 @@ check: fmt vet build staticcheck gate-patterns kernel-gate sweep-gate bpred-gate
 # must charge exactly cycles x width issue slots (pipeline invariant
 # sweeps), match the aggregate counters per static branch, and leave
 # attribution-off runs byte-identical; the differential path must hold
-# the same books on both binaries of a real benchmark.
-ATTR_GATE_RUN := TestAttr|TestRunAttrDiff
+# the same books on both binaries of a real benchmark; and the Stats of
+# fully observed fast-suite runs must match their pinned digests.
+ATTR_GATE_RUN := TestAttr|TestRunAttrDiff|TestObservedStatsDigest
 ATTR_GATE_PKGS := ./internal/pipeline/ ./internal/harness/
 attr-gate:
 	$(GO) test -run '$(ATTR_GATE_RUN)' -count 1 $(ATTR_GATE_PKGS)
