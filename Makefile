@@ -102,13 +102,17 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScheduleMatchesReference -fuzztime 10s -fuzzminimizetime 100x ./internal/sched/
 	$(GO) test -run '^$$' -fuzz FuzzFoldMatchesReference -fuzztime 10s -fuzzminimizetime 100x ./internal/bpred/
 	$(GO) test -run '^$$' -fuzz FuzzAsmRoundTrip -fuzztime 10s -fuzzminimizetime 100x ./internal/asm/
+	$(GO) test -run '^$$' -fuzz FuzzObserversDoNotSteer -fuzztime 10s -fuzzminimizetime 100x ./internal/pipeline/
+	$(GO) test -run '^$$' -fuzz FuzzReadReport -fuzztime 10s -fuzzminimizetime 100x ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzParseKonata -fuzztime 10s -fuzzminimizetime 100x ./internal/pipeview/
 
 # Gate-pattern audit: every -run alternative of every *-gate must name
-# at least one test in the gate's packages (go test -list), so a renamed
-# or folded test cannot silently drop out of its gate.
+# at least one test or fuzz target (whose seed corpus -run executes) in
+# the gate's packages (go test -list), so a renamed or folded test cannot
+# silently drop out of its gate.
 gate-patterns:
 	@check() { \
-		tests="$$($(GO) test -list . $$2 | grep '^Test')" || exit 1; \
+		tests="$$($(GO) test -list . $$2 | grep -E '^(Test|Fuzz)')" || exit 1; \
 		for alt in $$(echo "$$1" | tr '|' ' '); do \
 			echo "$$tests" | grep -q -- "$$alt" || { echo "gate-patterns: -run alternative $$alt matches no test in $$2"; exit 1; }; \
 		done; \
@@ -122,15 +126,16 @@ gate-patterns:
 	echo "gate-patterns: every -run alternative matches a test"
 
 # Pre-PR gate: run this before every commit.
-check: fmt vet build staticcheck gate-patterns kernel-gate sweep-gate bpred-gate sched-gate fuzz-smoke race
+check: fmt vet build staticcheck gate-patterns kernel-gate sweep-gate bpred-gate sched-gate attr-gate pipeview-gate fuzz-smoke race
 
 # Attribution-conservation gate: every attributed fast-suite simulation
 # must charge exactly cycles x width issue slots (pipeline invariant
 # sweeps), match the aggregate counters per static branch, and leave
-# attribution-off runs byte-identical; the differential path must hold
-# the same books on both binaries of a real benchmark; and the Stats of
-# fully observed fast-suite runs must match their pinned digests.
-ATTR_GATE_RUN := TestAttr|TestRunAttrDiff|TestObservedStatsDigest
+# attribution-off runs byte-identical (alone and with every other
+# observer, plus the fuzz target's seeds); the differential path must
+# hold the same books on both binaries of a real benchmark; and the Stats
+# of fully observed fast-suite runs must match their pinned digests.
+ATTR_GATE_RUN := TestAttr|TestRunAttrDiff|TestObservedStatsDigest|TestObserversDoNotSteer|FuzzObserversDoNotSteer
 ATTR_GATE_PKGS := ./internal/pipeline/ ./internal/harness/
 attr-gate:
 	$(GO) test -run '$(ATTR_GATE_RUN)' -count 1 $(ATTR_GATE_PKGS)
@@ -166,9 +171,9 @@ bench-json:
 
 # Pipeview gate: the lifetime-capture invariants (every fetched
 # instruction reaches exactly one terminal, stage cycles are monotonic),
-# the off-path byte-identity contract, and the golden Konata/waterfall
-# renderings, uncached.
-PIPEVIEW_GATE_RUN := TestPipeview|TestLifecycle|TestKonata|TestWaterfall
+# the off-path byte-identity contract, the golden Konata/waterfall
+# renderings and the Konata reader's fuzz seeds, uncached.
+PIPEVIEW_GATE_RUN := TestPipeview|TestLifecycle|TestKonata|TestWaterfall|TestObserversDoNotSteer|FuzzParseKonata
 PIPEVIEW_GATE_PKGS := ./internal/pipeline/ ./internal/pipeview/ ./internal/textplot/ ./internal/trace/
 pipeview-gate:
 	$(GO) test -run '$(PIPEVIEW_GATE_RUN)' -count 1 $(PIPEVIEW_GATE_PKGS)

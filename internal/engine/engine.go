@@ -77,8 +77,10 @@ type Stats struct {
 
 // Run executes the units on cfg.Jobs workers and returns their results in
 // enumeration order. On error it returns the failure of the
-// lowest-indexed failing unit observed; results are then incomplete and
-// must not be used. Unit results are independent slots, so the returned
+// lowest-indexed failing unit; results are then incomplete and must not
+// be used. A failure cancels only the units after it, so the reported
+// failure does not depend on the worker count or on which failure
+// happened first. Unit results are independent slots, so the returned
 // slice is identical for any worker count.
 func Run[T any](ctx context.Context, cfg Config, units []Unit[T]) ([]T, Stats, error) {
 	jobs := cfg.Jobs
@@ -101,6 +103,7 @@ func Run[T any](ctx context.Context, cfg Config, units []Unit[T]) ([]T, Stats, e
 		base = recorderAddRun(rec, units, jobs)
 	}
 
+	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -119,6 +122,14 @@ func Run[T any](ctx context.Context, cfg Config, units []Unit[T]) ([]T, Stats, e
 		}
 		mu.Unlock()
 		cancel()
+	}
+	// failedBefore reports whether a unit before i has failed. Units are
+	// fed in order, so every unit before a failure has been dequeued and
+	// still runs: the lowest-indexed failure is always found.
+	failedBefore := func(i int) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return firstErr != nil && firstIdx < i
 	}
 
 	runUnit := func(wid, i int) {
@@ -166,7 +177,7 @@ func Run[T any](ctx context.Context, cfg Config, units []Unit[T]) ([]T, Stats, e
 				return
 			}
 		}
-		if ctx.Err() != nil {
+		if ctx.Err() != nil && (parent.Err() != nil || failedBefore(i)) {
 			if rec != nil {
 				rec.finish(base+i, trace.SweepCancel)
 			}

@@ -1,10 +1,7 @@
 package pipeline
 
 import (
-	"bytes"
-	"encoding/json"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"vanguard/internal/attr"
@@ -63,55 +60,6 @@ func TestAttrInvariant(t *testing.T) {
 	}
 }
 
-// TestAttrOffUnchanged pins byte-identity: attribution is observation
-// only. A run with Attr on produces exactly the same stats (modulo the
-// Attr report itself) as one with it off, and the attribution-off
-// telemetry report carries no attribution section.
-func TestAttrOffUnchanged(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		prog, m := randomLoopProgram(r)
-		for _, w := range []int{2, 4} {
-			off := New(ir.MustLinearize(prog.Clone()), m.Clone(), DefaultConfig(w))
-			offStats, err := off.Run()
-			if err != nil {
-				t.Fatalf("seed %d w%d off: %v", seed, w, err)
-			}
-
-			cfg := DefaultConfig(w)
-			cfg.Attr = true
-			on := New(ir.MustLinearize(prog.Clone()), m.Clone(), cfg)
-			onStats, err := on.Run()
-			if err != nil {
-				t.Fatalf("seed %d w%d on: %v", seed, w, err)
-			}
-
-			if offStats.Attr != nil {
-				t.Fatalf("seed %d w%d: attribution-off run exported an Attr report", seed, w)
-			}
-			scrubbed := *onStats
-			scrubbed.Attr = nil
-			if !reflect.DeepEqual(offStats, &scrubbed) {
-				t.Fatalf("seed %d w%d: attribution changed the simulated stats", seed, w)
-			}
-
-			var offJSON, onJSON bytes.Buffer
-			if err := json.NewEncoder(&offJSON).Encode(offStats.RunReport("timing", w)); err != nil {
-				t.Fatal(err)
-			}
-			if err := json.NewEncoder(&onJSON).Encode(scrubbed.RunReport("timing", w)); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(offJSON.Bytes(), onJSON.Bytes()) {
-				t.Fatalf("seed %d w%d: run reports differ beyond the attribution section", seed, w)
-			}
-			if bytes.Contains(offJSON.Bytes(), []byte("attribution")) {
-				t.Fatalf("seed %d w%d: attribution-off report mentions attribution", seed, w)
-			}
-		}
-	}
-}
-
 // TestAttrWindows checks the optional per-window CPI stack: with sampling
 // and attribution both on, per-cause deltas summed over all windows equal
 // the whole-run attribution, and each window's slots sum to its cycle
@@ -129,26 +77,7 @@ func TestAttrWindows(t *testing.T) {
 	if stats.Samples == nil || stats.Attr == nil {
 		t.Fatal("sampling + attribution run missing a section")
 	}
-	sums := make([]int64, attr.NumCauses)
-	for i := range stats.Samples.Windows {
-		w := &stats.Samples.Windows[i]
-		if len(w.Attr) != int(attr.NumCauses) {
-			t.Fatalf("window %d: attr stack has %d causes, want %d", i, len(w.Attr), attr.NumCauses)
-		}
-		var winSlots int64
-		for c, n := range w.Attr {
-			sums[c] += n
-			winSlots += n
-		}
-		if want := w.Cycles() * int64(cfg.Width); winSlots != want {
-			t.Fatalf("window %d: %d slots over %d cycles at width %d", i, winSlots, w.Cycles(), cfg.Width)
-		}
-	}
-	for _, c := range attr.Causes() {
-		if sums[c] != stats.Attr.Slots[c.Key()] {
-			t.Fatalf("cause %s: windows sum to %d, aggregate is %d", c.Key(), sums[c], stats.Attr.Slots[c.Key()])
-		}
-	}
+	checkAttrWindows(t, "allocprobe", stats, cfg.Width)
 }
 
 // TestSteadyStateZeroAllocsWithAttr re-runs the PR-3 allocation gate with

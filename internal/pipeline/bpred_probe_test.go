@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"vanguard/internal/bpred"
@@ -29,45 +28,6 @@ func probeVariants(t *testing.T, seed int64) map[string]*ir.Program {
 		variants["decomposed"] = trans
 	}
 	return variants
-}
-
-// TestBpredProbeOffByteIdentical pins the off-path contract from the
-// other side: a probed run's stats, with the Bpred section nulled out,
-// must be byte-identical to an unprobed run of the same program — the
-// observatory observes and never steers.
-func TestBpredProbeOffByteIdentical(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		prog, m := randomLoopProgram(r)
-		for _, w := range []int{2, 4} {
-			plain := New(ir.MustLinearize(prog.Clone()), m.Clone(), DefaultConfig(w))
-			plainStats, err := plain.Run()
-			if err != nil {
-				t.Fatalf("seed %d w%d plain: %v", seed, w, err)
-			}
-			if plainStats.Bpred != nil {
-				t.Fatal("probe-off run carries a Bpred section")
-			}
-
-			cfg := DefaultConfig(w)
-			cfg.Probe = true
-			probed := New(ir.MustLinearize(prog.Clone()), m.Clone(), cfg)
-			probedStats, err := probed.Run()
-			if err != nil {
-				t.Fatalf("seed %d w%d probed: %v", seed, w, err)
-			}
-			if probedStats.Bpred == nil {
-				t.Fatal("probed run missing its Bpred section")
-			}
-			probedStats.Bpred = nil
-			if !reflect.DeepEqual(plainStats, probedStats) {
-				t.Fatalf("seed %d w%d: the probe changed the stats", seed, w)
-			}
-			if !plain.Memory().Equal(probed.Memory()) {
-				t.Fatalf("seed %d w%d: the probe changed architectural memory", seed, w)
-			}
-		}
-	}
 }
 
 // TestBpredProbeConservation is the pipeline-level conservation pin: on

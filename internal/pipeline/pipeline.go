@@ -316,9 +316,9 @@ type Machine struct {
 	sbGen  uint32
 
 	// brStats memoizes stats.branch by BranchID: the per-branch books are
-	// charged on every branch issue and stall scan, and a slice index
-	// beats the map probe on that path. The map in Stats stays the
-	// exported (and serialized) form.
+	// charged on every branch resolution and every stall cycle blamed on
+	// a branch, and a slice index beats the map probe on that path. The
+	// map in Stats stays the exported (and serialized) form.
 	brStats []*BranchStats
 
 	// Preallocated fault sentinels: wrong-path probes hit these instead
@@ -356,16 +356,14 @@ type Machine struct {
 	sampler    *sample.Sampler
 	winDBBHigh int
 
-	// Cycle attribution (nil unless Config.Attr). attrCause/attrIdx note,
-	// per cycle, which cause the issue stage would blame its empty slots
-	// on; the repair pair remembers the flushing speculation point so
-	// post-flush bubbles charge to the mispredicted branch. regWriter maps
-	// each architectural register to the PC of its last writer (journaled
-	// like the register file), so an operand stall can name the load that
-	// produced the missing value.
+	// Cycle attribution (nil unless Config.Attr). The repair pair
+	// remembers the flushing speculation point so chargeCycle can blame
+	// post-flush bubbles on the mispredicted branch. fetchStallIsICache
+	// tells an I-cache miss from the exception penalty while fetchStall
+	// runs down. regWriter maps each architectural register to the PC of
+	// its last writer (journaled like the register file), so an operand
+	// stall can name the load that produced the missing value.
 	attr               *attr.Recorder
-	attrCause          attr.Cause
-	attrIdx            int
 	attrRepairCause    attr.Cause
 	attrRepairIdx      int
 	fetchStallIsICache bool
@@ -378,9 +376,10 @@ type Machine struct {
 	// and all other stats are unchanged.
 	probe *bpred.Probe
 
-	// Issue-head stall run tracking (feeds the StallRun* histograms).
-	stallCause uint8
-	stallRun   int64
+	// The open issue-head stall run: its length in cycles and the
+	// StallRun* histogram it will be recorded in (nil when no run is open).
+	stallHist *trace.Hist
+	stallRun  int64
 	// repairStart is the cycle of the flush currently being repaired, or
 	// -1 when issue has caught up again (feeds RepairPenalty).
 	repairStart int64
@@ -525,10 +524,11 @@ func (m *Machine) Stats() *Stats { return &m.stats }
 func (m *Machine) Memory() *mem.Memory { return m.mem }
 
 // stepCycle advances the machine by one cycle: resolve speculation, surface
-// committed faults, drain committed stores, inject exceptions, then issue
-// and fetch, advance the clock, and close a sample window that ended on
-// this cycle. It returns done=true when the run is over (HALT drained or
-// an instruction cap hit) and a non-nil error on an architectural fault.
+// committed faults, drain committed stores, inject exceptions, then issue,
+// book the cycle's slots, fetch, advance the clock, and close a sample
+// window that ended on this cycle. It returns done=true when the run is
+// over (HALT drained or an instruction cap hit) and a non-nil error on an
+// architectural fault.
 func (m *Machine) stepCycle() (done bool, err error) {
 	m.resolve()
 	if err := m.commitFaultCheck(); err != nil {
@@ -543,14 +543,7 @@ func (m *Machine) stepCycle() (done bool, err error) {
 	if m.done() {
 		return true, nil
 	}
-	if m.attr == nil {
-		m.issue()
-	} else {
-		issuedBefore := m.stats.Issued
-		m.attrCause, m.attrIdx = attr.Fetch, 0
-		m.issue()
-		m.chargeAttr(int(m.stats.Issued - issuedBefore))
-	}
+	m.chargeCycle(m.issue())
 	m.fetch()
 	m.now++
 	if m.sampler != nil && m.now >= m.sampler.NextAt() {
@@ -598,62 +591,102 @@ func (m *Machine) sampleCounters() sample.Counters {
 	return c
 }
 
-// ---- cycle attribution ----
+// ---- stall accounting ----
 
-// chargeAttr charges the cycle's slots after the issue stage ran: issued
-// slots to base work, the rest to the cause the issue stage noted. Until
-// the first post-flush issue, empty slots belong to the mispredicted
-// branch being repaired, whatever the front end is doing meanwhile.
-func (m *Machine) chargeAttr(issued int) {
-	cause, idx := m.attrCause, m.attrIdx
-	if issued == 0 && m.repairStart >= 0 {
-		cause, idx = m.attrRepairCause, m.attrRepairIdx
+// chargeCycle books one cycle's issue slots given why issue stopped. It is
+// the only place empty slots are booked. A zero-issue cycle goes to the
+// stall counter, per-branch book and run histogram of its cause
+// (DESIGN.md §6 "Stall causes"); a run is a maximal streak of zero-issue
+// cycles with the same histogram, ended by an issue or a change of
+// histogram. With attribution on, every slot is charged to one cause:
+// until the first post-flush issue, empty slots belong to the
+// mispredicted branch being repaired, whatever the front end is doing
+// meanwhile.
+func (m *Machine) chargeCycle(issued int, cause attr.Cause, idx int) {
+	if issued == 0 {
+		var h *trace.Hist
+		switch cause {
+		case attr.CondWait:
+			m.stats.OperandStallCycles++
+			m.stats.BranchStallCycles++
+			m.branchStats(idx).StallCycles++
+			h = &m.stats.StallRunBranch
+		case attr.ResolveWindow:
+			m.stats.OperandStallCycles++
+			m.stats.ResolveStallCycles++
+			m.branchStats(idx).StallCycles++
+			h = &m.stats.StallRunResolve
+		case attr.LoadWait, attr.OperandWait:
+			m.stats.OperandStallCycles++
+			h = &m.stats.StallRunOperand
+		case attr.FUContention:
+			m.stats.FUStallCycles++
+			h = &m.stats.StallRunFU
+		default: // fetch, icache, exception, dbb_full
+			m.stats.EmptyFetchCycles++
+			h = &m.stats.StallRunEmpty
+		}
+		if h != m.stallHist {
+			m.endStallRun()
+			m.stallHist = h
+		}
+		m.stallRun++
+	} else if m.stallRun > 0 {
+		m.endStallRun()
 	}
-	m.attr.ChargeCycle(issued, cause, idx)
+	if m.attr != nil {
+		switch {
+		case issued == 0 && m.repairStart >= 0:
+			cause, idx = m.attrRepairCause, m.attrRepairIdx
+		case cause == attr.OperandWait:
+			// The stalled instruction is still the buffer head.
+			cause, idx = m.loadCause(&m.pre[m.fbAt(0).pc])
+		}
+		m.attr.ChargeCycle(issued, cause, idx)
+	}
 }
 
-// attrNoteFrontEnd blames a cycle with nothing issuable: an outstanding
+// endStallRun closes the open stall run, recording its length in its
+// histogram.
+func (m *Machine) endStallRun() {
+	if m.stallRun == 0 {
+		return
+	}
+	m.stallHist.Observe(m.stallRun)
+	m.stallRun, m.stallHist = 0, nil
+}
+
+// frontEndCause blames a cycle with nothing issuable: an outstanding
 // fetch stall (I-cache miss or exception penalty), an over-subscribed
-// DBB, or a plain front-end bubble.
-func (m *Machine) attrNoteFrontEnd() {
+// DBB, or a plain front-end bubble. All four book the same stall counter,
+// so only attribution needs them told apart.
+func (m *Machine) frontEndCause() attr.Cause {
 	switch {
+	case m.attr == nil:
+		return attr.Fetch
 	case m.fetchStall > 0 && m.fetchStallIsICache:
-		m.attrCause, m.attrIdx = attr.ICache, 0
+		return attr.ICache
 	case m.fetchStall > 0:
-		m.attrCause, m.attrIdx = attr.Exception, 0
+		return attr.Exception
 	case m.dbbOcc > m.cfg.DBBEntries:
-		m.attrCause, m.attrIdx = attr.DBBFull, 0
-	default:
-		m.attrCause, m.attrIdx = attr.Fetch, 0
+		return attr.DBBFull
 	}
+	return attr.Fetch
 }
 
-// attrNoteOperand blames an operand stall: a BR/RESOLVE in the blocked
-// issue window (charged to that branch's condition, mirroring the
-// stall-counter taxonomy), else the producer of the first missing operand
-// — split out per load PC when the producer is an in-flight load.
-func (m *Machine) attrNoteOperand(pd *predecoded) {
-	for k := 0; k < m.fbLen() && k < 6; k++ {
-		kpd := &m.pre[m.fbAt(k).pc]
-		if kpd.op == isa.RESOLVE {
-			m.attrCause, m.attrIdx = attr.ResolveWindow, int(kpd.branch)
-			return
-		}
-		if kpd.op == isa.BR {
-			m.attrCause, m.attrIdx = attr.CondWait, int(kpd.branch)
-			return
-		}
-	}
+// loadCause splits an operand stall with no BR/RESOLVE in the blocked
+// window, for attribution only: the in-flight load producing the first
+// missing operand of pd, split out per load PC, else a non-load producer.
+func (m *Machine) loadCause(pd *predecoded) (attr.Cause, int) {
 	for _, r := range pd.uses {
 		if !m.opReady(r) {
 			if wpc := m.regWriter[r]; wpc >= 0 && m.pre[wpc].flags&pdLoad != 0 {
-				m.attrCause, m.attrIdx = attr.LoadWait, int(wpc)
-				return
+				return attr.LoadWait, int(wpc)
 			}
 			break
 		}
 	}
-	m.attrCause, m.attrIdx = attr.OperandWait, 0
+	return attr.OperandWait, 0
 }
 
 // Run simulates to HALT (or an instruction/cycle cap) and returns stats.
@@ -859,6 +892,10 @@ func (m *Machine) resolve() {
 			m.stats.Resolves++
 			bs := m.branchStats(ins.BranchID)
 			bs.Execs++
+			// meta stays nil when the DBB entry was recycled or
+			// invalidated: the update is suppressed, but the resolution
+			// still counts toward the probe's outcome stream and books.
+			var meta *bpred.Meta
 			if e, ok := m.DBB.Read(sp.spec.dbbIdx); ok {
 				if sp.mispredict {
 					// Repair history: rewind to the predict's checkpoint
@@ -867,14 +904,10 @@ func (m *Machine) resolve() {
 					m.pred.PushHistory(sp.actualTaken)
 				}
 				m.pred.Update(e.pc, sp.actualTaken, e.meta)
-				if m.probe != nil {
-					m.probe.ObserveResolve(ins.BranchID, sp.actualTaken, sp.mispredict, &e.meta)
-				}
-			} else if m.probe != nil {
-				// The DBB entry was recycled or invalidated: the update is
-				// suppressed, but the resolution still counts toward the
-				// outcome stream and the conservation books.
-				m.probe.ObserveResolve(ins.BranchID, sp.actualTaken, sp.mispredict, nil)
+				meta = &e.meta
+			}
+			if m.probe != nil {
+				m.probe.ObserveResolve(ins.BranchID, sp.actualTaken, sp.mispredict, meta)
 			}
 			if sp.mispredict {
 				m.stats.ResMispredicts++
@@ -888,14 +921,10 @@ func (m *Machine) resolve() {
 
 		if sp.mispredict {
 			if m.Sink != nil {
-				cause := trace.CauseBranch
-				switch ins.Op {
-				case isa.RESOLVE:
-					cause = trace.CauseResolve
+				cause, _ := mispredictCause(ins.Op)
+				if ins.Op == isa.RESOLVE {
 					m.Sink.Emit(trace.Event{Kind: trace.KindResolveFire, Cause: cause, Cycle: m.now,
 						Seq: fe.seq, PC: fe.pc, Ins: *ins, Val: int64(sp.redirectPC)})
-				case isa.RET:
-					cause = trace.CauseReturn
 				}
 				m.Sink.Emit(trace.Event{Kind: trace.KindMispredict, Cause: cause, Cycle: m.now,
 					Seq: fe.seq, PC: fe.pc, Ins: *ins, Val: int64(sp.redirectPC)})
@@ -914,18 +943,25 @@ func (m *Machine) resolve() {
 	}
 }
 
+// mispredictCause names a mispredicting speculation point's cause in the
+// event stream and in the attribution books.
+func mispredictCause(op isa.Op) (trace.Cause, attr.Cause) {
+	switch op {
+	case isa.BR:
+		return trace.CauseBranch, attr.BrMispredict
+	case isa.RESOLVE:
+		return trace.CauseResolve, attr.ResMispredict
+	}
+	return trace.CauseReturn, attr.RetMispredict
+}
+
 // flush squashes everything younger than sp and redirects fetch.
 func (m *Machine) flush(sp *specPoint) {
 	wrongPath := m.stats.Issued - sp.issuedSnapshot
+	ins := &m.im.Instrs[sp.fe.pc]
+	tcause, acause := mispredictCause(ins.Op)
 	if m.Sink != nil {
-		cause := trace.CauseReturn
-		switch m.im.Instrs[sp.fe.pc].Op {
-		case isa.BR:
-			cause = trace.CauseBranch
-		case isa.RESOLVE:
-			cause = trace.CauseResolve
-		}
-		m.Sink.Emit(trace.Event{Kind: trace.KindSquash, Cause: cause, Cycle: m.now,
+		m.Sink.Emit(trace.Event{Kind: trace.KindSquash, Cause: tcause, Cycle: m.now,
 			Seq: sp.fe.seq, PC: sp.fe.pc, Val: wrongPath + int64(m.fbLen())})
 	}
 	if m.repairStart < 0 {
@@ -934,16 +970,9 @@ func (m *Machine) flush(sp *specPoint) {
 	if m.attr != nil {
 		// Blame the refill bubbles ahead on this flush, and re-charge the
 		// wrong-path slots it already wasted from base work to the
-		// mispredicted branch.
-		cause, id := attr.RetMispredict, 0
-		switch m.im.Instrs[sp.fe.pc].Op {
-		case isa.BR:
-			cause, id = attr.BrMispredict, m.im.Instrs[sp.fe.pc].BranchID
-		case isa.RESOLVE:
-			cause, id = attr.ResMispredict, m.im.Instrs[sp.fe.pc].BranchID
-		}
-		m.attrRepairCause, m.attrRepairIdx = cause, id
-		m.attr.MoveWrongPath(cause, id, wrongPath)
+		// mispredicted branch (RetMispredict ignores the BranchID).
+		m.attrRepairCause, m.attrRepairIdx = acause, ins.BranchID
+		m.attr.MoveWrongPath(acause, ins.BranchID, wrongPath)
 	}
 	m.stats.WrongPathIssued += wrongPath
 	m.stats.SquashedFetched += int64(m.fbLen())
@@ -1057,50 +1086,6 @@ func (m *Machine) drainAll() {
 
 // ---- issue ----
 
-// Issue-head stall causes for run-length telemetry. The taxonomy mirrors
-// the scalar *StallCycles counters: a "run" is a maximal streak of
-// zero-issue cycles blamed on the same cause, ended by an issue or a
-// cause change.
-const (
-	stallNone = iota
-	stallEmpty
-	stallOperand
-	stallBranch
-	stallResolve
-	stallFU
-)
-
-// noteStall accounts one zero-issue cycle to cause, extending or starting
-// a run.
-func (m *Machine) noteStall(cause uint8) {
-	if cause != m.stallCause {
-		m.endStallRun()
-		m.stallCause = cause
-	}
-	m.stallRun++
-}
-
-// endStallRun closes the open stall run, recording its length in the
-// matching histogram.
-func (m *Machine) endStallRun() {
-	if m.stallRun == 0 {
-		return
-	}
-	switch m.stallCause {
-	case stallEmpty:
-		m.stats.StallRunEmpty.Observe(m.stallRun)
-	case stallOperand:
-		m.stats.StallRunOperand.Observe(m.stallRun)
-	case stallBranch:
-		m.stats.StallRunBranch.Observe(m.stallRun)
-	case stallResolve:
-		m.stats.StallRunResolve.Observe(m.stallRun)
-	case stallFU:
-		m.stats.StallRunFU.Observe(m.stallRun)
-	}
-	m.stallRun, m.stallCause = 0, stallNone
-}
-
 func (m *Machine) opReady(r isa.Reg) bool {
 	return r == isa.NoReg || m.regReady[r] <= m.now
 }
@@ -1116,63 +1101,38 @@ func (m *Machine) fuLimit(fu isa.FU) int {
 	}
 }
 
-func (m *Machine) issue() {
-	issued := 0
+// issue issues up to Width instructions in order from the fetch buffer
+// head and reports why it stopped: the cause that empty slots this cycle
+// are blamed on, with the BranchID for cond_wait and resolve_window. It
+// classifies only what will be charged: with attribution off, an operand
+// stall after a partial issue skips the window scan. chargeCycle splits
+// load_wait out of operand_wait for attribution.
+func (m *Machine) issue() (issued int, cause attr.Cause, idx int) {
 	var fuUsed [isa.NumFUClasses]int
 	for m.fbLen() > 0 && issued < m.cfg.Width {
 		fe := m.fbAt(0)
 		if fe.fetchedAt+m.feDelay > m.now {
-			if issued == 0 {
-				m.stats.EmptyFetchCycles++
-				m.noteStall(stallEmpty)
-			}
-			if m.attr != nil {
-				m.attrNoteFrontEnd()
-			}
-			return
+			return issued, m.frontEndCause(), 0
 		}
 		pd := &m.pre[fe.pc]
 		if !m.opReady(pd.uses[0]) || !m.opReady(pd.uses[1]) || !m.opReady(pd.uses[2]) {
-			if issued == 0 {
-				m.stats.OperandStallCycles++
-				// Attribute the head-of-line stall to the conditional
-				// control point it is delaying: the first BR/RESOLVE in
-				// the blocked window (the stalled instruction is usually
-				// its condition slice).
-				cause := uint8(stallOperand)
+			// Blame the first BR/RESOLVE in the blocked window: the
+			// stalled instruction is usually its condition slice.
+			if issued == 0 || m.attr != nil {
 				for k := 0; k < m.fbLen() && k < 6; k++ {
-					kpc := m.fbAt(k).pc
-					kpd := &m.pre[kpc]
-					if kpd.op == isa.RESOLVE {
-						m.stats.ResolveStallCycles++
-						m.branchStats(m.im.Instrs[kpc].BranchID).StallCycles++
-						cause = stallResolve
-						break
-					}
-					if kpd.op == isa.BR {
-						m.stats.BranchStallCycles++
-						m.branchStats(m.im.Instrs[kpc].BranchID).StallCycles++
-						cause = stallBranch
-						break
+					switch kpd := &m.pre[m.fbAt(k).pc]; kpd.op {
+					case isa.RESOLVE:
+						return issued, attr.ResolveWindow, int(kpd.branch)
+					case isa.BR:
+						return issued, attr.CondWait, int(kpd.branch)
 					}
 				}
-				m.noteStall(cause)
 			}
-			if m.attr != nil {
-				m.attrNoteOperand(pd)
-			}
-			return
+			return issued, attr.OperandWait, 0
 		}
 		fu := pd.fu
 		if fuUsed[fu] >= m.fuLimit(fu) {
-			if issued == 0 {
-				m.stats.FUStallCycles++
-				m.noteStall(stallFU)
-			}
-			if m.attr != nil {
-				m.attrCause, m.attrIdx = attr.FUContention, 0
-			}
-			return
+			return issued, attr.FUContention, 0
 		}
 		fuUsed[fu]++
 		issued++
@@ -1183,27 +1143,15 @@ func (m *Machine) issue() {
 		m.issueOne(fe, fs, pd)
 		if pd.op == isa.HALT {
 			// Post-HALT drain: remaining slots are front-end bubbles.
-			if m.attr != nil {
-				m.attrCause, m.attrIdx = attr.Fetch, 0
-			}
-			return
+			return issued, attr.Fetch, 0
 		}
 	}
-	if issued == 0 && m.fbLen() == 0 {
-		m.stats.EmptyFetchCycles++
-		m.noteStall(stallEmpty)
-	}
-	if m.attr != nil && m.fbLen() == 0 {
-		m.attrNoteFrontEnd()
-	}
+	return issued, m.frontEndCause(), 0
 }
 
 func (m *Machine) issueOne(fe *fetchEntry, fs *fetchSpec, pd *predecoded) {
 	m.stats.Issued++
 	m.stats.FetchToIssue.Observe(m.now - fe.fetchedAt)
-	if m.stallRun > 0 {
-		m.endStallRun()
-	}
 	if m.repairStart >= 0 {
 		m.stats.RepairPenalty.Observe(m.now - m.repairStart)
 		m.repairStart = -1

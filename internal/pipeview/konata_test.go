@@ -153,3 +153,17 @@ func TestParseKonataRejectsJunk(t *testing.T) {
 		t.Error("duplicate stage accepted")
 	}
 }
+
+// FuzzParseKonata feeds arbitrary bytes to ParseKonata, which reads
+// Konata files back for inspection: it must never panic.
+func FuzzParseKonata(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden.kanata"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add([]byte("Kanata\t0004\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, _ = ParseKonata(bytes.NewReader(data)) // only a panic fails
+	})
+}

@@ -144,8 +144,12 @@ func (h *Hist) MarshalJSON() ([]byte, error) {
 			continue
 		}
 		lo, hi := BucketBounds(i)
-		if lo < h.MinV {
-			lo = h.MinV // bucket 0 spans all non-positive values
+		if lo < h.MinV && h.MinV < hi {
+			// Tighten lo to the minimum sample (bucket 0 spans all
+			// non-positive values), but never out of the bucket: a
+			// decoded histogram whose min contradicts its buckets must
+			// still re-encode to the same buckets.
+			lo = h.MinV
 		}
 		out.Buckets = append(out.Buckets, histBucketJSON{Lo: lo, Hi: hi, N: n})
 	}

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -166,4 +168,41 @@ func TestSchemaConstantsAccepted(t *testing.T) {
 	if e := (&SchemaError{Got: "bogus"}).Error(); !strings.Contains(e, schemaVersion(6)) {
 		t.Errorf("SchemaError %q does not name the newest readable tag", e)
 	}
+}
+
+// FuzzReadReport feeds arbitrary bytes to ReadReport, the reader of
+// report files written by any earlier revision: it must never panic, and
+// a report it accepts must survive Write and a second ReadReport
+// unchanged — the second Write reproduces the first byte for byte.
+func FuzzReadReport(f *testing.F) {
+	for _, name := range []string{"dotproduct_w2.json", "dotproduct_w4.json", "dotproduct_w8.json"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", "results", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"schema":"` + Schema + `","tool":"spec","benchmarks":[{"name":"mcf","runs":[{"width":4,"counters":{"cycles":1}}]}]}`))
+	f.Add([]byte(`{"schema":"vanguard-telemetry/v0"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := ReadReport(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := r.Write(&first); err != nil {
+			t.Fatalf("write of an accepted report: %v", err)
+		}
+		again, err := ReadReport(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("written report rejected: %v\n%s", err, first.Bytes())
+		}
+		var second bytes.Buffer
+		if err := again.Write(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("report changed across Write and ReadReport:\nfirst  %s\nsecond %s", first.Bytes(), second.Bytes())
+		}
+	})
 }
