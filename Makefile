@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet race bench bench-all bench-diff bench-json results attr-gate staticcheck pipeview-gate kernel-gate sweep-gate bpred-gate sched-gate fuzz-smoke gate-patterns
+.PHONY: all build test check fmt vet race bench bench-all bench-diff bench-json results results-full attr-gate staticcheck pipeview-gate kernel-gate sweep-gate bpred-gate sched-gate fuzz-smoke gate-patterns
 
 # Pinned staticcheck version: `go run` resolves it through the module
 # proxy, so the exact analyzer version is reproducible everywhere.
@@ -199,3 +199,26 @@ results: build vet
 		exit 1; \
 	fi; \
 	echo "results: baselines regenerated through the engine, no drift"
+
+# Regenerate the full-length reference outputs under results/ (Table 2
+# and Figures 8-14, Figures 2 and 3, the Section 5.3 sensitivity sweep
+# and every ablation; about two minutes on 2 vCPUs) uncached, and fail if
+# any drifted from its committed file, as `make results` does. The
+# outputs carry no wall-clock field, so the comparison is exact. Not part
+# of `make check`.
+results-full: build
+	@drift=0; \
+	for run in "spec_all:./cmd/spec -all" "fig2:./cmd/figures -fig 2" "fig3:./cmd/figures -fig 3" \
+		"sens:./cmd/figures -sensitivity" "ablate:./cmd/ablate -sweep all"; do \
+		f=$${run%%:*}; \
+		$(GO) run $${run#*:} -no-cache > results/.regen_$$f.txt || exit 1; \
+		if ! diff -u results/$$f.txt results/.regen_$$f.txt; then \
+			drift=1; \
+		fi; \
+		mv results/.regen_$$f.txt results/$$f.txt; \
+	done; \
+	if [ $$drift -ne 0 ]; then \
+		echo "results-full: outputs drifted from committed files (regenerated copies left in place)"; \
+		exit 1; \
+	fi; \
+	echo "results-full: full-length outputs regenerated, no drift"
