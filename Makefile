@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet race bench bench-all bench-diff bench-json results results-full attr-gate staticcheck pipeview-gate kernel-gate sweep-gate bpred-gate sched-gate fuzz-smoke gate-patterns
+.PHONY: all build test check fmt vet race bench bench-all bench-diff bench-json results results-full attr-gate sim-gate staticcheck pipeview-gate kernel-gate sweep-gate bpred-gate sched-gate fuzz-smoke gate-patterns
 
 # Pinned staticcheck version: `go run` resolves it through the module
 # proxy, so the exact analyzer version is reproducible everywhere.
@@ -94,6 +94,17 @@ SCHED_GATE_PKGS := ./internal/sched/
 sched-gate:
 	$(GO) test -count 1 -run '$(SCHED_GATE_RUN)' $(SCHED_GATE_PKGS)
 
+# Simulator gate: frozen-cycle skipping against the per-cycle stepper
+# (Stats JSON with every observer section, error, final memory and event
+# stream) on random loops under every machine variation and on every
+# int2006 and fp2006 -fast binary at widths 2/4/8, the fuzz target's
+# seeds, and the cycle-cap errors the skip's cap wake must reproduce,
+# uncached.
+SIM_GATE_RUN := TestSkipMatchesStepper|FuzzSkipMatchesStepper|TestCycleCapErrors|TestProgramCycleCap
+SIM_GATE_PKGS := ./internal/pipeline/
+sim-gate:
+	$(GO) test -count 1 -run '$(SIM_GATE_RUN)' $(SIM_GATE_PKGS)
+
 # Fuzz smoke: ten seconds of each native fuzz target on top of its seed
 # corpus (go test -fuzz takes one target and one package per run). The
 # minimizer's default 60 s budget per new input would spend the whole
@@ -103,6 +114,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFoldMatchesReference -fuzztime 10s -fuzzminimizetime 100x ./internal/bpred/
 	$(GO) test -run '^$$' -fuzz FuzzAsmRoundTrip -fuzztime 10s -fuzzminimizetime 100x ./internal/asm/
 	$(GO) test -run '^$$' -fuzz FuzzObserversDoNotSteer -fuzztime 10s -fuzzminimizetime 100x ./internal/pipeline/
+	$(GO) test -run '^$$' -fuzz FuzzSkipMatchesStepper -fuzztime 10s -fuzzminimizetime 100x ./internal/pipeline/
 	$(GO) test -run '^$$' -fuzz FuzzReadReport -fuzztime 10s -fuzzminimizetime 100x ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzParseKonata -fuzztime 10s -fuzzminimizetime 100x ./internal/pipeview/
 
@@ -121,12 +133,13 @@ gate-patterns:
 	check '$(SWEEP_GATE_RUN)' '$(SWEEP_GATE_PKGS)' && \
 	check '$(BPRED_GATE_RUN)' '$(BPRED_GATE_PKGS)' && \
 	check '$(SCHED_GATE_RUN)' '$(SCHED_GATE_PKGS)' && \
+	check '$(SIM_GATE_RUN)' '$(SIM_GATE_PKGS)' && \
 	check '$(ATTR_GATE_RUN)' '$(ATTR_GATE_PKGS)' && \
 	check '$(PIPEVIEW_GATE_RUN)' '$(PIPEVIEW_GATE_PKGS)' && \
 	echo "gate-patterns: every -run alternative matches a test"
 
 # Pre-PR gate: run this before every commit.
-check: fmt vet build staticcheck gate-patterns kernel-gate sweep-gate bpred-gate sched-gate attr-gate pipeview-gate fuzz-smoke race
+check: fmt vet build staticcheck gate-patterns kernel-gate sweep-gate bpred-gate sched-gate sim-gate attr-gate pipeview-gate fuzz-smoke race
 
 # Attribution-conservation gate: every attributed fast-suite simulation
 # must charge exactly cycles x width issue slots (pipeline invariant

@@ -101,7 +101,7 @@ func Causes() []Cause {
 }
 
 // Recorder accumulates slot charges during a run. All storage is allocated
-// by NewRecorder; ChargeCycle and MoveWrongPath never allocate. One
+// by NewRecorder; ChargeCycles and MoveWrongPath never allocate. One
 // recorder belongs to one machine (not safe for concurrent use).
 type Recorder struct {
 	width  int
@@ -133,14 +133,14 @@ func NewRecorder(numPCs, maxBranchID, width int) *Recorder {
 	}
 }
 
-// ChargeCycle charges one cycle's worth of slots: issued slots to Base and
-// the remaining width-issued slots to cause. idx is the BranchID for the
-// per-branch causes, the producing load's PC for LoadWait, and ignored
-// otherwise.
-func (r *Recorder) ChargeCycle(issued int, cause Cause, idx int) {
-	r.cycles++
-	r.total[Base] += int64(issued)
-	empty := int64(r.width - issued)
+// ChargeCycles charges k identical cycles' worth of slots: in each,
+// issued slots to Base and the remaining width-issued slots to cause. idx
+// is the BranchID for the per-branch causes, the producing load's PC for
+// LoadWait, and ignored otherwise.
+func (r *Recorder) ChargeCycles(issued int, cause Cause, idx int, k int64) {
+	r.cycles += k
+	r.total[Base] += int64(issued) * k
+	empty := int64(r.width-issued) * k
 	if empty <= 0 {
 		return
 	}

@@ -27,14 +27,14 @@ func TestCauseKeysDistinct(t *testing.T) {
 // slots sum to cycles × width and the per-ID splits match the aggregates.
 func TestConservation(t *testing.T) {
 	r := NewRecorder(16, 3, 4)
-	r.ChargeCycle(4, Fetch, 0)          // full issue: cause ignored
-	r.ChargeCycle(2, CondWait, 1)       // 2 slots wait on branch 1
-	r.ChargeCycle(0, ResolveWindow, 2)  // 4 slots in branch 2's window
-	r.ChargeCycle(1, LoadWait, 7)       // 3 slots wait on the load at pc 7
-	r.ChargeCycle(0, BrMispredict, 3)   // refill bubble for branch 3
-	r.ChargeCycle(0, ResMispredict, 2)  // resolve-fire bubble for branch 2
-	r.ChargeCycle(3, FUContention, 0)   // structural
-	r.MoveWrongPath(BrMispredict, 3, 2) // 2 issued slots were wrong-path
+	r.ChargeCycles(4, Fetch, 0, 1)         // full issue: cause ignored
+	r.ChargeCycles(2, CondWait, 1, 1)      // 2 slots wait on branch 1
+	r.ChargeCycles(0, ResolveWindow, 2, 1) // 4 slots in branch 2's window
+	r.ChargeCycles(1, LoadWait, 7, 1)      // 3 slots wait on the load at pc 7
+	r.ChargeCycles(0, BrMispredict, 3, 1)  // refill bubble for branch 3
+	r.ChargeCycles(0, ResMispredict, 2, 1) // resolve-fire bubble for branch 2
+	r.ChargeCycles(3, FUContention, 0, 1)  // structural
+	r.MoveWrongPath(BrMispredict, 3, 2)    // 2 issued slots were wrong-path
 	r.NoteDBBOverflow()
 
 	rep := r.Report()
@@ -63,8 +63,8 @@ func TestConservation(t *testing.T) {
 
 func TestReportJSONRoundTrip(t *testing.T) {
 	r := NewRecorder(8, 2, 2)
-	r.ChargeCycle(1, LoadWait, 5)
-	r.ChargeCycle(0, CondWait, 1)
+	r.ChargeCycles(1, LoadWait, 5, 1)
+	r.ChargeCycles(0, CondWait, 1, 1)
 	rep := r.Report()
 	raw, err := json.Marshal(rep)
 	if err != nil {
@@ -84,11 +84,11 @@ func TestReportJSONRoundTrip(t *testing.T) {
 
 func TestTopTables(t *testing.T) {
 	r := NewRecorder(10, 4, 4)
-	r.ChargeCycle(0, CondWait, 1)     // branch 1: 4
-	r.ChargeCycle(0, BrMispredict, 2) // branch 2: 4
-	r.ChargeCycle(2, BrMispredict, 2) // branch 2: +2 = 6
-	r.ChargeCycle(0, LoadWait, 3)     // pc 3: 4
-	r.ChargeCycle(2, LoadWait, 9)     // pc 9: 2
+	r.ChargeCycles(0, CondWait, 1, 1)     // branch 1: 4
+	r.ChargeCycles(0, BrMispredict, 2, 1) // branch 2: 4
+	r.ChargeCycles(2, BrMispredict, 2, 1) // branch 2: +2 = 6
+	r.ChargeCycles(0, LoadWait, 3, 1)     // pc 3: 4
+	r.ChargeCycles(2, LoadWait, 9, 1)     // pc 9: 2
 	rep := r.Report()
 	if err := rep.Check(); err != nil {
 		t.Fatal(err)
@@ -105,5 +105,26 @@ func TestTopTables(t *testing.T) {
 
 	if got := rep.Stack(); got[CondWait] != 4 || got[BrMispredict] != 6 {
 		t.Fatalf("stack = %v", got)
+	}
+}
+
+// TestChargeCyclesBulk pins that charging k cycles at once books exactly
+// what k single-cycle charges book, for every cause and issue count.
+func TestChargeCyclesBulk(t *testing.T) {
+	const width, k = 4, 37
+	for _, c := range Causes() {
+		for issued := 0; issued <= width; issued++ {
+			bulk, single := NewRecorder(16, 3, width), NewRecorder(16, 3, width)
+			bulk.ChargeCycles(issued, c, 2, k)
+			for i := 0; i < k; i++ {
+				single.ChargeCycles(issued, c, 2, 1)
+			}
+			if a, b := bulk.Report(), single.Report(); !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s issued=%d: bulk %+v, single %+v", c.Key(), issued, a, b)
+			}
+			if err := bulk.Report().Check(); err != nil {
+				t.Fatalf("%s issued=%d: %v", c.Key(), issued, err)
+			}
+		}
 	}
 }

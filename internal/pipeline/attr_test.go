@@ -89,21 +89,5 @@ func TestSteadyStateZeroAllocsWithAttr(t *testing.T) {
 	cfg.Attr = true
 	cfg.SampleWindow = 1000
 	mach := New(ir.MustLinearize(prog), m, cfg)
-
-	step := func(cycles int) {
-		for i := 0; i < cycles; i++ {
-			done, err := mach.stepCycle()
-			if err != nil {
-				t.Fatalf("cycle %d: %v", i, err)
-			}
-			if done {
-				t.Fatalf("program finished during measurement (cycle %d); enlarge iters", i)
-			}
-		}
-	}
-	step(50_000) // warm up
-
-	if allocs := testing.AllocsPerRun(10, func() { step(10_000) }); allocs != 0 {
-		t.Fatalf("attributed cycle loop allocates: %v allocs per 10k cycles", allocs)
-	}
+	checkSteadyZeroAllocs(t, mach, "attributed cycle loop")
 }

@@ -116,6 +116,11 @@ type Config struct {
 	// on purpose): it reintroduces exactly the per-branch copying the
 	// journal exists to avoid.
 	debugCheckpoints bool
+
+	// stepper turns frozen-cycle skipping off, so the machine steps every
+	// cycle one at a time: the reference the skip is checked against.
+	// Test-only (unexported on purpose): it changes no result, only speed.
+	stepper bool
 }
 
 // DefaultConfig returns the Table 1 machine at the given width.

@@ -60,23 +60,39 @@ func allocProbeProgram(iters int64) (*ir.Program, *mem.Memory) {
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	prog, m := allocProbeProgram(50_000_000)
 	mach := New(ir.MustLinearize(prog), m, DefaultConfig(4))
+	checkSteadyZeroAllocs(t, mach, "steady-state cycle loop")
+}
 
-	step := func(cycles int) {
-		for i := 0; i < cycles; i++ {
+// checkSteadyZeroAllocs warms mach up over 50k steps, then fails t if ten
+// rounds of 10k steps allocate, or if those steps skipped no frozen
+// cycle: the pin must cover the skip, so simulated cycles have to outrun
+// the stepCycle calls.
+func checkSteadyZeroAllocs(t *testing.T, mach *Machine, what string) {
+	t.Helper()
+	step := func(steps int) {
+		for i := 0; i < steps; i++ {
 			done, err := mach.stepCycle()
 			if err != nil {
-				t.Fatalf("cycle %d: %v", i, err)
+				t.Fatalf("step %d: %v", i, err)
 			}
 			if done {
-				t.Fatalf("program finished during measurement (cycle %d); enlarge iters", i)
+				t.Fatalf("program finished during measurement (step %d); enlarge iters", i)
 			}
 		}
 	}
 	step(50_000) // warm up
 
+	start := mach.now
 	if allocs := testing.AllocsPerRun(10, func() { step(10_000) }); allocs != 0 {
-		t.Fatalf("steady-state cycle loop allocates: %v allocs per 10k cycles", allocs)
+		t.Fatalf("%s allocates: %v allocs per 10k steps", what, allocs)
 	}
+	// AllocsPerRun calls its function once more before measuring.
+	steps, cycles := int64(11*10_000), mach.now-start
+	if cycles <= steps {
+		t.Fatalf("%s: %d steps advanced %d cycles; no frozen cycle was skipped", what, steps, cycles)
+	}
+	t.Logf("%s: %d steps advanced %d cycles (%.1f%% skipped)", what, steps, cycles,
+		100*float64(cycles-steps)/float64(cycles))
 }
 
 // TestSBViewStoreZeroAllocs pins down the satellite fix: the store
@@ -153,9 +169,10 @@ func TestUndoLogMatchesFullSnapshots(t *testing.T) {
 	}
 }
 
-// BenchmarkStepCycle measures the raw per-cycle cost of the simulator core
-// (no report/JSON overhead), with allocation accounting — the number that
-// the allocation-free rewrite optimizes.
+// BenchmarkStepCycle measures the raw cost of the simulator core (no
+// report/JSON overhead), with allocation accounting — the number that the
+// allocation-free rewrite optimizes. One stepCycle call can cover a whole
+// frozen run, so ns/op is per call and ns/cycle per simulated cycle.
 func BenchmarkStepCycle(b *testing.B) {
 	prog, m := allocProbeProgram(2_000_000_000)
 	mach := New(ir.MustLinearize(prog), m, DefaultConfig(4))
@@ -164,6 +181,7 @@ func BenchmarkStepCycle(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	start := mach.now
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -171,4 +189,5 @@ func BenchmarkStepCycle(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(mach.now-start), "ns/cycle")
 }

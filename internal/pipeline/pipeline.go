@@ -386,6 +386,11 @@ type Machine struct {
 
 	nextException int64
 
+	// maxCycles is Config.MaxCycles with its default applied: the cycle
+	// at which Run stops with an error, and the latest cycle a frozen-cycle
+	// skip may jump to.
+	maxCycles int64
+
 	now          int64
 	haltSeq      int64
 	pendFaultSeq int64
@@ -432,6 +437,10 @@ func (p *Program) NewMachine(m *mem.Memory, cfg Config) *Machine {
 	}
 	mach.st = exec.NewState(sbView{mach}, im.Entry)
 	mach.nextException = cfg.ExceptionEveryN
+	mach.maxCycles = cfg.MaxCycles
+	if mach.maxCycles <= 0 {
+		mach.maxCycles = 2_000_000_000
+	}
 	if cfg.Attr || cfg.Probe {
 		maxID := 0
 		for i := range im.Instrs {
@@ -526,8 +535,10 @@ func (m *Machine) Memory() *mem.Memory { return m.mem }
 // stepCycle advances the machine by one cycle: resolve speculation, surface
 // committed faults, drain committed stores, inject exceptions, then issue,
 // book the cycle's slots, fetch, advance the clock, and close a sample
-// window that ended on this cycle. It returns done=true when the run is
-// over (HALT drained or an instruction cap hit) and a non-nil error on an
+// window that ended on this cycle. A frozen cycle (see frozen) is stepped
+// together with every identical cycle after it, up to the first one at
+// which anything can differ. It returns done=true when the run is over
+// (HALT drained or an instruction cap hit) and a non-nil error on an
 // architectural fault.
 func (m *Machine) stepCycle() (done bool, err error) {
 	m.resolve()
@@ -535,21 +546,58 @@ func (m *Machine) stepCycle() (done bool, err error) {
 		return true, err
 	}
 	m.drainStores()
-	if m.cfg.ExceptionEveryN > 0 && m.infLen() == 0 &&
-		m.stats.Issued-m.stats.WrongPathIssued >= m.nextException {
+	if m.infLen() == 0 && m.exceptionDue() {
 		m.takeException()
 		m.nextException += m.cfg.ExceptionEveryN
 	}
 	if m.done() {
 		return true, nil
 	}
-	m.chargeCycle(m.issue())
-	m.fetch()
-	m.now++
+	issued, cause, idx, wake := m.issue()
+	k := int64(1)
+	if issued == 0 && m.frozen() {
+		k = m.wakeCycle(wake) - m.now
+	}
+	m.chargeCycle(issued, cause, idx, k)
+	m.fetch(k)
+	m.now += k
 	if m.sampler != nil && m.now >= m.sampler.NextAt() {
 		m.closeSampleWindow()
 	}
 	return false, nil
+}
+
+// exceptionDue reports whether the committed-instruction count has
+// reached the next injected exception.
+func (m *Machine) exceptionDue() bool {
+	return m.cfg.ExceptionEveryN > 0 && m.stats.Issued-m.stats.WrongPathIssued >= m.nextException
+}
+
+// frozen reports whether the cycle being stepped, which issued nothing,
+// repeats unchanged in every following cycle until something wakes it
+// (DESIGN.md §6 "Frozen cycles"): nothing is in flight to resolve, no
+// store waits to drain, no fault, exception, HALT or instruction cap is
+// due, and fetch is inert — halted, stalled, or facing a full buffer.
+// The issue head then sees the same buffer, scoreboard and front-end
+// state, so it stops for the same cause, until the wake cycle issue
+// reported or the fetch stall runs out.
+func (m *Machine) frozen() bool {
+	return !m.cfg.stepper && m.infLen() == 0 && len(m.sb) == 0 &&
+		m.pendFaultSeq < 0 && m.haltSeq < 0 && !m.exceptionDue() && !m.instrCapReached() &&
+		(m.fetchHalted || m.fetchStall > 0 || m.fbLen() >= m.cfg.FetchBufEntries)
+}
+
+// wakeCycle bounds a frozen run: the earliest of issue's wake cycle, the
+// end of the fetch stall, the next sample-window boundary and the cycle
+// cap, and at least one cycle ahead.
+func (m *Machine) wakeCycle(wake int64) int64 {
+	if !m.fetchHalted && m.fetchStall > 0 {
+		wake = min(wake, m.now+m.fetchStall)
+	}
+	if m.sampler != nil {
+		wake = min(wake, m.sampler.NextAt())
+	}
+	return max(min(wake, m.maxCycles), m.now+1)
 }
 
 // closeSampleWindow records the just-finished cycle window and re-arms
@@ -593,8 +641,9 @@ func (m *Machine) sampleCounters() sample.Counters {
 
 // ---- stall accounting ----
 
-// chargeCycle books one cycle's issue slots given why issue stopped. It is
-// the only place empty slots are booked. A zero-issue cycle goes to the
+// chargeCycle books k identical cycles' issue slots given why issue
+// stopped; k > 1 only for a frozen run of zero-issue cycles. It is the
+// only place empty slots are booked. A zero-issue cycle goes to the
 // stall counter, per-branch book and run histogram of its cause
 // (DESIGN.md §6 "Stall causes"); a run is a maximal streak of zero-issue
 // cycles with the same histogram, ended by an issue or a change of
@@ -602,35 +651,35 @@ func (m *Machine) sampleCounters() sample.Counters {
 // until the first post-flush issue, empty slots belong to the
 // mispredicted branch being repaired, whatever the front end is doing
 // meanwhile.
-func (m *Machine) chargeCycle(issued int, cause attr.Cause, idx int) {
+func (m *Machine) chargeCycle(issued int, cause attr.Cause, idx int, k int64) {
 	if issued == 0 {
 		var h *trace.Hist
 		switch cause {
 		case attr.CondWait:
-			m.stats.OperandStallCycles++
-			m.stats.BranchStallCycles++
-			m.branchStats(idx).StallCycles++
+			m.stats.OperandStallCycles += k
+			m.stats.BranchStallCycles += k
+			m.branchStats(idx).StallCycles += k
 			h = &m.stats.StallRunBranch
 		case attr.ResolveWindow:
-			m.stats.OperandStallCycles++
-			m.stats.ResolveStallCycles++
-			m.branchStats(idx).StallCycles++
+			m.stats.OperandStallCycles += k
+			m.stats.ResolveStallCycles += k
+			m.branchStats(idx).StallCycles += k
 			h = &m.stats.StallRunResolve
 		case attr.LoadWait, attr.OperandWait:
-			m.stats.OperandStallCycles++
+			m.stats.OperandStallCycles += k
 			h = &m.stats.StallRunOperand
 		case attr.FUContention:
-			m.stats.FUStallCycles++
+			m.stats.FUStallCycles += k
 			h = &m.stats.StallRunFU
 		default: // fetch, icache, exception, dbb_full
-			m.stats.EmptyFetchCycles++
+			m.stats.EmptyFetchCycles += k
 			h = &m.stats.StallRunEmpty
 		}
 		if h != m.stallHist {
 			m.endStallRun()
 			m.stallHist = h
 		}
-		m.stallRun++
+		m.stallRun += k
 	} else if m.stallRun > 0 {
 		m.endStallRun()
 	}
@@ -642,7 +691,7 @@ func (m *Machine) chargeCycle(issued int, cause attr.Cause, idx int) {
 			// The stalled instruction is still the buffer head.
 			cause, idx = m.loadCause(&m.pre[m.fbAt(0).pc])
 		}
-		m.attr.ChargeCycle(issued, cause, idx)
+		m.attr.ChargeCycles(issued, cause, idx, k)
 	}
 }
 
@@ -703,10 +752,6 @@ func (m *Machine) Run() (*Stats, error) {
 		m.finishStats()
 		return &m.stats, m.preErr
 	}
-	maxCycles := m.cfg.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = 2_000_000_000
-	}
 	m.attachPipeview()
 	if m.Sink != nil && m.Hier.OnMiss == nil {
 		m.Hier.OnMiss = func(ms cache.Miss) {
@@ -719,9 +764,9 @@ func (m *Machine) Run() (*Stats, error) {
 		}
 	}
 	for {
-		if m.now >= maxCycles {
+		if m.now >= m.maxCycles {
 			m.finishStats()
-			return &m.stats, fmt.Errorf("pipeline: cycle limit %d reached at pc %d", maxCycles, m.fetchPC)
+			return &m.stats, fmt.Errorf("pipeline: cycle limit %d reached at pc %d", m.maxCycles, m.fetchPC)
 		}
 		done, err := m.stepCycle()
 		if err != nil {
@@ -766,7 +811,7 @@ func (m *Machine) finishStats() {
 // done reports whether the committed HALT has drained the machine, or the
 // committed-instruction cap is reached.
 func (m *Machine) done() bool {
-	if m.cfg.MaxInstrs > 0 && m.stats.Issued-m.stats.WrongPathIssued >= m.cfg.MaxInstrs {
+	if m.instrCapReached() {
 		return true
 	}
 	if m.haltSeq >= 0 && m.infLen() == 0 {
@@ -776,6 +821,12 @@ func (m *Machine) done() bool {
 		return true
 	}
 	return false
+}
+
+// instrCapReached reports whether the committed-instruction cap is set
+// and reached.
+func (m *Machine) instrCapReached() bool {
+	return m.cfg.MaxInstrs > 0 && m.stats.Issued-m.stats.WrongPathIssued >= m.cfg.MaxInstrs
 }
 
 // ---- in-flight speculation queue ----
@@ -1107,32 +1158,46 @@ func (m *Machine) fuLimit(fu isa.FU) int {
 // classifies only what will be charged: with attribution off, an operand
 // stall after a partial issue skips the window scan. chargeCycle splits
 // load_wait out of operand_wait for attribution.
-func (m *Machine) issue() (issued int, cause attr.Cause, idx int) {
+//
+// When it issued nothing, wake is the earliest cycle at which the head
+// could issue or its cause change, unless the front end changes first:
+// the end of the head's front-end delay, or the first ready cycle among
+// its missing operands (load_wait can name another load from there). An
+// empty buffer, or a head on a unit class with no units, has no such
+// cycle (math.MaxInt64).
+func (m *Machine) issue() (issued int, cause attr.Cause, idx int, wake int64) {
 	var fuUsed [isa.NumFUClasses]int
 	for m.fbLen() > 0 && issued < m.cfg.Width {
 		fe := m.fbAt(0)
-		if fe.fetchedAt+m.feDelay > m.now {
-			return issued, m.frontEndCause(), 0
+		if at := fe.fetchedAt + m.feDelay; at > m.now {
+			return issued, m.frontEndCause(), 0, at
 		}
 		pd := &m.pre[fe.pc]
 		if !m.opReady(pd.uses[0]) || !m.opReady(pd.uses[1]) || !m.opReady(pd.uses[2]) {
-			// Blame the first BR/RESOLVE in the blocked window: the
-			// stalled instruction is usually its condition slice.
-			if issued == 0 || m.attr != nil {
-				for k := 0; k < m.fbLen() && k < 6; k++ {
-					switch kpd := &m.pre[m.fbAt(k).pc]; kpd.op {
-					case isa.RESOLVE:
-						return issued, attr.ResolveWindow, int(kpd.branch)
-					case isa.BR:
-						return issued, attr.CondWait, int(kpd.branch)
-					}
+			if issued > 0 && m.attr == nil {
+				return issued, attr.OperandWait, 0, 0
+			}
+			wake = math.MaxInt64
+			for _, r := range pd.uses {
+				if r != isa.NoReg && m.regReady[r] > m.now {
+					wake = min(wake, m.regReady[r])
 				}
 			}
-			return issued, attr.OperandWait, 0
+			// Blame the first BR/RESOLVE in the blocked window: the
+			// stalled instruction is usually its condition slice.
+			for k := 0; k < m.fbLen() && k < 6; k++ {
+				switch kpd := &m.pre[m.fbAt(k).pc]; kpd.op {
+				case isa.RESOLVE:
+					return issued, attr.ResolveWindow, int(kpd.branch), wake
+				case isa.BR:
+					return issued, attr.CondWait, int(kpd.branch), wake
+				}
+			}
+			return issued, attr.OperandWait, 0, wake
 		}
 		fu := pd.fu
 		if fuUsed[fu] >= m.fuLimit(fu) {
-			return issued, attr.FUContention, 0
+			return issued, attr.FUContention, 0, math.MaxInt64
 		}
 		fuUsed[fu]++
 		issued++
@@ -1143,10 +1208,10 @@ func (m *Machine) issue() (issued int, cause attr.Cause, idx int) {
 		m.issueOne(fe, fs, pd)
 		if pd.op == isa.HALT {
 			// Post-HALT drain: remaining slots are front-end bubbles.
-			return issued, attr.Fetch, 0
+			return issued, attr.Fetch, 0, 0
 		}
 	}
-	return issued, m.frontEndCause(), 0
+	return issued, m.frontEndCause(), 0, math.MaxInt64
 }
 
 func (m *Machine) issueOne(fe *fetchEntry, fs *fetchSpec, pd *predecoded) {
@@ -1325,12 +1390,14 @@ func (m *Machine) fbClear() {
 
 // ---- fetch ----
 
-func (m *Machine) fetch() {
+// fetch runs the front end for k cycles; k > 1 only over a frozen run,
+// where fetch is inert and only the stall counts down.
+func (m *Machine) fetch(k int64) {
 	if m.fetchHalted {
 		return
 	}
 	if m.fetchStall > 0 {
-		m.fetchStall--
+		m.fetchStall -= k
 		return
 	}
 	fetched := 0

@@ -208,21 +208,5 @@ func TestSteadyStateZeroAllocsWithPipeview(t *testing.T) {
 	cfg.Pipeview = &pipeview.Config{}
 	mach := New(ir.MustLinearize(prog), m, cfg)
 	mach.attachPipeview()
-
-	step := func(cycles int) {
-		for i := 0; i < cycles; i++ {
-			done, err := mach.stepCycle()
-			if err != nil {
-				t.Fatalf("cycle %d: %v", i, err)
-			}
-			if done {
-				t.Fatalf("program finished during measurement (cycle %d); enlarge iters", i)
-			}
-		}
-	}
-	step(50_000) // warm up
-
-	if allocs := testing.AllocsPerRun(10, func() { step(10_000) }); allocs != 0 {
-		t.Fatalf("pipeview cycle loop allocates: %v allocs per 10k cycles", allocs)
-	}
+	checkSteadyZeroAllocs(t, mach, "pipeview cycle loop")
 }

@@ -105,7 +105,7 @@ func TestReportSchemaV2(t *testing.T) {
 // invariant.
 func TestReportSchemaV3(t *testing.T) {
 	rec := attr.NewRecorder(4, 1, 2)
-	rec.ChargeCycle(1, attr.CondWait, 1)
+	rec.ChargeCycles(1, attr.CondWait, 1, 1)
 	back := roundTrip(t, "attribution", func(r *RunReport) { r.Attribution = rec.Report() }, nil)
 	ar := back.Benchmarks[0].Runs[0].Attribution
 	if ar == nil || ar.Slots[attr.Base.Key()] != 1 || ar.Slots[attr.CondWait.Key()] != 1 {
