@@ -50,13 +50,14 @@ staticcheck:
 	fi
 
 # Kernel-dispatch gate: the switch-vs-kernels differentials — the
-# per-opcode exec property fuzz, the pipeline stats/memory A/B, the
+# per-opcode exec property fuzz (and the seeds of its native fuzz target,
+# kernels and pure forms against Step), the pipeline stats/memory A/B, the
 # functional simulator A/B (including adversarial PREDICT oracles and
 # instruction-cap straddling), the shared-Program differentials, and the
 # end-to-end harness byte-identity — under the race detector and
 # uncached, so the predecoded kernel table can never change a result byte
 # or be shared unsafely across concurrent machines.
-KERNEL_GATE_RUN := TestKernel|TestDispatch|TestProgram|TestInterpDispatch|TestCompileRejects|TestStepUnknown|TestDivRem|TestFus
+KERNEL_GATE_RUN := TestKernel|FuzzKernelMatchesStep|TestDispatch|TestProgram|TestInterpDispatch|TestCompileRejects|TestStepUnknown|TestDivRem|TestFus
 KERNEL_GATE_PKGS := ./internal/exec/ ./internal/pipeline/ ./internal/interp/ ./internal/harness/
 kernel-gate:
 	$(GO) test -race -count 1 -run '$(KERNEL_GATE_RUN)' $(KERNEL_GATE_PKGS)
@@ -75,12 +76,12 @@ sweep-gate:
 # Predictor-observatory gate: the probe's conservation invariant (every
 # resolve lands in exactly one provider/class bucket) on unit traces and
 # on a real benchmark end to end, probe-off byte-identity and zero
-# steady-state allocations, the v6 telemetry round-trip, the reflection
-# audit of the run-cache key against harness.Options/pipeline.Config,
-# the monitor's /metrics + /debug/bpred surface, and the stream-level
-# golden digests of every predictor (predictions, Meta, table state,
-# probe books) — all under the race detector and uncached.
-BPRED_GATE_RUN := TestProbe|TestHist|TestCtr2|TestLadderStream|TestBpredProbe|TestReportSchema|TestRunBpredDiff|TestWriteBpredCSV|TestBpredCSVImpliesReport|TestRunCacheKey|TestSimKeySeparates|TestMonitorBpred
+# steady-state allocations, the v6 telemetry round-trip, the run-cache
+# key audit (harness.Options classified, every pipeline.Config leaf
+# perturbed), the monitor's /metrics + /debug/bpred surface, and the
+# stream-level golden digests of every predictor (predictions, Meta,
+# table state, probe books) — all under the race detector and uncached.
+BPRED_GATE_RUN := TestProbe|TestHist|TestCtr2|TestLadderStream|TestBpredProbe|TestReportSchema|TestRunBpredDiff|TestWriteBpredCSV|TestBpredCSVImpliesReport|TestRunCacheKey|TestSimKey|TestMonitorBpred
 BPRED_GATE_PKGS := ./internal/bpred/ ./internal/pipeline/ ./internal/trace/ ./internal/harness/ ./internal/engine/ ./internal/cli/
 bpred-gate:
 	$(GO) test -race -count 1 -run '$(BPRED_GATE_RUN)' $(BPRED_GATE_PKGS)
@@ -115,6 +116,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAsmRoundTrip -fuzztime 10s -fuzzminimizetime 100x ./internal/asm/
 	$(GO) test -run '^$$' -fuzz FuzzObserversDoNotSteer -fuzztime 10s -fuzzminimizetime 100x ./internal/pipeline/
 	$(GO) test -run '^$$' -fuzz FuzzSkipMatchesStepper -fuzztime 10s -fuzzminimizetime 100x ./internal/pipeline/
+	$(GO) test -run '^$$' -fuzz FuzzKernelMatchesStep -fuzztime 10s -fuzzminimizetime 100x ./internal/exec/
 	$(GO) test -run '^$$' -fuzz FuzzReadReport -fuzztime 10s -fuzzminimizetime 100x ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzParseKonata -fuzztime 10s -fuzzminimizetime 100x ./internal/pipeview/
 

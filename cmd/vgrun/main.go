@@ -29,7 +29,6 @@ import (
 	"vanguard/internal/cli"
 	"vanguard/internal/core"
 	"vanguard/internal/engine"
-	"vanguard/internal/exec"
 	"vanguard/internal/harness"
 	"vanguard/internal/interp"
 	"vanguard/internal/ir"
@@ -138,23 +137,19 @@ func main() {
 		pvCfg = &c
 	}
 	// The predictor observatory rides inside Stats like pipeview, so
-	// probed runs (o.Probe) stay cacheable too.
-	// v4: the dispatch engine joined the key — kernels and switch are
-	// byte-identical, but the namespace moves with the simulator core; it
-	// is fixed to kernels now and keeps its slot so v5 entries stay valid.
-	// v5: the probe joined the key, so probed runs (whose Stats carry a
-	// bpredstudy) never alias plain entries.
+	// probed runs (o.Probe) stay cacheable too. The key names the program
+	// and how it was built, then the exact machine the run uses.
+	cfg := pipeline.DefaultConfig(*width)
+	cfg.SampleWindow = *sampleWin
+	cfg.Attr = *attrOn
+	cfg.Pipeview = pvCfg
+	cfg.Probe = o.Probe
 	key := ""
 	if !tracing {
-		key = engine.Key("vgrun/v5", string(src), *width, *transform, *maxInstrs, *sampleWin, *attrOn, pvCfg, exec.DispatchKernels.String(), o.Probe)
+		key = engine.Key("vgrun/v6", string(src), *transform, *maxInstrs, cfg)
 	}
 
 	runTiming := func(context.Context) (*pipeline.Stats, error) {
-		cfg := pipeline.DefaultConfig(*width)
-		cfg.SampleWindow = *sampleWin
-		cfg.Attr = *attrOn
-		cfg.Pipeview = pvCfg
-		cfg.Probe = o.Probe
 		mach := pipeline.New(im, mem.New(), cfg)
 
 		// An always-on bounded ring keeps the most recent lifecycle events
@@ -197,15 +192,7 @@ func main() {
 		engine.Config{Jobs: o.Jobs, Cache: o.Cache, Monitor: o.Monitor, Recorder: o.Recorder},
 		[]engine.Unit[*pipeline.Stats]{{Label: "timing/" + flag.Arg(0), Key: key, Run: runTiming}})
 	o.EngineStats.Add(est)
-	if err == nil && o.Monitor != nil {
-		st := results[0]
-		if st.Attr != nil {
-			o.Monitor.ObserveAttr(st.Attr.Slots)
-		}
-		if st.Bpred != nil {
-			o.Monitor.ObserveBpred(st.Bpred)
-		}
-	}
+	harness.ObserveResults(o.Monitor, results...)
 	sweep := sess.Finish()
 	if err != nil {
 		log.Fatalf("simulate: %v", err)
@@ -320,13 +307,13 @@ func runAttrDiff(p *ir.Program, baseIm *ir.Image, gm *mem.Memory, src []byte,
 	sched.Program(expProg, sched.DefaultModel(width))
 	expIm := ir.MustLinearize(expProg)
 
+	cfg := pipeline.DefaultConfig(width)
+	cfg.Attr = true
 	sim := func(im *ir.Image, binary string) engine.Unit[*pipeline.Stats] {
 		return engine.Unit[*pipeline.Stats]{
 			Label: binary + "/" + flag.Arg(0),
-			Key:   engine.Key("vgrun-attrdiff/v2", string(src), width, maxInstrs, binary, exec.DispatchKernels.String()),
+			Key:   engine.Key("vgrun-attrdiff/v3", string(src), maxInstrs, binary, cfg),
 			Run: func(context.Context) (*pipeline.Stats, error) {
-				cfg := pipeline.DefaultConfig(width)
-				cfg.Attr = true
 				mach := pipeline.New(im, mem.New(), cfg)
 				st, err := mach.Run()
 				if err != nil {
@@ -343,10 +330,7 @@ func runAttrDiff(p *ir.Program, baseIm *ir.Image, gm *mem.Memory, src []byte,
 		engine.Config{Jobs: o.Jobs, Cache: o.Cache, Monitor: o.Monitor, Recorder: o.Recorder},
 		[]engine.Unit[*pipeline.Stats]{sim(baseIm, "base"), sim(expIm, "exp")})
 	o.EngineStats.Add(est)
-	if err == nil && o.Monitor != nil {
-		o.Monitor.ObserveAttr(results[0].Attr.Slots)
-		o.Monitor.ObserveAttr(results[1].Attr.Slots)
-	}
+	harness.ObserveResults(o.Monitor, results...)
 	sess.Finish()
 	if err != nil {
 		log.Fatalf("simulate: %v", err)

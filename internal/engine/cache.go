@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -67,10 +68,11 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 // Load decodes the JSON entry stored under key into v and reports whether
 // it did (hit), and whether an entry was present but did not decode
 // (corrupt). An absent entry counts as a miss; a corrupt one counts as a
-// miss and as corrupt, and the caller recomputes it.
+// miss and as corrupt, and the caller recomputes it. A null entry is
+// corrupt: it decodes without error but leaves no result.
 func (c *Cache) Load(key string, v any) (hit, corrupt bool) {
 	data, ok := c.Get(key)
-	if ok && json.Unmarshal(data, v) != nil {
+	if ok && (bytes.Equal(bytes.TrimSpace(data), []byte("null")) || json.Unmarshal(data, v) != nil) {
 		c.corrupt.Add(1)
 		ok, corrupt = false, true
 	}

@@ -277,40 +277,45 @@ func TestRunPartialCache(t *testing.T) {
 	}
 }
 
-// TestCacheCorruptEntry: a mangled cache file is recomputed, not trusted,
-// and the handle counts the lookup as a corrupt miss, not a hit.
+// TestCacheCorruptEntry: a mangled cache file, or a null one (which
+// decodes without error but leaves a pointer result nil), is recomputed,
+// not trusted, and the handle counts the lookup as a corrupt miss, not a
+// hit. The recompute repairs the entry.
 func TestCacheCorruptEntry(t *testing.T) {
-	dir := t.TempDir()
-	c, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := Key("corrupt", 1)
-	c.Put(key, []byte("{not json"))
-	unit := Unit[payload]{Label: "u", Key: key, Run: func(context.Context) (payload, error) {
-		return payload{A: 7}, nil
-	}}
-	res, st, err := Run(context.Background(), Config{Cache: c}, []Unit[payload]{unit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].A != 7 {
-		t.Fatalf("recomputed value = %+v", res[0])
-	}
-	if st.CacheHits != 0 || st.CacheMisses != 1 {
-		t.Fatalf("corrupt entry counted as a hit (hits=%d misses=%d)", st.CacheHits, st.CacheMisses)
-	}
-	if c.Hits() != 0 || c.Misses() != 1 || c.Corrupt() != 1 {
-		t.Fatalf("cache handle counted hits=%d misses=%d corrupt=%d, want 0/1/1", c.Hits(), c.Misses(), c.Corrupt())
-	}
-	// The recompute should have repaired the entry.
-	b, err := os.ReadFile(filepath.Join(dir, key[:2], key+".json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var p payload
-	if err := json.Unmarshal(b, &p); err != nil || p.A != 7 {
-		t.Fatalf("cache entry not repaired: %q err=%v", b, err)
+	for name, entry := range map[string]string{"garbage": "{not json", "null": "null\n"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			c, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := Key("corrupt", name)
+			c.Put(key, []byte(entry))
+			unit := Unit[*payload]{Label: "u", Key: key, Run: func(context.Context) (*payload, error) {
+				return &payload{A: 7}, nil
+			}}
+			res, st, err := Run(context.Background(), Config{Cache: c}, []Unit[*payload]{unit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res[0] == nil || res[0].A != 7 {
+				t.Fatalf("recomputed value = %+v", res[0])
+			}
+			if st.CacheHits != 0 || st.CacheMisses != 1 {
+				t.Fatalf("corrupt entry counted as a hit (hits=%d misses=%d)", st.CacheHits, st.CacheMisses)
+			}
+			if c.Hits() != 0 || c.Misses() != 1 || c.Corrupt() != 1 {
+				t.Fatalf("cache handle counted hits=%d misses=%d corrupt=%d, want 0/1/1", c.Hits(), c.Misses(), c.Corrupt())
+			}
+			b, err := os.ReadFile(filepath.Join(dir, key[:2], key+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var p payload
+			if err := json.Unmarshal(b, &p); err != nil || p.A != 7 {
+				t.Fatalf("cache entry not repaired: %q err=%v", b, err)
+			}
+		})
 	}
 }
 

@@ -106,40 +106,95 @@ func TestKernelStepEquivalence(t *testing.T) {
 	for _, op := range allOps() {
 		for trial := 0; trial < 400; trial++ {
 			ins := randomInstr(r, op)
-			pc := r.Intn(64)
-
-			m1 := mem.New()
-			seedMemory(rand.New(rand.NewSource(int64(trial))), m1)
-			m2 := m1.Clone()
-			st1 := randomState(rand.New(rand.NewSource(int64(trial)*31+1)), m1, pc)
-			st2 := randomState(rand.New(rand.NewSource(int64(trial)*31+1)), m2, pc)
-
-			res1, err1 := Step(st1, &ins, false)
-			k, kerr := Compile(&ins, pc)
-			if kerr != nil {
-				t.Fatalf("%v: compile: %v", ins, kerr)
-			}
-			res2, err2 := k(st2)
-
-			if res1 != res2 || !sameError(err1, err2) {
-				t.Fatalf("%v at pc %d: switch (%+v, %v) != kernel (%+v, %v)",
-					ins, pc, res1, err1, res2, err2)
-			}
-			if st1.Regs != st2.Regs || st1.Poison != st2.Poison ||
-				st1.PC != st2.PC || st1.Halted != st2.Halted {
-				t.Fatalf("%v at pc %d: state diverged: pc %d/%d halted %v/%v",
-					ins, pc, st1.PC, st2.PC, st1.Halted, st2.Halted)
-			}
-			if !m1.Equal(m2) {
-				t.Fatalf("%v at pc %d: memory diverged", ins, pc)
-			}
-			if pf1, ok := err1.(*PoisonFault); ok {
-				pf2 := err2.(*PoisonFault)
-				if *pf1 != *pf2 {
-					t.Fatalf("%v: poison fault fields diverged: %+v vs %+v", ins, pf1, pf2)
-				}
-			}
+			checkKernelStep(t, ins, r.Intn(64), int64(trial))
 		}
+	}
+}
+
+// FuzzKernelMatchesStep extends the dispatch property to any opcode
+// (unknown ones included), register fields, immediate, target, pc and
+// state seed: Compile must agree with Step on Result, error, state and
+// memory, and on fusable ops the pure form the pipeline issues through
+// (CompilePure) must leave the registers Step does.
+func FuzzKernelMatchesStep(f *testing.F) {
+	r := rand.New(rand.NewSource(7))
+	for _, op := range append(allOps(), isa.Op(200)) {
+		for trial := 0; trial < 2; trial++ {
+			ins := randomInstr(r, op)
+			f.Add(uint8(ins.Op), uint8(ins.Dst), uint8(ins.Src1), uint8(ins.Src2),
+				ins.Imm, ins.Target, ins.Expect, r.Intn(64), int64(trial))
+		}
+	}
+	f.Fuzz(func(t *testing.T, op, dst, src1, src2 uint8, imm int64, target int, expect bool, pc int, seed int64) {
+		ins := isa.Instr{
+			Op:     isa.Op(op),
+			Dst:    isa.Reg(dst % isa.NumRegs),
+			Src1:   isa.Reg(src1 % isa.NumRegs),
+			Src2:   isa.Reg(src2 % isa.NumRegs),
+			Imm:    imm,
+			Target: target,
+			Expect: expect,
+		}
+		checkKernelStep(t, ins, pc, seed)
+	})
+}
+
+// checkKernelStep runs ins at pc through Step, its compiled kernel and,
+// when fusable, its pure form, each from the same random state and
+// memory (seeded by seed), and fails on any divergence.
+func checkKernelStep(t *testing.T, ins isa.Instr, pc int, seed int64) {
+	t.Helper()
+	m1 := mem.New()
+	seedMemory(rand.New(rand.NewSource(seed)), m1)
+	m2 := m1.Clone()
+	st1 := randomState(rand.New(rand.NewSource(seed*31+1)), m1, pc)
+	st2 := randomState(rand.New(rand.NewSource(seed*31+1)), m2, pc)
+	st3 := randomState(rand.New(rand.NewSource(seed*31+1)), m1.Clone(), pc)
+
+	res1, err1 := Step(st1, &ins, false)
+	k, kerr := Compile(&ins, pc)
+	if kerr != nil {
+		// Only an opcode outside the ISA may be rejected, and Step must
+		// fail on it too.
+		if ins.Op <= isa.RESOLVE || err1 == nil {
+			t.Fatalf("%v: compile: %v (step error %v)", ins, kerr, err1)
+		}
+		return
+	}
+	res2, err2 := k(st2)
+
+	if res1 != res2 || !sameError(err1, err2) {
+		t.Fatalf("%v at pc %d: switch (%+v, %v) != kernel (%+v, %v)",
+			ins, pc, res1, err1, res2, err2)
+	}
+	if st1.Regs != st2.Regs || st1.Poison != st2.Poison ||
+		st1.PC != st2.PC || st1.Halted != st2.Halted {
+		t.Fatalf("%v at pc %d: state diverged: pc %d/%d halted %v/%v",
+			ins, pc, st1.PC, st2.PC, st1.Halted, st2.Halted)
+	}
+	if !m1.Equal(m2) {
+		t.Fatalf("%v at pc %d: memory diverged", ins, pc)
+	}
+	if pf1, ok := err1.(*PoisonFault); ok {
+		pf2 := err2.(*PoisonFault)
+		if *pf1 != *pf2 {
+			t.Fatalf("%v: poison fault fields diverged: %+v vs %+v", ins, pf1, pf2)
+		}
+	}
+
+	pure := CompilePure(&ins)
+	if (pure != nil) != Fusable(ins.Op) {
+		t.Fatalf("%v: CompilePure non-nil = %v, but Fusable = %v", ins, pure != nil, Fusable(ins.Op))
+	}
+	if pure == nil {
+		return
+	}
+	pure(st3)
+	if err1 != nil || st1.PC != pc+1 {
+		t.Fatalf("%v at pc %d: fusable op faulted or jumped in Step: pc %d err %v", ins, pc, st1.PC, err1)
+	}
+	if st1.Regs != st3.Regs || st1.Poison != st3.Poison {
+		t.Fatalf("%v at pc %d: pure form diverged from Step", ins, pc)
 	}
 }
 

@@ -19,24 +19,10 @@ import (
 )
 
 // harnessVersion tags run-cache keys with the harness-level simulation
-// recipe (BuildBinaries pipeline, scheduling model, verification
-// discipline). Bump it when a change alters simulated results without
-// touching the engine package. v2: simKey gained the Attr field, so
-// attributed runs (whose Stats carry an attribution report) never alias
-// v1 entries cached without one. v3: simKey gained the Pipeview field,
-// so pipeviewed runs (whose Stats carry a lifetime-capture report) never
-// alias v2 entries cached without one. v4: the simulator core grew the
-// lane-parallel stepping path — laned and scalar runs are proven
-// byte-identical (the lanes differential), but entries cached before the
-// lane core existed must never alias entries computed through it, so the
-// whole namespace moves. v5: simulations dispatch through predecoded
-// kernels by default and simKey gained the Dispatch field — kernels and
-// switch are proven byte-identical (the kernel-gate differential), but
-// pre-kernel entries must never alias post-kernel ones and the two modes
-// must never alias each other. v6: simKeyMaterial gained the Probe field,
-// so probed runs (whose Stats carry a predictor-observatory study) never
-// alias v5 entries cached without one.
-const harnessVersion = "harness/v6"
+// recipe. Bump it when a change alters simulated results without
+// changing any key part (workload, inputs, transform options, resolved
+// machine Config): a new build step, scheduling model or timing rule.
+const harnessVersion = "harness/v7"
 
 // benchJob is one (benchmark, options) experiment. The engine expands it
 // into a build unit (profile, transform, schedule — shared products) plus
@@ -162,35 +148,25 @@ func (j *benchJob) input(i int) (*inputArts, error) {
 }
 
 // simKeyMaterial is everything that determines one simulation unit's
-// Stats — the workload, the TRAIN input the binaries were built from, the
-// transform recipe, the machine overrides, and every result-bearing
-// observability switch. The run-cache key audit test
-// (TestRunCacheKeyCoversOptions) reconciles this struct against
-// harness.Options and pipeline.Config field by field, so a new
-// result-affecting option that is not threaded through here fails a test
-// instead of silently aliasing cache entries.
+// Stats: the workload, the TRAIN input the binaries were built from, the
+// REF input, the binary, the transform recipe, and the exact machine the
+// unit runs (observers included). The predictor enters by name, since
+// Config.NewPredictor has no encoding.
 type simKeyMaterial struct {
-	Config       workload.Config
-	Train        workload.Input
-	Input        workload.Input
-	Width        int
-	Binary       string
-	Predictor    string
-	Core         core.Options
-	Spec         core.SpeculateOptions
-	DBBEntries   int
-	ICacheBytes  int
-	SampleWindow int64
-	Attr         bool
-	Probe        bool
-	Pipeview     bool
-	Dispatch     string
+	Config    workload.Config
+	Train     workload.Input
+	Input     workload.Input
+	Binary    string
+	Predictor string
+	Core      core.Options
+	Spec      core.SpeculateOptions
+	Machine   pipeline.Config
 }
 
-// simKey derives the content key of one simulation unit. An anonymous
-// predictor (NewPredictor set without PredictorName) makes the unit
-// uncacheable.
-func (j *benchJob) simKey(in workload.Input, width int, binary string) string {
+// simKey derives the content key of one simulation unit running cfg. An
+// anonymous predictor (NewPredictor set without PredictorName) makes the
+// unit uncacheable.
+func (j *benchJob) simKey(in workload.Input, binary string, cfg pipeline.Config) string {
 	if j.o.NewPredictor != nil && j.o.PredictorName == "" {
 		return ""
 	}
@@ -199,18 +175,43 @@ func (j *benchJob) simKey(in workload.Input, width int, binary string) string {
 		pred = "default"
 	}
 	return engine.Key(harnessVersion, simKeyMaterial{
-		Config: j.c, Train: j.o.TrainInput, Input: in,
-		Width: width, Binary: binary, Predictor: pred,
-		Core: j.o.Core, Spec: j.o.Spec,
-		DBBEntries: j.o.DBBEntries, ICacheBytes: j.o.ICacheBytes,
-		SampleWindow: j.o.SampleWindow, Attr: j.o.Attr, Probe: j.o.Probe,
-		Pipeview: j.o.PipeviewBench == j.c.Name, Dispatch: j.o.Dispatch.String(),
+		Config: j.c, Train: j.o.TrainInput, Input: in, Binary: binary,
+		Predictor: pred, Core: j.o.Core, Spec: j.o.Spec, Machine: cfg,
 	})
 }
 
-// simulate executes one (input, width, binary) timing run over the
-// shared Program and verifies it against the golden model.
-func (j *benchJob) simulate(inputIdx, width int, binary string) (*pipeline.Stats, error) {
+// machineConfig builds the machine a simulation unit of this job runs at
+// width: the options' machine, with the waterfall recorder on when the
+// job is the benchmark under pipeview study.
+func (j *benchJob) machineConfig(width int) pipeline.Config {
+	o := &j.o
+	cfg := pipeline.DefaultConfig(width)
+	cfg.NewPredictor = o.predictor
+	cfg.SampleWindow = o.SampleWindow
+	cfg.Attr = o.Attr
+	cfg.Probe = o.Probe
+	cfg.Dispatch = o.Dispatch
+	if o.DBBEntries > 0 {
+		cfg.DBBEntries = o.DBBEntries
+	}
+	if o.ICacheBytes > 0 {
+		// Shrink capacity at constant set count by dropping ways (the
+		// natural way to cut 32KB 4-way to 24KB: 3 ways x 128 sets).
+		def := cfg.Hier.L1I
+		sets := def.SizeBytes / def.LineBytes / def.Ways
+		cfg.Hier.L1I.SizeBytes = o.ICacheBytes
+		cfg.Hier.L1I.Ways = o.ICacheBytes / def.LineBytes / sets
+	}
+	if o.PipeviewBench == j.c.Name {
+		pv := pipeview.DefaultConfig()
+		cfg.Pipeview = &pv
+	}
+	return cfg
+}
+
+// simulate executes one timing run of cfg over the shared Program and
+// verifies it against the golden model.
+func (j *benchJob) simulate(inputIdx int, binary string, cfg pipeline.Config) (*pipeline.Stats, error) {
 	prog, err := j.program(binary, j.o.RefInputs[inputIdx].Iters)
 	if err != nil {
 		return nil, err
@@ -219,18 +220,13 @@ func (j *benchJob) simulate(inputIdx, width int, binary string) (*pipeline.Stats
 	if err != nil {
 		return nil, err
 	}
-	cfg := j.o.machineConfig(width)
-	if j.o.PipeviewBench == j.c.Name {
-		pv := pipeview.DefaultConfig()
-		cfg.Pipeview = &pv
-	}
 	mach := prog.NewMachine(ia.refMem.Clone(), cfg)
 	st, err := mach.Run()
 	if err != nil {
-		return nil, fmt.Errorf("%s/%s w%d: %w", j.c.Name, binary, width, err)
+		return nil, fmt.Errorf("%s/%s w%d: %w", j.c.Name, binary, cfg.Width, err)
 	}
 	if ia.gold != nil && !mach.Memory().Equal(ia.gold) {
-		return nil, fmt.Errorf("%s/%s w%d: architectural state diverged from golden model", j.c.Name, binary, width)
+		return nil, fmt.Errorf("%s/%s w%d: architectural state diverged from golden model", j.c.Name, binary, cfg.Width)
 	}
 	return st, nil
 }
@@ -251,12 +247,13 @@ func (j *benchJob) units(jobIdx int) []engine.Unit[*pipeline.Stats] {
 	for ii, in := range j.o.RefInputs {
 		for _, w := range j.o.Widths {
 			for _, binary := range []string{"base", "exp"} {
+				cfg := j.machineConfig(w)
 				us = append(us, engine.Unit[*pipeline.Stats]{
 					Label: fmt.Sprintf("%d/%s/seed=%d,iters=%d/w%d/%s",
 						jobIdx, j.c.Name, in.Seed, in.Iters, w, binary),
-					Key: j.simKey(in, w, binary),
+					Key: j.simKey(in, binary, cfg),
 					Run: func(context.Context) (*pipeline.Stats, error) {
-						return j.simulate(ii, w, binary)
+						return j.simulate(ii, binary, cfg)
 					},
 				})
 			}
@@ -285,18 +282,7 @@ func runBenchJobs(jobs []*benchJob, o Options) ([]*BenchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.Monitor != nil {
-		// Feed per-cause slot totals to /metrics here, after the engine
-		// returns, so cache hits count the same as fresh simulations.
-		for _, st := range results {
-			if st != nil && st.Attr != nil {
-				o.Monitor.ObserveAttr(st.Attr.Slots)
-			}
-			if st != nil && st.Bpred != nil {
-				o.Monitor.ObserveBpred(st.Bpred)
-			}
-		}
-	}
+	ObserveResults(o.Monitor, results...)
 
 	out := make([]*BenchResult, len(jobs))
 	for ji, j := range jobs {
@@ -320,6 +306,26 @@ func runBenchJobs(jobs []*benchJob, o Options) ([]*BenchResult, error) {
 		out[ji] = res
 	}
 	return out, nil
+}
+
+// ObserveResults feeds a result set's attribution slot totals and
+// predictor studies to the monitor's /metrics. Callers pass the results
+// after the engine returns, so cache hits count the same as fresh
+// simulations. A nil monitor, a nil result (a build unit) or a missing
+// section is skipped.
+func ObserveResults(m *engine.Monitor, results ...*pipeline.Stats) {
+	if m == nil {
+		return
+	}
+	for _, st := range results {
+		if st == nil {
+			continue
+		}
+		if st.Attr != nil {
+			m.ObserveAttr(st.Attr.Slots)
+		}
+		m.ObserveBpred(st.Bpred)
+	}
 }
 
 // EngineStats accumulates experiment-engine telemetry across every

@@ -240,28 +240,6 @@ func (o *Options) predictor() bpred.DirPredictor {
 	return bpred.NewDefault()
 }
 
-// machineConfig builds the pipeline configuration for a width.
-func (o *Options) machineConfig(width int) pipeline.Config {
-	cfg := pipeline.DefaultConfig(width)
-	cfg.NewPredictor = o.predictor
-	cfg.SampleWindow = o.SampleWindow
-	cfg.Attr = o.Attr
-	cfg.Probe = o.Probe
-	cfg.Dispatch = o.Dispatch
-	if o.DBBEntries > 0 {
-		cfg.DBBEntries = o.DBBEntries
-	}
-	if o.ICacheBytes > 0 {
-		// Shrink capacity at constant set count by dropping ways (the
-		// natural way to cut 32KB 4-way to 24KB: 3 ways x 128 sets).
-		def := cfg.Hier.L1I
-		sets := def.SizeBytes / def.LineBytes / def.Ways
-		cfg.Hier.L1I.SizeBytes = o.ICacheBytes
-		cfg.Hier.L1I.Ways = o.ICacheBytes / def.LineBytes / sets
-	}
-	return cfg
-}
-
 // BuildBinaries produces the scheduled baseline and experimental programs
 // for a benchmark, plus the TRAIN profile and transform report.
 func BuildBinaries(c workload.Config, o Options) (base, exp *ir.Program, prof *profile.Profile, rep *core.Report, err error) {

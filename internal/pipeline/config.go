@@ -39,7 +39,9 @@ type Config struct {
 	// Hier is the cache hierarchy configuration.
 	Hier cache.HierConfig
 	// NewPredictor constructs the direction predictor (fresh per run).
-	NewPredictor func() bpred.DirPredictor
+	// A func has no JSON encoding, so run-cache keys name the predictor
+	// instead.
+	NewPredictor func() bpred.DirPredictor `json:"-"`
 	// BTBLogEntries is log2 of BTB entries (Table 1: 4K -> 12).
 	BTBLogEntries int
 	// RASEntries is the return address stack depth (Table 1: 64).
