@@ -67,8 +67,10 @@ kernel-gate:
 # (exactly one terminal per unit, phases nested, counters reconciled),
 # the recorder-off path must stay byte-identical and allocation-free,
 # and the monitor surface (/metrics exposition, /debug/sweep, the
-# concurrency hammer) must hold up — all under the race detector.
-SWEEP_GATE_RUN := TestSweep|TestRecorder|TestMonitor|TestMetricsPromFormat|TestPromValidator|TestReportSchema|TestWriteSweepArtifacts
+# concurrency hammer) must hold up; and the studies' job sets must share
+# each (workload, input)'s products and render the same at any worker
+# count and with every job run alone — all under the race detector.
+SWEEP_GATE_RUN := TestSweep|TestRecorder|TestMonitor|TestMetricsPromFormat|TestPromValidator|TestReportSchema|TestWriteSweepArtifacts|TestJobSetSharing
 SWEEP_GATE_PKGS := ./internal/engine/ ./internal/harness/ ./internal/trace/
 sweep-gate:
 	$(GO) test -race -count 1 -run '$(SWEEP_GATE_RUN)' $(SWEEP_GATE_PKGS)
@@ -119,6 +121,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKernelMatchesStep -fuzztime 10s -fuzzminimizetime 100x ./internal/exec/
 	$(GO) test -run '^$$' -fuzz FuzzReadReport -fuzztime 10s -fuzzminimizetime 100x ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzParseKonata -fuzztime 10s -fuzzminimizetime 100x ./internal/pipeview/
+	$(GO) test -run '^$$' -fuzz FuzzCloneIsolation -fuzztime 10s -fuzzminimizetime 100x ./internal/mem/
+	$(GO) test -run '^$$' -fuzz FuzzTransformPreservesSemantics -fuzztime 10s -fuzzminimizetime 100x ./internal/core/
 
 # Gate-pattern audit: every -run alternative of every *-gate must name
 # at least one test or fuzz target (whose seed corpus -run executes) in

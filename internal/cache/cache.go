@@ -12,9 +12,11 @@ type Config struct {
 	Latency   int // total load-to-use latency for a hit at this level
 }
 
+// line is one way: 16 bytes, so the 32-way 4MB L3 costs 1MB per machine.
+// Validity is folded into lastUse: the clock ticks before every fill, so
+// a filled line's lastUse is at least 1, and 0 marks an invalid way.
 type line struct {
 	tag     uint64
-	valid   bool
 	lastUse uint64
 }
 
@@ -101,7 +103,7 @@ func (c *Cache) Lookup(addr uint64) bool {
 	tag := addr >> c.shift
 	set := c.set(tag)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].lastUse != 0 && set[i].tag == tag {
 			return true
 		}
 	}
@@ -125,19 +127,19 @@ func (c *Cache) Access(addr uint64) bool {
 	set := c.lines[base : base+c.ways]
 	victim := 0
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].lastUse != 0 && set[i].tag == tag {
 			set[i].lastUse = c.clock
 			c.mru[si] = tag
 			return true
 		}
-		if !set[i].valid {
-			victim = i
-		} else if set[victim].valid && set[i].lastUse < set[victim].lastUse {
+		// The last invalid way (lastUse 0), else the least recently used:
+		// valid lines of one set never tie on lastUse.
+		if set[i].lastUse <= set[victim].lastUse {
 			victim = i
 		}
 	}
 	c.Misses++
-	set[victim] = line{tag: tag, valid: true, lastUse: c.clock}
+	set[victim] = line{tag: tag, lastUse: c.clock}
 	c.mru[si] = tag
 	return false
 }
@@ -147,8 +149,8 @@ func (c *Cache) Invalidate(addr uint64) {
 	tag := addr >> c.shift
 	set := c.set(tag)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].valid = false
+		if set[i].lastUse != 0 && set[i].tag == tag {
+			set[i].lastUse = 0
 		}
 	}
 	if si := tag & (c.setCnt - 1); c.mru[si] == tag {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func small() *Cache {
@@ -177,6 +178,64 @@ func TestMissBufferBackPressure(t *testing.T) {
 	}
 	if h.MissBufStall == 0 {
 		t.Error("miss-buffer stall cycles not accounted")
+	}
+}
+
+// TestMissBufferEvictionDeterministic: when the full buffer must free
+// an entry and two lines that missed in the same cycle tie on their
+// completion cycle, the lower line address is freed, so a later access
+// to the lower line no longer merges and hits in L1 — on every run, not
+// per map iteration order.
+func TestMissBufferEvictionDeterministic(t *testing.T) {
+	cfg := DefaultHierConfig()
+	cfg.MissBufEntries = 2
+	for run := 0; run < 200; run++ {
+		h := NewHierarchy(cfg)
+		h.Data(0, 1<<20)
+		h.Data(0, 2<<20) // ties with the first line at cycle 140
+		h.Data(0, 3<<20) // full: frees the line at 1<<20
+		if got := h.Data(1, 1<<20); got != 1+4 {
+			t.Fatalf("run %d: access to the freed line ready at %d, want 5 (L1 hit, no merge)", run, got)
+		}
+		if got := h.Data(1, 2<<20); got != 140 {
+			t.Fatalf("run %d: access to the kept line ready at %d, want 140 (merged)", run, got)
+		}
+	}
+}
+
+// TestReapWatermark: entries retire exactly when their fill completes,
+// with the watermark kept across reaps that retire some entries.
+func TestReapWatermark(t *testing.T) {
+	h := NewDefault()
+	h.Data(0, 1<<20)  // done 140
+	h.Data(50, 2<<20) // done 190
+	h.reap(139)
+	if len(h.inflight) != 2 {
+		t.Fatalf("reap(139) left %d entries, want 2", len(h.inflight))
+	}
+	h.reap(140)
+	if len(h.inflight) != 1 || h.minDone != 190 {
+		t.Fatalf("reap(140) left %d entries, watermark %d; want 1, 190", len(h.inflight), h.minDone)
+	}
+	h.reap(190)
+	if len(h.inflight) != 0 || h.minDone != noneDone {
+		t.Fatalf("reap(190) left %d entries, watermark %d; want 0, none", len(h.inflight), h.minDone)
+	}
+}
+
+// TestLineIs16Bytes pins the way's size: validity lives in lastUse.
+func TestLineIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(line{}); n != 16 {
+		t.Fatalf("cache line record is %d bytes, want 16", n)
+	}
+	c := small()
+	c.Access(0) // tag 0 is a real tag, not an empty way
+	if !c.Lookup(0) {
+		t.Fatal("line with tag 0 not found after fill")
+	}
+	c.Invalidate(0)
+	if c.Lookup(0) || c.Access(0) {
+		t.Fatal("invalidated line with tag 0 still hits")
 	}
 }
 

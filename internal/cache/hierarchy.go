@@ -34,6 +34,10 @@ type Hierarchy struct {
 	L3  *Cache
 
 	inflight map[uint64]int64 // line address -> fill-complete cycle
+	// minDone is at most the earliest fill-complete cycle in inflight
+	// (noneDone when it is empty), so reap returns at once while no
+	// entry can be due.
+	minDone int64
 
 	DemandMisses uint64 // L1D misses that allocated a miss-buffer entry
 	MergedMisses uint64 // accesses that piggybacked on an in-flight line
@@ -60,16 +64,27 @@ func NewHierarchy(cfg HierConfig) *Hierarchy {
 		L1I: New(cfg.L1I), L1D: New(cfg.L1D),
 		L2: New(cfg.L2), L3: New(cfg.L3),
 		inflight: make(map[uint64]int64),
+		minDone:  noneDone,
 	}
 }
 
 // NewDefault builds the Table 1 hierarchy.
 func NewDefault() *Hierarchy { return NewHierarchy(DefaultHierConfig()) }
 
+// noneDone is the minDone of an empty miss buffer.
+const noneDone = int64(1<<62 - 1)
+
+// reap retires the miss-buffer entries whose fill completed by now.
 func (h *Hierarchy) reap(now int64) {
+	if now < h.minDone {
+		return
+	}
+	h.minDone = noneDone
 	for a, done := range h.inflight {
 		if done <= now {
 			delete(h.inflight, a)
+		} else {
+			h.minDone = min(h.minDone, done)
 		}
 	}
 }
@@ -103,13 +118,16 @@ func (h *Hierarchy) Data(now int64, addr uint64) int64 {
 	if h.L1D.Access(addr) {
 		return now + int64(h.cfg.L1D.Latency)
 	}
-	// Miss: allocate a miss-buffer entry, stalling if full.
+	// Miss: allocate a miss-buffer entry, stalling if full. The entry
+	// freed is the one that completes first, the lowest line address on a
+	// tie, so the choice never depends on map iteration order. Removing
+	// it leaves minDone a lower bound.
 	start := now
 	if len(h.inflight) >= h.cfg.MissBufEntries {
-		earliest := int64(1<<62 - 1)
+		earliest := noneDone
 		var victim uint64
 		for a, done := range h.inflight {
-			if done < earliest {
+			if done < earliest || done == earliest && a < victim {
 				earliest, victim = done, a
 			}
 		}
@@ -123,6 +141,7 @@ func (h *Hierarchy) Data(now int64, addr uint64) int64 {
 	lat, level := h.missLatency(addr)
 	done := start + int64(lat)
 	h.inflight[la] = done
+	h.minDone = min(h.minDone, done)
 	if h.OnMiss != nil {
 		h.OnMiss(Miss{Addr: addr, Level: level, Latency: done - now})
 	}

@@ -131,9 +131,19 @@ func TestTransformStructure(t *testing.T) {
 	}
 }
 
-// equivalence checks original vs transformed program results for a set of
-// predict oracles and both branch directions.
-func checkEquivalence(t *testing.T, orig *ir.Program, init func(*mem.Memory)) {
+// fixedOracles are the PREDICT oracles every equivalence check runs.
+func fixedOracles() map[string]func(pc, id int) bool {
+	k := 0
+	return map[string]func(pc, id int) bool{
+		"not-taken": func(pc, id int) bool { return false },
+		"taken":     func(pc, id int) bool { return true },
+		"alternate": func(pc, id int) bool { k++; return k%2 == 0 },
+	}
+}
+
+// checkEquivalence checks original vs transformed program results under
+// the given PREDICT oracles, and through the timing simulator.
+func checkEquivalence(t *testing.T, orig *ir.Program, init func(*mem.Memory), oracles map[string]func(pc, id int) bool) {
 	t.Helper()
 	trans := orig.Clone()
 	rep, err := Transform(trans, fakeProfile(1), DefaultOptions())
@@ -145,15 +155,6 @@ func checkEquivalence(t *testing.T, orig *ir.Program, init func(*mem.Memory)) {
 	}
 	oim := ir.MustLinearize(orig)
 	tim := ir.MustLinearize(trans)
-
-	oracles := map[string]func(pc, id int) bool{
-		"not-taken": func(pc, id int) bool { return false },
-		"taken":     func(pc, id int) bool { return true },
-		"alternate": func() func(pc, id int) bool {
-			k := 0
-			return func(pc, id int) bool { k++; return k%2 == 0 }
-		}(),
-	}
 
 	gm := mem.New()
 	init(gm)
@@ -184,20 +185,51 @@ func checkEquivalence(t *testing.T, orig *ir.Program, init func(*mem.Memory)) {
 	}
 }
 
-func TestTransformPreservesSemantics(t *testing.T) {
-	for _, cond := range []int64{10, 90} { // taken and not-taken directions
-		cond := cond
-		checkEquivalence(t, hammock(), func(m *mem.Memory) {
-			m.MustStore(uint64(dataBase), cond)
-			m.MustStore(uint64(dataBase)+8, 111)
-			m.MustStore(uint64(dataBase)+16, 222)
-		})
+// dataInit stores the condition word and two data words the hammock
+// and renamedHoist programs load.
+func dataInit(cond, w8, w16 int64) func(*mem.Memory) {
+	return func(m *mem.Memory) {
+		m.MustStore(uint64(dataBase), cond)
+		m.MustStore(uint64(dataBase)+8, w8)
+		m.MustStore(uint64(dataBase)+16, w16)
 	}
 }
 
-// TestRenamedHoistPreservesSemantics forces the shadow-temporary path: B's
-// first instruction defines a register that is live into C.
-func TestRenamedHoistPreservesSemantics(t *testing.T) {
+func TestTransformPreservesSemantics(t *testing.T) {
+	for _, cond := range []int64{10, 90} { // taken and not-taken directions
+		checkEquivalence(t, hammock(), dataInit(cond, 111, 222), fixedOracles())
+	}
+}
+
+// FuzzTransformPreservesSemantics: the hammock and the renamed-hoist
+// case, over fuzzed condition and data words, must end in the original
+// program's memory under a fuzzed PREDICT oracle (bit k of the pattern
+// steers the k-th PREDICT, mod 64) as well as under the fixed ones, and
+// through the timing simulator.
+func FuzzTransformPreservesSemantics(f *testing.F) {
+	f.Add(false, int64(10), int64(111), int64(222), uint64(0))
+	f.Add(false, int64(90), int64(111), int64(222), ^uint64(0))
+	f.Add(true, int64(10), int64(333), int64(0), uint64(0b1010))
+	f.Add(true, int64(90), int64(-1), int64(7), uint64(0b0110))
+	f.Fuzz(func(t *testing.T, renamed bool, cond, w8, w16 int64, oracleBits uint64) {
+		p := hammock()
+		if renamed {
+			p = renamedHoist()
+		}
+		k := 0
+		oracles := fixedOracles()
+		oracles["fuzzed"] = func(pc, id int) bool {
+			taken := oracleBits>>(k%64)&1 == 1
+			k++
+			return taken
+		}
+		checkEquivalence(t, p, dataInit(cond, w8, w16), oracles)
+	})
+}
+
+// renamedHoist is a hammock whose B defines, first thing, a register
+// that is live into C, so hoisting B's head needs a shadow temporary.
+func renamedHoist() *ir.Program {
 	f := &ir.Func{Name: "main"}
 	init := f.AddBlock("init")
 	a := f.AddBlock("A")
@@ -225,7 +257,13 @@ func TestRenamedHoistPreservesSemantics(t *testing.T) {
 		ir.St(isa.R(1), 72, isa.R(11)),
 	)
 	f.Emit(d, ir.St(isa.R(1), 80, isa.R(11)), ir.Halt())
-	p := &ir.Program{Funcs: []*ir.Func{f}}
+	return &ir.Program{Funcs: []*ir.Func{f}}
+}
+
+// TestRenamedHoistPreservesSemantics forces the shadow-temporary path: B's
+// first instruction defines a register that is live into C.
+func TestRenamedHoistPreservesSemantics(t *testing.T) {
+	p := renamedHoist()
 
 	// Verify the transform actually used a temp.
 	tr := p.Clone()
@@ -238,11 +276,7 @@ func TestRenamedHoistPreservesSemantics(t *testing.T) {
 	}
 
 	for _, cond := range []int64{10, 90} {
-		cond := cond
-		checkEquivalence(t, p.Clone(), func(m *mem.Memory) {
-			m.MustStore(uint64(dataBase), cond)
-			m.MustStore(uint64(dataBase)+8, 333)
-		})
+		checkEquivalence(t, p.Clone(), dataInit(cond, 333, 0), fixedOracles())
 	}
 }
 

@@ -33,6 +33,19 @@ func AblationBenchmarks() []string {
 // set — every simulation of the whole sweep shares the worker pool — and
 // returns the geomean width-4 speedup per point, labelled.
 func sweep(names []string, points []Options, labels []string) ([]AblationPoint, error) {
+	jobs, err := sweepJobs(names, points)
+	if err != nil {
+		return nil, err
+	}
+	rs, err := runBenchJobs(jobs, points[0])
+	if err != nil {
+		return nil, err
+	}
+	return sweepPoints(names, labels, rs), nil
+}
+
+// sweepJobs enumerates a sweep's jobs, point-major.
+func sweepJobs(names []string, points []Options) ([]*benchJob, error) {
 	var jobs []*benchJob
 	for _, o := range points {
 		for _, n := range names {
@@ -43,19 +56,20 @@ func sweep(names []string, points []Options, labels []string) ([]AblationPoint, 
 			jobs = append(jobs, newBenchJob(c, o))
 		}
 	}
-	rs, err := runBenchJobs(jobs, points[0])
-	if err != nil {
-		return nil, err
-	}
-	out := make([]AblationPoint, len(points))
-	for pi := range points {
+	return jobs, nil
+}
+
+// sweepPoints aggregates the results of sweepJobs.
+func sweepPoints(names, labels []string, rs []*BenchResult) []AblationPoint {
+	out := make([]AblationPoint, len(labels))
+	for pi := range labels {
 		var ss []float64
 		for ni := range names {
 			ss = append(ss, rs[pi*len(names)+ni].SpeedupAllRefsPct(4))
 		}
 		out[pi] = AblationPoint{Label: labels[pi], SpeedupPct: metrics.GeomeanSpeedupPct(ss)}
 	}
-	return out, nil
+	return out
 }
 
 // SweepMinGap sweeps the selection threshold (paper: 5% is best).

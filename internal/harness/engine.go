@@ -37,8 +37,9 @@ type benchJob struct {
 // at most once (sync.Once) by whichever unit needs them first; every
 // product is read-only after construction, so simulation units on other
 // workers may consume them concurrently. Each simulation still gets its
-// own pipeline.Machine and memory clone — the "one machine per goroutine"
-// contract DESIGN.md documents — over a Program shared per patched image.
+// own pipeline.Machine and copy-on-write memory clone — the "one machine
+// per goroutine" contract DESIGN.md documents — over a Program shared per
+// patched image.
 type jobArts struct {
 	once sync.Once
 	err  error
@@ -48,6 +49,9 @@ type jobArts struct {
 	rep                   *core.Report
 	staticBase, staticExp int
 
+	// train and inputs may be shared with other jobs of the job set
+	// (shareInputs).
+	train  *trainArts
 	inputs []*inputArts // parallel to o.RefInputs
 	// progs memoizes the iteration-patched image and its predecoded
 	// Program per (binary, iters). Its keys are fixed by newBenchJob, so
@@ -68,9 +72,21 @@ type progArts struct {
 	prog *pipeline.Program
 }
 
-// inputArts holds the per-(job, input) shared products: the initialized
-// REF memory image (cloned per simulation) and, under Verify, the golden
-// architectural memory every timing run is checked against.
+// trainArts holds the products of one (workload, TRAIN input): the
+// program, its linearized image and its initialized memory, a sealed
+// snapshot (mem.Memory.Clone) that each build profiles a clone of. All
+// three are read-only once built.
+type trainArts struct {
+	once sync.Once
+	prog *ir.Program
+	im   *ir.Image
+	mem  *mem.Memory
+}
+
+// inputArts holds the products of one (workload, REF input): the
+// initialized memory image, a sealed snapshot each simulation clones,
+// and, under Verify, the golden architectural memory every timing run is
+// checked against.
 type inputArts struct {
 	once   sync.Once
 	err    error
@@ -80,6 +96,7 @@ type inputArts struct {
 
 func newBenchJob(c workload.Config, o Options) *benchJob {
 	a := &jobArts{
+		train:  &trainArts{},
 		inputs: make([]*inputArts, len(o.RefInputs)),
 		progs:  map[progKey]*progArts{},
 	}
@@ -94,11 +111,49 @@ func newBenchJob(c workload.Config, o Options) *benchJob {
 	return &benchJob{c: c, o: o, arts: a}
 }
 
+// shareInputs points the jobs of one job set that share an input at one
+// copy of its products before any of them runs: the TRAIN products per
+// (workload, TRAIN input), and the REF products per (workload, REF
+// input, Verify, Dispatch), the last two because they decide the golden
+// run. Each input is then generated, and golden-run, once per job set.
+func shareInputs(jobs []*benchJob) {
+	trains := map[string]*trainArts{}
+	inputs := map[string]*inputArts{}
+	for _, j := range jobs {
+		j.arts.train = shared(trains, engine.Key("train", j.c, j.o.TrainInput), j.arts.train)
+		for i, in := range j.o.RefInputs {
+			k := engine.Key("ref", j.c, in, j.o.Verify, j.o.Dispatch)
+			j.arts.inputs[i] = shared(inputs, k, j.arts.inputs[i])
+		}
+	}
+}
+
+// shared returns the value memo holds under k, first storing v there if
+// it holds none.
+func shared[T any](memo map[string]T, k string, v T) T {
+	if s, ok := memo[k]; ok {
+		return s
+	}
+	memo[k] = v
+	return v
+}
+
+// trainProducts builds (once) and returns the job's TRAIN products.
+func (j *benchJob) trainProducts() *trainArts {
+	t := j.arts.train
+	t.once.Do(func() {
+		prog, m := j.c.Generate(j.o.TrainInput)
+		t.prog, t.im, t.mem = prog, ir.MustLinearize(prog), m.Clone()
+	})
+	return t
+}
+
 // artifacts builds (once) and returns the job's shared binaries.
 func (j *benchJob) artifacts() (*jobArts, error) {
 	a := j.arts
 	a.once.Do(func() {
-		base, exp, prof, rep, err := BuildBinaries(j.c, j.o)
+		t := j.trainProducts()
+		base, exp, prof, rep, err := buildFrom(j.c, j.o, t.prog, t.im, t.mem.Clone())
 		if err != nil {
 			a.err = err
 			return
@@ -132,16 +187,15 @@ func (j *benchJob) program(binary string, iters int64) (*pipeline.Program, error
 func (j *benchJob) input(i int) (*inputArts, error) {
 	ia := j.arts.inputs[i]
 	ia.once.Do(func() {
-		in := j.o.RefInputs[i]
-		_, refMem := j.c.Generate(in)
-		ia.refMem = refMem
+		prog, m := j.c.Generate(j.o.RefInputs[i])
+		ia.refMem = m.Clone() // sealed: simulations clone it concurrently
 		if j.o.Verify {
-			goldProg, goldMem := j.c.Generate(in)
-			if _, _, err := interp.Run(ir.MustLinearize(goldProg), goldMem, interp.Options{Dispatch: j.o.Dispatch}); err != nil {
+			gold := ia.refMem.Clone()
+			if _, _, err := interp.Run(ir.MustLinearize(prog), gold, interp.Options{Dispatch: j.o.Dispatch}); err != nil {
 				ia.err = fmt.Errorf("%s: golden run: %w", j.c.Name, err)
 				return
 			}
-			ia.gold = goldMem
+			ia.gold = gold
 		}
 	})
 	return ia, ia.err
@@ -264,9 +318,11 @@ func (j *benchJob) units(jobIdx int) []engine.Unit[*pipeline.Stats] {
 
 // runBenchJobs executes a (possibly heterogeneous) set of benchmark jobs
 // as one engine job set and aggregates per-job BenchResults in
-// enumeration order. The execution policy (Jobs, Cache, EngineStats)
-// comes from o; each job's own Options govern what it simulates.
+// enumeration order. Jobs that share an input share its products
+// (shareInputs). The execution policy (Jobs, Cache, EngineStats) comes
+// from o; each job's own Options govern what it simulates.
 func runBenchJobs(jobs []*benchJob, o Options) ([]*BenchResult, error) {
+	shareInputs(jobs)
 	var units []engine.Unit[*pipeline.Stats]
 	first := make([]int, len(jobs)) // index of each job's first simulation unit
 	for ji, j := range jobs {

@@ -142,14 +142,26 @@ func SensitivityBenchmarks() []string { return []string{"astar", "sjeng", "gobmk
 // (the DBT system would re-optimize for the deployed front end). The full
 // (benchmark x predictor) matrix runs as one engine job set.
 func Sensitivity(benchmarks []string, base Options) ([]SensitivityRow, error) {
-	specs := bpred.LadderSpecs()
+	jobs, err := sensitivityJobs(benchmarks, base)
+	if err != nil {
+		return nil, err
+	}
+	rs, err := runBenchJobs(jobs, base)
+	if err != nil {
+		return nil, err
+	}
+	return sensitivityRows(benchmarks, rs), nil
+}
+
+// sensitivityJobs enumerates the study's jobs, benchmark-major.
+func sensitivityJobs(benchmarks []string, base Options) ([]*benchJob, error) {
 	var jobs []*benchJob
 	for _, name := range benchmarks {
 		c, ok := workload.ByName(name)
 		if !ok {
 			return nil, fmt.Errorf("unknown benchmark %q", name)
 		}
-		for _, spec := range specs {
+		for _, spec := range bpred.LadderSpecs() {
 			o := base
 			o.Widths = []int{4}
 			o.NewPredictor = spec.New
@@ -157,10 +169,12 @@ func Sensitivity(benchmarks []string, base Options) ([]SensitivityRow, error) {
 			jobs = append(jobs, newBenchJob(c, o))
 		}
 	}
-	rs, err := runBenchJobs(jobs, base)
-	if err != nil {
-		return nil, err
-	}
+	return jobs, nil
+}
+
+// sensitivityRows aggregates the results of sensitivityJobs.
+func sensitivityRows(benchmarks []string, rs []*BenchResult) []SensitivityRow {
+	specs := bpred.LadderSpecs()
 	var rows []SensitivityRow
 	for bi, name := range benchmarks {
 		for si, spec := range specs {
@@ -174,7 +188,7 @@ func Sensitivity(benchmarks []string, base Options) ([]SensitivityRow, error) {
 			})
 		}
 	}
-	return rows, nil
+	return rows
 }
 
 // WriteSensitivity renders the study with the per-benchmark
@@ -217,22 +231,31 @@ type ICacheStudy struct {
 // RunICacheStudy executes the study over a suite: both configurations of
 // every benchmark run as one engine job set.
 func RunICacheStudy(suite string, base Options) ([]ICacheStudy, error) {
+	cs := workload.Suite(suite)
+	rs, err := runBenchJobs(icacheJobs(cs, base), base)
+	if err != nil {
+		return nil, err
+	}
+	return icacheRows(cs, rs), nil
+}
+
+// icacheJobs enumerates the study's jobs: the 32KB and the 24KB machine
+// of each benchmark in turn.
+func icacheJobs(cs []workload.Config, base Options) []*benchJob {
 	small := base
 	small.ICacheBytes = 24 << 10
 	small.Widths = []int{4}
 	big := base
 	big.Widths = []int{4}
-
-	cs := workload.Suite(suite)
 	var jobs []*benchJob
 	for _, c := range cs {
 		jobs = append(jobs, newBenchJob(c, big), newBenchJob(c, small))
 	}
-	rs, err := runBenchJobs(jobs, base)
-	if err != nil {
-		return nil, err
-	}
+	return jobs
+}
 
+// icacheRows aggregates the results of icacheJobs.
+func icacheRows(cs []workload.Config, rs []*BenchResult) []ICacheStudy {
 	var out []ICacheStudy
 	for ci, c := range cs {
 		rBig, rSmall := rs[2*ci], rs[2*ci+1]
@@ -244,7 +267,7 @@ func RunICacheStudy(suite string, base Options) ([]ICacheStudy, error) {
 		}
 		out = append(out, ICacheStudy{Benchmark: c.Name, SlowdownPct: slow, MissUnderMispred: frac})
 	}
-	return out, nil
+	return out
 }
 
 // WriteICacheStudy renders the Section 6.1 results.

@@ -19,6 +19,7 @@ import (
 	"vanguard/internal/engine"
 	"vanguard/internal/exec"
 	"vanguard/internal/ir"
+	"vanguard/internal/mem"
 	"vanguard/internal/metrics"
 	"vanguard/internal/pipeline"
 	"vanguard/internal/profile"
@@ -244,7 +245,13 @@ func (o *Options) predictor() bpred.DirPredictor {
 // for a benchmark, plus the TRAIN profile and transform report.
 func BuildBinaries(c workload.Config, o Options) (base, exp *ir.Program, prof *profile.Profile, rep *core.Report, err error) {
 	trainProg, trainMem := c.Generate(o.TrainInput)
-	im := ir.MustLinearize(trainProg)
+	return buildFrom(c, o, trainProg, ir.MustLinearize(trainProg), trainMem)
+}
+
+// buildFrom is BuildBinaries after Generate: it profiles im, the
+// linearized trainProg, over trainMem (which the profiling run mutates)
+// and builds both binaries from clones of trainProg, which it only reads.
+func buildFrom(c workload.Config, o Options, trainProg *ir.Program, im *ir.Image, trainMem *mem.Memory) (base, exp *ir.Program, prof *profile.Profile, rep *core.Report, err error) {
 	prof, err = profile.Collect(im, trainMem, o.predictor(), 200_000_000)
 	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("%s: profile: %w", c.Name, err)

@@ -13,9 +13,18 @@
 // array read instead of a map lookup. LoadFast/StoreFast are the
 // allocation-free forms the pipeline uses per-access; Load/Store keep the
 // error-returning contract for the golden model and loaders.
+//
+// Clone is copy-on-write: it copies the page table, and each side copies
+// a page the first time it stores to it. A page this memory may write in
+// place is "owned"; the ownership bit lives in the page-table entry and
+// is mirrored in the TLB slot, so only the store slow path reads the map
+// for it.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"maps"
+)
 
 const (
 	// PageBytes is the size of one backing page.
@@ -47,21 +56,33 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("memory fault: %s at %#x", kind, f.Addr)
 }
 
-// tlbEnt is one translation-cache slot; page == nil marks it empty.
+// pte is one page-table entry. own marks a page no clone shares, which
+// this memory may write in place; any other page is copied on its first
+// store.
+type pte struct {
+	page *[wordsPP]int64
+	own  bool
+}
+
+// tlbEnt is one translation-cache slot; page == nil marks it empty. own
+// mirrors the page's pte, so a store hits the slot only when it may
+// write the page in place.
 type tlbEnt struct {
 	pn   uint64
 	page *[wordsPP]int64
+	own  bool
 }
 
 // Memory is a sparse, paged 64-bit word store.
 type Memory struct {
-	pages map[uint64]*[wordsPP]int64
+	pages map[uint64]pte
+	owned int // pages with pte.own set
 	tlb   [tlbEntries]tlbEnt
 }
 
 // New returns an empty memory.
 func New() *Memory {
-	return &Memory{pages: make(map[uint64]*[wordsPP]int64)}
+	return &Memory{pages: make(map[uint64]pte)}
 }
 
 // Valid reports whether the address is mapped-legal and aligned. It is
@@ -79,11 +100,11 @@ func (m *Memory) pageFor(pn uint64) *[wordsPP]int64 {
 	if e.page != nil && e.pn == pn {
 		return e.page
 	}
-	page := m.pages[pn]
-	if page != nil {
-		e.pn, e.page = pn, page
+	p := m.pages[pn]
+	if p.page != nil {
+		e.pn, e.page, e.own = pn, p.page, p.own
 	}
-	return page
+	return p.page
 }
 
 // Load reads the 64-bit word at addr. It returns a *Fault error for
@@ -127,15 +148,29 @@ func (m *Memory) StoreFast(addr uint64, v int64) bool {
 		return false
 	}
 	pn := addr / PageBytes
-	page := m.pageFor(pn)
-	if page == nil {
-		page = new([wordsPP]int64)
-		m.pages[pn] = page
-		e := &m.tlb[pn&(tlbEntries-1)]
-		e.pn, e.page = pn, page
+	e := &m.tlb[pn&(tlbEntries-1)]
+	if !e.own || e.pn != pn {
+		m.ownPage(pn, e)
 	}
-	page[(addr%PageBytes)/8] = v
+	e.page[(addr%PageBytes)/8] = v
 	return true
+}
+
+// ownPage is the store slow path: it makes page pn one this memory owns,
+// allocating a page never written and copying a shared one, and loads
+// it into TLB slot e.
+func (m *Memory) ownPage(pn uint64, e *tlbEnt) {
+	p := m.pages[pn]
+	if !p.own {
+		page := new([wordsPP]int64)
+		if p.page != nil {
+			*page = *p.page
+		}
+		p = pte{page: page, own: true}
+		m.pages[pn] = p
+		m.owned++
+	}
+	e.pn, e.page, e.own = pn, p.page, true
 }
 
 // MustStore stores and panics on fault; used by program loaders that write
@@ -159,37 +194,51 @@ func (m *Memory) StoreWords(base uint64, vs []int64) error {
 // Footprint returns the number of distinct pages ever written.
 func (m *Memory) Footprint() int { return len(m.pages) }
 
-// Clone returns a deep copy, used to snapshot initial program state so the
-// timing and functional simulators can run from identical memories. The
-// clone starts with a cold TLB.
+// Clone returns a copy with value semantics: a store to either memory
+// never shows in the other. The copy is lazy: Clone copies the page
+// table, marks every page shared on both sides, and each side copies a
+// page on its first store to it. The clone starts with a cold TLB.
+//
+// Clone writes to its receiver only when the receiver owns pages (it
+// gives them up). So cloning a memory that owns none — itself a clone
+// nothing has stored to since — only reads it, and many goroutines may
+// clone it at once. A memory shared that way is sealed by making it a
+// clone before it is published.
 func (m *Memory) Clone() *Memory {
-	c := New()
-	for pn, page := range m.pages {
-		cp := *page
-		c.pages[pn] = &cp
+	if m.owned > 0 {
+		for pn, p := range m.pages {
+			if p.own {
+				m.pages[pn] = pte{page: p.page}
+			}
+		}
+		m.owned = 0
+		for i := range m.tlb {
+			m.tlb[i].own = false
+		}
 	}
-	return c
+	return &Memory{pages: maps.Clone(m.pages)}
 }
 
 // Equal reports whether two memories hold identical contents. Pages of all
 // zeros are treated as absent, so a written-then-zeroed page equals an
-// untouched one.
+// untouched one. Equal only reads both memories.
 func (m *Memory) Equal(o *Memory) bool {
 	return m.subsetOf(o) && o.subsetOf(m)
 }
 
 func (m *Memory) subsetOf(o *Memory) bool {
-	for pn, page := range m.pages {
+	for pn, p := range m.pages {
 		op, ok := o.pages[pn]
-		if !ok {
-			for _, v := range page {
+		switch {
+		case ok && op.page == p.page:
+			// Shared by a clone and written by neither side.
+		case !ok:
+			for _, v := range p.page {
 				if v != 0 {
 					return false
 				}
 			}
-			continue
-		}
-		if *page != *op {
+		case *p.page != *op.page:
 			return false
 		}
 	}

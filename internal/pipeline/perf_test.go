@@ -63,6 +63,24 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	checkSteadyZeroAllocs(t, mach, "steady-state cycle loop")
 }
 
+// TestCloneMemoryZeroAllocs: harness machines run over a copy-on-write
+// clone of a shared snapshot. The clone copies the probe's data page on
+// its first store, once, so the steady-state loop still allocates
+// nothing, and the snapshot never sees the machine's stores.
+func TestCloneMemoryZeroAllocs(t *testing.T) {
+	prog, m := allocProbeProgram(50_000_000)
+	// The probe's own store runs only when i&(i+1) == 0; store in the
+	// latch too, so every iteration writes the shared page.
+	latch := prog.Funcs[0].Blocks[3]
+	latch.Instrs = append([]isa.Instr{ir.St(isa.R(1), 72, isa.R(8))}, latch.Instrs...)
+	snap := m.Clone()
+	mach := New(ir.MustLinearize(prog), snap.Clone(), DefaultConfig(4))
+	checkSteadyZeroAllocs(t, mach, "cycle loop over a cloned memory")
+	if _, fresh := allocProbeProgram(0); !snap.Equal(fresh) {
+		t.Fatal("the machine's stores reached the snapshot it was cloned from")
+	}
+}
+
 // checkSteadyZeroAllocs warms mach up over 50k steps, then fails t if ten
 // rounds of 10k steps allocate, or if those steps skipped no frozen
 // cycle: the pin must cover the skip, so simulated cycles have to outrun
