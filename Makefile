@@ -101,9 +101,10 @@ sched-gate:
 # (Stats JSON with every observer section, error, final memory and event
 # stream) on random loops under every machine variation and on every
 # int2006 and fp2006 -fast binary at widths 2/4/8, the fuzz target's
-# seeds, and the cycle-cap errors the skip's cap wake must reproduce,
-# uncached.
-SIM_GATE_RUN := TestSkipMatchesStepper|FuzzSkipMatchesStepper|TestCycleCapErrors|TestProgramCycleCap
+# seeds, the cycle-cap errors the skip's cap wake must reproduce, and the
+# timing litmus tests (closed-form cycle counts of crafted programs, under
+# both the skip and the stepper), uncached.
+SIM_GATE_RUN := TestSkipMatchesStepper|FuzzSkipMatchesStepper|TestCycleCapErrors|TestProgramCycleCap|TestLitmus
 SIM_GATE_PKGS := ./internal/pipeline/
 sim-gate:
 	$(GO) test -count 1 -run '$(SIM_GATE_RUN)' $(SIM_GATE_PKGS)
@@ -123,6 +124,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseKonata -fuzztime 10s -fuzzminimizetime 100x ./internal/pipeview/
 	$(GO) test -run '^$$' -fuzz FuzzCloneIsolation -fuzztime 10s -fuzzminimizetime 100x ./internal/mem/
 	$(GO) test -run '^$$' -fuzz FuzzTransformPreservesSemantics -fuzztime 10s -fuzzminimizetime 100x ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzMissBufferMatchesReference -fuzztime 10s -fuzzminimizetime 100x ./internal/cache/
 
 # Gate-pattern audit: every -run alternative of every *-gate must name
 # at least one test or fuzz target (whose seed corpus -run executes) in

@@ -316,3 +316,143 @@ func TestWorkingSetMissRates(t *testing.T) {
 		t.Errorf("L2 miss rate %f on L2-resident set, want ~0", mr)
 	}
 }
+
+// referenceHierarchy is the map-based miss buffer the array one replaced,
+// kept as the oracle FuzzMissBufferMatchesReference holds Hierarchy.Data
+// to: reap and Data are the old code, minus the OnMiss observer.
+type referenceHierarchy struct {
+	cfg HierConfig
+	L1D *Cache
+	L2  *Cache
+	L3  *Cache
+
+	inflight map[uint64]int64 // line address -> fill-complete cycle
+	minDone  int64
+
+	DemandMisses uint64
+	MergedMisses uint64
+	MissBufStall uint64
+}
+
+func newReferenceHierarchy(cfg HierConfig) *referenceHierarchy {
+	return &referenceHierarchy{
+		cfg: cfg,
+		L1D: New(cfg.L1D), L2: New(cfg.L2), L3: New(cfg.L3),
+		inflight: make(map[uint64]int64),
+		minDone:  noneDone,
+	}
+}
+
+func (h *referenceHierarchy) reap(now int64) {
+	if now < h.minDone {
+		return
+	}
+	h.minDone = noneDone
+	for a, done := range h.inflight {
+		if done <= now {
+			delete(h.inflight, a)
+		} else {
+			h.minDone = min(h.minDone, done)
+		}
+	}
+}
+
+func (h *referenceHierarchy) missLatency(addr uint64) int {
+	if h.L2.Access(addr) {
+		return h.cfg.L2.Latency
+	}
+	if h.L3.Access(addr) {
+		return h.cfg.L3.Latency
+	}
+	return h.cfg.MemLatency
+}
+
+func (h *referenceHierarchy) Data(now int64, addr uint64) int64 {
+	h.reap(now)
+	la := h.L1D.LineAddr(addr)
+	if done, busy := h.inflight[la]; busy {
+		h.MergedMisses++
+		h.L1D.Access(addr)
+		if t := now + int64(h.cfg.L1D.Latency); t > done {
+			return t
+		}
+		return done
+	}
+	if h.L1D.Access(addr) {
+		return now + int64(h.cfg.L1D.Latency)
+	}
+	start := now
+	if len(h.inflight) >= h.cfg.MissBufEntries {
+		earliest := noneDone
+		var victim uint64
+		for a, done := range h.inflight {
+			if done < earliest || done == earliest && a < victim {
+				earliest, victim = done, a
+			}
+		}
+		delete(h.inflight, victim)
+		if earliest > start {
+			h.MissBufStall += uint64(earliest - start)
+			start = earliest
+		}
+	}
+	h.DemandMisses++
+	done := start + int64(h.missLatency(addr))
+	h.inflight[la] = done
+	h.minDone = min(h.minDone, done)
+	return done
+}
+
+// fuzzHierConfig is a hierarchy small enough that a few dozen lines hit,
+// miss and evict at every level, with latencies chosen so fills started
+// in different cycles complete together (an L3 fill started 15 cycles
+// after a memory fill finishes with it).
+func fuzzHierConfig(missBuf int) HierConfig {
+	return HierConfig{
+		L1I:            Config{SizeBytes: 512, Ways: 2, LineBytes: 64, Latency: 4},
+		L1D:            Config{SizeBytes: 512, Ways: 2, LineBytes: 64, Latency: 4},
+		L2:             Config{SizeBytes: 1024, Ways: 2, LineBytes: 64, Latency: 10},
+		L3:             Config{SizeBytes: 2048, Ways: 4, LineBytes: 64, Latency: 25},
+		MemLatency:     40,
+		MissBufEntries: missBuf,
+	}
+}
+
+// FuzzMissBufferMatchesReference drives the array miss buffer and the
+// map-based reference with one stream of (cycle, address) accesses and
+// compares every returned cycle and the miss-buffer counters. Each access
+// is two bytes: the low two bits of the first advance the clock by 0-3
+// cycles (0 keeps many misses in one cycle, so completions tie), the rest
+// pick one of 64 lines and a word in it; a 0xff first byte jumps the
+// clock 64 cycles instead, past every outstanding fill.
+func FuzzMissBufferMatchesReference(f *testing.F) {
+	f.Add(uint8(2), []byte{0, 1, 0, 2, 0, 3, 1, 1, 0, 2})
+	f.Add(uint8(0), []byte{0, 5, 0, 9, 3, 5, 0xff, 9})
+	f.Add(uint8(8), []byte{0, 0, 0, 64, 0, 128, 0, 192, 2, 0, 0xff, 64, 0, 1})
+	f.Add(uint8(1), []byte{4, 7, 8, 11, 0, 7, 1, 200, 0xff, 3, 0, 3})
+	f.Fuzz(func(t *testing.T, mb uint8, stream []byte) {
+		cfg := fuzzHierConfig(int(mb) % 9)
+		h, ref := NewHierarchy(cfg), newReferenceHierarchy(cfg)
+		now := int64(0)
+		for i := 0; i+1 < len(stream); i += 2 {
+			if stream[i] == 0xff {
+				now += 64
+			} else {
+				now += int64(stream[i] & 3)
+			}
+			b := stream[i+1]
+			addr := uint64(1<<20) + uint64(b&63)*64 + uint64(b>>6)*8
+			got, want := h.Data(now, addr), ref.Data(now, addr)
+			if got != want {
+				t.Fatalf("access %d (cycle %d, addr %#x, %d entries): ready %d, reference %d",
+					i/2, now, addr, cfg.MissBufEntries, got, want)
+			}
+			if h.DemandMisses != ref.DemandMisses || h.MergedMisses != ref.MergedMisses ||
+				h.MissBufStall != ref.MissBufStall {
+				t.Fatalf("access %d: demand/merged/stall %d/%d/%d, reference %d/%d/%d", i/2,
+					h.DemandMisses, h.MergedMisses, h.MissBufStall,
+					ref.DemandMisses, ref.MergedMisses, ref.MissBufStall)
+			}
+		}
+	})
+}
