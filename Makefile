@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet race bench bench-all bench-diff bench-json results results-full attr-gate sim-gate staticcheck pipeview-gate kernel-gate sweep-gate bpred-gate sched-gate fuzz-smoke gate-patterns
+.PHONY: all build test check fmt vet race bench bench-all bench-diff bench-json results results-full attr-gate sim-gate staticcheck pipeview-gate kernel-gate sweep-gate bpred-gate sched-gate fuzz-smoke gate-patterns doc-refs
 
 # Pinned staticcheck version: `go run` resolves it through the module
 # proxy, so the exact analyzer version is reproducible everywhere.
@@ -146,8 +146,23 @@ gate-patterns:
 	check '$(PIPEVIEW_GATE_RUN)' '$(PIPEVIEW_GATE_PKGS)' && \
 	echo "gate-patterns: every -run alternative matches a test"
 
+# Doc-reference audit: every Test…, Fuzz… or Benchmark… name cited in the
+# top-level docs must be a prefix of at least one test, fuzz target or
+# benchmark that go test -list finds, so a renamed or deleted test cannot
+# stay cited. bench/README.md is not audited yet: bench/ is its own module.
+DOC_REFS_FILES := README.md DESIGN.md EXPERIMENTS.md results/README.md
+doc-refs:
+	@out="$$($(GO) test -list . ./...)" || { echo "$$out"; exit 1; }; \
+	tests="$$(echo "$$out" | grep -E '^(Test|Fuzz|Benchmark)')"; \
+	bad=0; \
+	for ref in $$(grep -ohE '\b(Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*' $(DOC_REFS_FILES) | sort -u); do \
+		echo "$$tests" | grep -q "^$$ref" || { echo "doc-refs: $$ref is cited but matches no test"; bad=1; }; \
+	done; \
+	if [ $$bad -ne 0 ]; then exit 1; fi; \
+	echo "doc-refs: every cited test name matches a test"
+
 # Pre-PR gate: run this before every commit.
-check: fmt vet build staticcheck gate-patterns kernel-gate sweep-gate bpred-gate sched-gate sim-gate attr-gate pipeview-gate fuzz-smoke race
+check: fmt vet build staticcheck gate-patterns doc-refs kernel-gate sweep-gate bpred-gate sched-gate sim-gate attr-gate pipeview-gate fuzz-smoke race
 
 # Attribution-conservation gate: every attributed fast-suite simulation
 # must charge exactly cycles x width issue slots (pipeline invariant

@@ -210,16 +210,16 @@ func TestReapWatermark(t *testing.T) {
 	h.Data(0, 1<<20)  // done 140
 	h.Data(50, 2<<20) // done 190
 	h.reap(139)
-	if len(h.inflight) != 2 {
-		t.Fatalf("reap(139) left %d entries, want 2", len(h.inflight))
+	if len(h.missBuf) != 2 {
+		t.Fatalf("reap(139) left %d entries, want 2", len(h.missBuf))
 	}
 	h.reap(140)
-	if len(h.inflight) != 1 || h.minDone != 190 {
-		t.Fatalf("reap(140) left %d entries, watermark %d; want 1, 190", len(h.inflight), h.minDone)
+	if len(h.missBuf) != 1 || h.minDone != 190 {
+		t.Fatalf("reap(140) left %d entries, watermark %d; want 1, 190", len(h.missBuf), h.minDone)
 	}
 	h.reap(190)
-	if len(h.inflight) != 0 || h.minDone != noneDone {
-		t.Fatalf("reap(190) left %d entries, watermark %d; want 0, none", len(h.inflight), h.minDone)
+	if len(h.missBuf) != 0 || h.minDone != noneDone {
+		t.Fatalf("reap(190) left %d entries, watermark %d; want 0, none", len(h.missBuf), h.minDone)
 	}
 }
 

@@ -33,8 +33,11 @@ type Hierarchy struct {
 	L2  *Cache
 	L3  *Cache
 
-	inflight map[uint64]int64 // line address -> fill-complete cycle
-	// minDone is at most the earliest fill-complete cycle in inflight
+	// missBuf holds the in-flight fills, one per line, in no order. It
+	// never outgrows MissBufEntries (one entry when that is 0), so its
+	// storage is allocated once; entries leave by swap-remove.
+	missBuf []missEntry
+	// minDone is at most the earliest fill-complete cycle in missBuf
 	// (noneDone when it is empty), so reap returns at once while no
 	// entry can be due.
 	minDone int64
@@ -47,6 +50,12 @@ type Hierarchy struct {
 	// hierarchy (merged accesses do not re-fire). The pipeline wires this
 	// to its telemetry sink to emit cache-miss events.
 	OnMiss func(Miss)
+}
+
+// missEntry is one in-flight fill: a line and its fill-complete cycle.
+type missEntry struct {
+	line uint64
+	done int64
 }
 
 // Miss describes one L1 miss for the OnMiss observer.
@@ -63,8 +72,8 @@ func NewHierarchy(cfg HierConfig) *Hierarchy {
 		cfg: cfg,
 		L1I: New(cfg.L1I), L1D: New(cfg.L1D),
 		L2: New(cfg.L2), L3: New(cfg.L3),
-		inflight: make(map[uint64]int64),
-		minDone:  noneDone,
+		missBuf: make([]missEntry, 0, max(cfg.MissBufEntries, 1)),
+		minDone: noneDone,
 	}
 }
 
@@ -80,13 +89,21 @@ func (h *Hierarchy) reap(now int64) {
 		return
 	}
 	h.minDone = noneDone
-	for a, done := range h.inflight {
-		if done <= now {
-			delete(h.inflight, a)
+	for i := 0; i < len(h.missBuf); {
+		if done := h.missBuf[i].done; done <= now {
+			h.removeMiss(i)
 		} else {
 			h.minDone = min(h.minDone, done)
+			i++
 		}
 	}
+}
+
+// removeMiss drops missBuf[i], moving the last entry into its slot.
+func (h *Hierarchy) removeMiss(i int) {
+	last := len(h.missBuf) - 1
+	h.missBuf[i] = h.missBuf[last]
+	h.missBuf = h.missBuf[:last]
 }
 
 // missLatency walks L2/L3/memory for a line that missed in an L1 and
@@ -106,32 +123,37 @@ func (h *Hierarchy) missLatency(addr uint64) (int, string) {
 func (h *Hierarchy) Data(now int64, addr uint64) int64 {
 	h.reap(now)
 	la := h.L1D.LineAddr(addr)
-	if done, busy := h.inflight[la]; busy {
+	for _, e := range h.missBuf {
+		if e.line != la {
+			continue
+		}
 		// The line is already being fetched: merge with it.
 		h.MergedMisses++
-		h.L1D.Access(addr) // counts the access; line will be present by `done`
-		if t := now + int64(h.cfg.L1D.Latency); t > done {
+		h.L1D.Access(addr) // counts the access; line will be present by e.done
+		if t := now + int64(h.cfg.L1D.Latency); t > e.done {
 			return t
 		}
-		return done
+		return e.done
 	}
 	if h.L1D.Access(addr) {
 		return now + int64(h.cfg.L1D.Latency)
 	}
 	// Miss: allocate a miss-buffer entry, stalling if full. The entry
 	// freed is the one that completes first, the lowest line address on a
-	// tie, so the choice never depends on map iteration order. Removing
+	// tie, so the choice never depends on the buffer's order. Removing
 	// it leaves minDone a lower bound.
 	start := now
-	if len(h.inflight) >= h.cfg.MissBufEntries {
-		earliest := noneDone
-		var victim uint64
-		for a, done := range h.inflight {
-			if done < earliest || done == earliest && a < victim {
-				earliest, victim = done, a
+	if len(h.missBuf) >= h.cfg.MissBufEntries {
+		earliest, victim := noneDone, -1
+		var victimLine uint64
+		for i, e := range h.missBuf {
+			if e.done < earliest || e.done == earliest && e.line < victimLine {
+				earliest, victim, victimLine = e.done, i, e.line
 			}
 		}
-		delete(h.inflight, victim)
+		if victim >= 0 {
+			h.removeMiss(victim)
+		}
 		if earliest > start {
 			h.MissBufStall += uint64(earliest - start)
 			start = earliest
@@ -140,7 +162,7 @@ func (h *Hierarchy) Data(now int64, addr uint64) int64 {
 	h.DemandMisses++
 	lat, level := h.missLatency(addr)
 	done := start + int64(lat)
-	h.inflight[la] = done
+	h.missBuf = append(h.missBuf, missEntry{la, done})
 	h.minDone = min(h.minDone, done)
 	if h.OnMiss != nil {
 		h.OnMiss(Miss{Addr: addr, Level: level, Latency: done - now})

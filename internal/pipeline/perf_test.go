@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"vanguard/internal/interp"
 	"vanguard/internal/ir"
@@ -61,6 +62,53 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	prog, m := allocProbeProgram(50_000_000)
 	mach := New(ir.MustLinearize(prog), m, DefaultConfig(4))
 	checkSteadyZeroAllocs(t, mach, "steady-state cycle loop")
+}
+
+// TestPredecodedIs32Bytes pins the per-PC table's entry size: the fetch
+// run length lives in padding, so a Program costs no more per instruction
+// than before runs existed.
+func TestPredecodedIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(predecoded{}); n != 32 {
+		t.Fatalf("predecoded entry is %d bytes, want 32", n)
+	}
+}
+
+// TestFetchRuns checks the predecoded run lengths: a run counts down to
+// the last instruction before a control op, the end of a 64-byte line
+// (16 instructions) or the end of the image, and is 0 at a control op.
+func TestFetchRuns(t *testing.T) {
+	instrs := make([]isa.Instr, 40)
+	for i := range instrs {
+		instrs[i] = ir.Nop()
+	}
+	instrs[3] = ir.Jmp(0)
+	instrs[20] = ir.Halt()
+	pre, err := predecode(&ir.Image{Instrs: instrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]uint8, len(instrs))
+	for pc := range want {
+		switch {
+		case pc < 3:
+			want[pc] = uint8(3 - pc) // up to the JMP
+		case pc == 3, pc == 20:
+			want[pc] = 0
+		case pc < 16:
+			want[pc] = uint8(16 - pc) // up to the line end
+		case pc < 20:
+			want[pc] = uint8(20 - pc) // up to the HALT
+		case pc < 32:
+			want[pc] = uint8(32 - pc)
+		default:
+			want[pc] = uint8(40 - pc) // up to the image end
+		}
+	}
+	for pc := range pre {
+		if pre[pc].run != want[pc] {
+			t.Errorf("pc %d: run %d, want %d", pc, pre[pc].run, want[pc])
+		}
+	}
 }
 
 // TestCloneMemoryZeroAllocs: harness machines run over a copy-on-write

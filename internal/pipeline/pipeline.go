@@ -19,15 +19,16 @@ import (
 
 // fetchEntry is the hot slot of the fetch buffer: only what every
 // instruction needs on the fetch→issue path. It deliberately carries no
-// isa.Instr and no derivable timing: the instruction word is re-read from
-// the immutable image by pc and the earliest issue cycle is
-// fetchedAt + FrontEndDepth - 1. Speculation metadata lives in the
-// parallel cold array (fetchSpec), so the per-instruction queue copies
-// move 24 bytes instead of ~112.
+// isa.Instr: the instruction word is re-read from the immutable image by
+// pc. readyAt is the earliest issue cycle, fetch cycle + FrontEndDepth - 1,
+// so the issue head tests one field; the fetch cycle is readyAt minus the
+// machine's feDelay. Speculation metadata lives in the parallel cold array
+// (fetchSpec), so the per-instruction queue copies move 24 bytes instead
+// of ~112.
 type fetchEntry struct {
-	seq       int64
-	pc        int
-	fetchedAt int64 // cycle the entry was fetched (fetch-to-issue telemetry)
+	seq     int64
+	pc      int
+	readyAt int64
 }
 
 // fetchSpec is the cold slot paired with each fetchEntry: speculation
@@ -64,7 +65,7 @@ type Program struct {
 // Predecode prepares im for simulation. The image must not change
 // afterwards.
 func Predecode(im *ir.Image) *Program {
-	pre, err := predecode(im.Instrs)
+	pre, err := predecode(im)
 	return &Program{im: im, pre: pre, err: err}
 }
 
@@ -85,14 +86,40 @@ type predecoded struct {
 	// (exec.CompilePure; nil otherwise): such an op cannot fault, touch
 	// memory, or issue a speculation point, so the issue stage skips the
 	// kernel's Result construction and error check entirely.
-	pure    func(*exec.State)
-	uses    [3]isa.Reg
-	def     isa.Reg
-	op      isa.Op
-	fu      isa.FU
-	flags   uint8
+	pure func(*exec.State)
+	// uses are the source operands as scoreboard slots: a register's own
+	// index, or noRegSlot (always ready) for an unused operand.
+	uses  [3]isa.Reg
+	def   isa.Reg
+	op    isa.Op
+	fu    isa.FU
+	flags uint8
+	// run is the number of instructions from this PC up to the next
+	// front-end control op (fetchControl) or the end of the fetch line,
+	// whichever comes first; 0 at a control op. Fetch pushes a run with
+	// one bounds, line and op check.
+	run     uint8
 	latency int32
 	branch  int32 // static BranchID (0 = unassigned)
+}
+
+// noRegSlot is the scoreboard slot of isa.NoReg: nothing writes it, so an
+// unused operand reads ready without a test of its own.
+const noRegSlot = isa.Reg(isa.NumRegs)
+
+// fetchLine is the fetch granule in bytes: fetch accesses the I-cache once
+// per 64-byte line it enters.
+const fetchLine = 64
+
+// fetchControl reports whether fetch handles op on its own rather than as
+// part of a straight-line run: the ops that redirect or stop fetch, push
+// the RAS, or take a predictor or DBB checkpoint.
+func fetchControl(op isa.Op) bool {
+	switch op {
+	case isa.JMP, isa.CALL, isa.RET, isa.BR, isa.PREDICT, isa.RESOLVE, isa.HALT:
+		return true
+	}
+	return false
 }
 
 // predecoded.flags bits.
@@ -108,13 +135,19 @@ const (
 // switch dispatch the machine runs it exactly as before (the bad opcode
 // faults at step time, the reference behavior), while kernel dispatch
 // refuses to start.
-func predecode(instrs []isa.Instr) ([]predecoded, error) {
+func predecode(im *ir.Image) ([]predecoded, error) {
+	instrs := im.Instrs
 	pre := make([]predecoded, len(instrs))
 	var firstErr error
 	for pc := range instrs {
 		ins := &instrs[pc]
 		p := &pre[pc]
 		p.uses[0], p.uses[1], p.uses[2] = ins.Uses()
+		for i, r := range p.uses {
+			if r == isa.NoReg {
+				p.uses[i] = noRegSlot
+			}
+		}
 		p.def = ins.Def()
 		p.op = ins.Op
 		p.fu = ins.Op.Unit()
@@ -135,6 +168,18 @@ func predecode(instrs []isa.Instr) ([]predecoded, error) {
 		}
 		p.kernel = k
 		p.pure = exec.CompilePure(ins)
+	}
+	// Runs, back to front: a run stops before a control op and at the
+	// last instruction of a fetch line or of the image.
+	for pc := len(pre) - 1; pc >= 0; pc-- {
+		switch {
+		case fetchControl(pre[pc].op):
+			pre[pc].run = 0
+		case pc+1 == len(pre) || im.PCAddr(pc+1)%fetchLine == 0:
+			pre[pc].run = 1
+		default:
+			pre[pc].run = pre[pc+1].run + 1
+		}
 	}
 	return pre, firstErr
 }
@@ -177,7 +222,7 @@ type regUndo struct {
 type debugSnap struct {
 	regs     [isa.NumRegs]int64
 	poison   [isa.NumRegs]bool
-	regReady [isa.NumRegs]int64
+	regReady [isa.NumRegs + 1]int64
 	halted   bool
 }
 
@@ -268,10 +313,16 @@ type Machine struct {
 	ras  *bpred.RAS
 	DBB  *DBB
 
-	st       *exec.State
-	regReady [isa.NumRegs]int64
+	st *exec.State
+	// regReady is the scoreboard: the cycle each register's value is
+	// ready, indexed by register, plus noRegSlot (always 0).
+	regReady [isa.NumRegs + 1]int64
 	pre      []predecoded
 	feDelay  int64 // FrontEndDepth-1: fetched at c, issues no earlier than c+feDelay
+	// waited counts issued instructions by cycles waited past readyAt,
+	// below len(waited); finishStats folds it into Stats.FetchToIssue
+	// (delay = wait + feDelay), which takes longer waits directly.
+	waited [64]int64
 
 	// useKernels mirrors cfg.Dispatch == exec.DispatchKernels for the
 	// issue hot path; preErr is the Program's kernel-compile error and
@@ -541,16 +592,23 @@ func (m *Machine) Memory() *mem.Memory { return m.mem }
 // (HALT drained or an instruction cap hit) and a non-nil error on an
 // architectural fault.
 func (m *Machine) stepCycle() (done bool, err error) {
-	m.resolve()
-	if err := m.commitFaultCheck(); err != nil {
-		return true, err
+	// Each phase runs only when the state it acts on is non-empty.
+	if m.infLen() > 0 {
+		m.resolve()
 	}
-	m.drainStores()
-	if m.infLen() == 0 && m.exceptionDue() {
+	if m.pendFaultSeq >= 0 {
+		if err := m.commitFaultCheck(); err != nil {
+			return true, err
+		}
+	}
+	if len(m.sb) > 0 {
+		m.drainStores()
+	}
+	if m.cfg.ExceptionEveryN > 0 && m.infLen() == 0 && m.exceptionDue() {
 		m.takeException()
 		m.nextException += m.cfg.ExceptionEveryN
 	}
-	if m.done() {
+	if (m.haltSeq >= 0 || m.cfg.MaxInstrs > 0) && m.done() {
 		return true, nil
 	}
 	issued, cause, idx, wake := m.issue()
@@ -558,7 +616,9 @@ func (m *Machine) stepCycle() (done bool, err error) {
 	if issued == 0 && m.frozen() {
 		k = m.wakeCycle(wake) - m.now
 	}
-	m.chargeCycle(issued, cause, idx, k)
+	if issued == 0 || m.stallRun > 0 || m.attr != nil {
+		m.chargeCycle(issued, cause, idx, k)
+	}
 	m.fetch(k)
 	m.now += k
 	if m.sampler != nil && m.now >= m.sampler.NextAt() {
@@ -728,7 +788,7 @@ func (m *Machine) frontEndCause() attr.Cause {
 // missing operand of pd, split out per load PC, else a non-load producer.
 func (m *Machine) loadCause(pd *predecoded) (attr.Cause, int) {
 	for _, r := range pd.uses {
-		if !m.opReady(r) {
+		if m.regReady[r] > m.now {
 			if wpc := m.regWriter[r]; wpc >= 0 && m.pre[wpc].flags&pdLoad != 0 {
 				return attr.LoadWait, int(wpc)
 			}
@@ -785,6 +845,10 @@ func (m *Machine) Run() (*Stats, error) {
 // open stall run.
 func (m *Machine) finishStats() {
 	m.endStallRun()
+	for w, n := range m.waited {
+		m.stats.FetchToIssue.ObserveN(int64(w)+m.feDelay, n)
+	}
+	m.waited = [len(m.waited)]int64{}
 	m.stats.Cycles = m.now
 	m.stats.Committed = m.stats.Issued - m.stats.WrongPathIssued
 	m.stats.L1DMissRate = m.Hier.L1D.MissRate()
@@ -1137,10 +1201,6 @@ func (m *Machine) drainAll() {
 
 // ---- issue ----
 
-func (m *Machine) opReady(r isa.Reg) bool {
-	return r == isa.NoReg || m.regReady[r] <= m.now
-}
-
 func (m *Machine) fuLimit(fu isa.FU) int {
 	switch fu {
 	case isa.FUInt:
@@ -1169,17 +1229,17 @@ func (m *Machine) issue() (issued int, cause attr.Cause, idx int, wake int64) {
 	var fuUsed [isa.NumFUClasses]int
 	for m.fbLen() > 0 && issued < m.cfg.Width {
 		fe := m.fbAt(0)
-		if at := fe.fetchedAt + m.feDelay; at > m.now {
-			return issued, m.frontEndCause(), 0, at
+		if fe.readyAt > m.now {
+			return issued, m.frontEndCause(), 0, fe.readyAt
 		}
 		pd := &m.pre[fe.pc]
-		if !m.opReady(pd.uses[0]) || !m.opReady(pd.uses[1]) || !m.opReady(pd.uses[2]) {
+		if m.regReady[pd.uses[0]] > m.now || m.regReady[pd.uses[1]] > m.now || m.regReady[pd.uses[2]] > m.now {
 			if issued > 0 && m.attr == nil {
 				return issued, attr.OperandWait, 0, 0
 			}
 			wake = math.MaxInt64
 			for _, r := range pd.uses {
-				if r != isa.NoReg && m.regReady[r] > m.now {
+				if m.regReady[r] > m.now {
 					wake = min(wake, m.regReady[r])
 				}
 			}
@@ -1216,7 +1276,11 @@ func (m *Machine) issue() (issued int, cause attr.Cause, idx int, wake int64) {
 
 func (m *Machine) issueOne(fe *fetchEntry, fs *fetchSpec, pd *predecoded) {
 	m.stats.Issued++
-	m.stats.FetchToIssue.Observe(m.now - fe.fetchedAt)
+	if w := m.now - fe.readyAt; w < int64(len(m.waited)) {
+		m.waited[w]++
+	} else {
+		m.stats.FetchToIssue.Observe(w + m.feDelay)
+	}
 	if m.repairStart >= 0 {
 		m.stats.RepairPenalty.Observe(m.now - m.repairStart)
 		m.repairStart = -1
@@ -1391,7 +1455,9 @@ func (m *Machine) fbClear() {
 // ---- fetch ----
 
 // fetch runs the front end for k cycles; k > 1 only over a frozen run,
-// where fetch is inert and only the stall counts down.
+// where fetch is inert and only the stall counts down. Each pass of the
+// loop takes one straight-line run (predecoded.run), clipped to the free
+// fetch slots and buffer entries, or one control op.
 func (m *Machine) fetch(k int64) {
 	if m.fetchHalted {
 		return
@@ -1401,14 +1467,16 @@ func (m *Machine) fetch(k int64) {
 		return
 	}
 	fetched := 0
+	readyAt := m.now + m.feDelay
 	for fetched < m.cfg.Width && m.fbLen() < m.cfg.FetchBufEntries {
-		if m.fetchPC < 0 || m.fetchPC >= len(m.im.Instrs) {
+		pc := m.fetchPC
+		if uint(pc) >= uint(len(m.pre)) {
 			// Wrong-path fetch ran off the image; wait for the flush.
 			m.fetchHalted = true
 			return
 		}
-		addr := m.im.PCAddr(m.fetchPC)
-		if line := addr &^ 63; line != m.lastFetchLine {
+		addr := m.im.PCAddr(pc)
+		if line := addr &^ (fetchLine - 1); line != m.lastFetchLine {
 			extra := m.Hier.Inst(addr)
 			m.lastFetchLine = line
 			if extra > 0 {
@@ -1424,12 +1492,28 @@ func (m *Machine) fetch(k int64) {
 			m.underMispred = false
 		}
 
-		ins := &m.im.Instrs[m.fetchPC]
-		fe := fetchEntry{
-			seq:       m.seq,
-			pc:        m.fetchPC,
-			fetchedAt: m.now,
+		pd := &m.pre[pc]
+		if pd.run > 0 {
+			n := min(int(pd.run), m.cfg.Width-fetched, m.cfg.FetchBufEntries-m.fbLen())
+			tail, seq := m.fbHead+m.fbCnt, m.seq
+			for i := range n {
+				fe := fetchEntry{seq: seq + int64(i), pc: pc + i, readyAt: readyAt}
+				m.fb[(tail+i)&m.fbMask] = fe
+				if m.Sink != nil {
+					m.Sink.Emit(trace.Event{Kind: trace.KindFetch, Cycle: m.now,
+						Seq: fe.seq, PC: fe.pc, Ins: m.im.Instrs[fe.pc]})
+				}
+			}
+			m.fbCnt += n
+			m.seq += int64(n)
+			m.stats.Fetched += int64(n)
+			m.fetchPC += n
+			fetched += n
+			continue
 		}
+
+		ins := &m.im.Instrs[pc]
+		fe := fetchEntry{seq: m.seq, pc: pc, readyAt: readyAt}
 		m.seq++
 		fetched++
 		m.stats.Fetched++
@@ -1438,7 +1522,7 @@ func (m *Machine) fetch(k int64) {
 				Seq: fe.seq, PC: fe.pc, Ins: *ins})
 		}
 
-		switch m.pre[m.fetchPC].op {
+		switch pd.op {
 		case isa.JMP:
 			m.fbPush(fe)
 			m.fetchPC = ins.Target
@@ -1528,9 +1612,6 @@ func (m *Machine) fetch(k int64) {
 			m.fbPush(fe)
 			m.fetchHalted = true
 			return
-		default:
-			m.fbPush(fe)
-			m.fetchPC++
 		}
 	}
 }

@@ -56,6 +56,23 @@ func (h *Hist) Observe(v int64) {
 	h.Buckets[bucketOf(v)]++
 }
 
+// ObserveN records n samples of value v, the same histogram as n calls to
+// Observe(v); n <= 0 records nothing.
+func (h *Hist) ObserveN(v, n int64) {
+	if n <= 0 {
+		return
+	}
+	if h.Count == 0 || v < h.MinV {
+		h.MinV = v
+	}
+	if h.Count == 0 || v > h.MaxV {
+		h.MaxV = v
+	}
+	h.Count += n
+	h.Sum += v * n
+	h.Buckets[bucketOf(v)] += n
+}
+
 // Merge folds o into h.
 func (h *Hist) Merge(o *Hist) {
 	if o.Count == 0 {

@@ -145,3 +145,41 @@ func TestHistJSONRoundTrip(t *testing.T) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", back, h)
 	}
 }
+
+// TestHistObserveN: ObserveN(v, n) marshals to the same bytes as n calls
+// to Observe(v), into an empty histogram and into one already holding
+// samples on both sides of v, for zero, negative and bucket-edge values;
+// n <= 0 leaves the histogram as it was.
+func TestHistObserveN(t *testing.T) {
+	marshal := func(h *Hist) string {
+		t.Helper()
+		b, err := json.Marshal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	seeded := func(prefill bool) Hist {
+		var h Hist
+		if prefill {
+			for _, v := range []int64{-5, 3, 200} {
+				h.Observe(v)
+			}
+		}
+		return h
+	}
+	for _, prefill := range []bool{false, true} {
+		for _, v := range []int64{0, -1, -7, 1, 2, 3, 4, 63, 64, 1023, 1024, 1 << 40} {
+			for _, n := range []int64{-3, 0, 1, 2, 5, 64} {
+				got, want := seeded(prefill), seeded(prefill)
+				got.ObserveN(v, n)
+				for i := int64(0); i < n; i++ {
+					want.Observe(v)
+				}
+				if g, w := marshal(&got), marshal(&want); g != w {
+					t.Errorf("prefill=%v ObserveN(%d, %d) = %s, %d Observe calls give %s", prefill, v, n, g, n, w)
+				}
+			}
+		}
+	}
+}
