@@ -83,7 +83,7 @@ sweep-gate:
 # perturbed), the monitor's /metrics + /debug/bpred surface, and the
 # stream-level golden digests of every predictor (predictions, Meta,
 # table state, probe books) — all under the race detector and uncached.
-BPRED_GATE_RUN := TestProbe|TestHist|TestCtr2|TestLadderStream|TestBpredProbe|TestReportSchema|TestRunBpredDiff|TestWriteBpredCSV|TestBpredCSVImpliesReport|TestRunCacheKey|TestSimKey|TestMonitorBpred
+BPRED_GATE_RUN := TestProbe|TestHist|TestCtr2|TestLadderStream|TestBpredProbe|TestReportSchema|TestRunBpredDiff|TestDiffSurfacesGolden|TestWriteBpredCSV|TestBpredCSVImpliesReport|TestRunCacheKey|TestSimKey|TestMonitorBpred
 BPRED_GATE_PKGS := ./internal/bpred/ ./internal/pipeline/ ./internal/trace/ ./internal/harness/ ./internal/engine/ ./internal/cli/
 bpred-gate:
 	$(GO) test -race -count 1 -run '$(BPRED_GATE_RUN)' $(BPRED_GATE_PKGS)
@@ -171,7 +171,7 @@ check: fmt vet build staticcheck gate-patterns doc-refs kernel-gate sweep-gate b
 # observer, plus the fuzz target's seeds); the differential path must
 # hold the same books on both binaries of a real benchmark; and the Stats
 # of fully observed fast-suite runs must match their pinned digests.
-ATTR_GATE_RUN := TestAttr|TestRunAttrDiff|TestObservedStatsDigest|TestObserversDoNotSteer|FuzzObserversDoNotSteer
+ATTR_GATE_RUN := TestAttr|TestRunAttrDiff|TestDiffSurfacesGolden|TestObservedStatsDigest|TestObserversDoNotSteer|FuzzObserversDoNotSteer
 ATTR_GATE_PKGS := ./internal/pipeline/ ./internal/harness/
 attr-gate:
 	$(GO) test -run '$(ATTR_GATE_RUN)' -count 1 $(ATTR_GATE_PKGS)
