@@ -23,7 +23,6 @@ func main() {
 	var (
 		sweep = flag.String("sweep", "all", "gap | hoist | dbb | slice | all")
 		fast  = flag.Bool("fast", false, "reduced inputs")
-		attrF = flag.Bool("attr", false, "attribute every issue slot to a cause on every simulation (feeds the monitor's /metrics per-cause counters)")
 		jsonF = flag.String("json", "", "also write the sweeps as a structured telemetry report to this file")
 	)
 	shared := cli.Register(flag.CommandLine)
@@ -34,7 +33,6 @@ func main() {
 		o = harness.FastOptions()
 		o.RefInputs = o.RefInputs[:1]
 	}
-	o.Attr = *attrF
 	sess := shared.Start(&o)
 	names := harness.AblationBenchmarks()
 

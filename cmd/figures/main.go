@@ -92,6 +92,9 @@ func main() {
 	)
 	shared := cli.Register(flag.CommandLine)
 	flag.Parse()
+	if *attrCSV != "" && *cpistack == "" {
+		log.Fatal("-attr-csv needs -cpistack")
+	}
 
 	if *samples != "" {
 		dumpSamples(*samples, *plot)
@@ -144,7 +147,7 @@ func main() {
 				cli.Write(*attrCSV+".bpredjoin.csv", func(w io.Writer) error { _, err := harness.WriteBpredJoinCSV(w, bd); return err })
 			}
 			if shared.BpredCSV != "" {
-				cli.Write(shared.BpredCSV, func(w io.Writer) error { _, err := harness.WriteBpredDiffCSV(w, bd); return err })
+				cli.Write(shared.BpredCSV, func(w io.Writer) error { _, err := harness.WriteBpredRuns(w, bd.Runs()...); return err })
 			}
 			break
 		}

@@ -44,7 +44,6 @@ func main() {
 		fast      = flag.Bool("fast", false, "reduced inputs (quick smoke run)")
 		plot      = flag.Bool("plot", false, "also render speedup figures as ASCII bar charts")
 		sampleWin = flag.Int64("sample-window", 0, fmt.Sprintf("record a per-run counter time series every N cycles (0 disables; the conventional window is %d)", sample.DefaultWindow))
-		attrF     = flag.Bool("attr", false, "attribute every issue slot to a cause on every simulation; -json reports gain per-run attribution sections")
 		pview     = flag.String("pipeview", "", "capture per-instruction pipeline lifetimes on the named benchmark's simulations; -json reports gain per-run pipeview sections")
 	)
 	shared := cli.Register(flag.CommandLine)
@@ -54,7 +53,6 @@ func main() {
 		o = harness.FastOptions()
 	}
 	o.SampleWindow = *sampleWin
-	o.Attr = *attrF
 	o.PipeviewBench = *pview
 	sess := shared.Start(&o)
 

@@ -31,7 +31,6 @@ func main() {
 		predictor = flag.String("predictor", "default", "direction predictor: static|bimodal|gshare|default|tage|isl-tage")
 		iters     = flag.Int64("iters", 0, "override REF iteration count")
 		dump      = flag.Bool("dump", false, "disassemble the baseline and experimental binaries")
-		attrF     = flag.Bool("attr", false, "attribute every issue slot to a cause and print the baseline-vs-vanguard cycle stack, per-branch deltas, and offender tables")
 		list      = flag.Bool("list", false, "list available benchmarks and exit")
 	)
 	shared := cli.Register(flag.CommandLine)
@@ -54,7 +53,6 @@ func main() {
 	}
 	o := harness.DefaultOptions()
 	o.Widths = []int{*width}
-	o.Attr = *attrF
 	if bpred.ByName(*predictor) == nil {
 		log.Fatalf("unknown predictor %q", *predictor)
 	}
@@ -101,21 +99,13 @@ func main() {
 				metrics.SpeedupPct(wr.Base.Cycles, wr.Exp.Cycles))
 		}
 	}
-	if *attrF && len(r.Inputs) > 0 {
-		wr := r.Inputs[0].Runs[0]
-		if wr.Base.Attr != nil && wr.Exp.Attr != nil {
-			d := &harness.AttrDiff{
-				Benchmark: c.Name,
-				Width:     *width,
-				Input:     r.Inputs[0].Input,
-				Base:      wr.Base.Attr,
-				Exp:       wr.Exp.Attr,
-				Profile:   r.Profile,
-				Transform: r.Report,
-			}
-			fmt.Println()
-			harness.WriteAttrDiff(os.Stdout, d, 10)
+	if o.Attr {
+		d, err := r.AttrDiff(*width)
+		if err != nil {
+			log.Fatal(err)
 		}
+		fmt.Println()
+		harness.WriteAttrDiff(os.Stdout, d, 10)
 	}
 	if o.Probe {
 		fmt.Println()

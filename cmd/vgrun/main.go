@@ -8,6 +8,7 @@
 //	vgrun -dump -transform prog.s     # print the transformed assembly
 //	vgrun -json out.json prog.s       # machine-readable telemetry report
 //	vgrun -chrome-trace t.json prog.s # timeline for chrome://tracing / Perfetto
+//	vgrun -attr-diff prog.s           # baseline-vs-vanguard cycle attribution
 //
 // The timing run executes as an experiment-engine unit, so repeated
 // invocations on an unchanged program are served from the content-keyed
@@ -19,6 +20,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -40,7 +42,6 @@ import (
 	"vanguard/internal/sched"
 	"vanguard/internal/textplot"
 	"vanguard/internal/trace"
-	"vanguard/internal/workload"
 )
 
 func main() {
@@ -57,7 +58,6 @@ func main() {
 		chromeOut = flag.String("chrome-trace", "", "write a Chrome trace_event timeline (open in chrome://tracing or ui.perfetto.dev) to this file")
 		noHists   = flag.Bool("no-hists", false, "suppress the ASCII histograms in the text report")
 		sampleWin = flag.Int64("sample-window", 0, fmt.Sprintf("record a counter time series every N cycles (0 disables; the conventional window is %d)", sample.DefaultWindow))
-		attrOn    = flag.Bool("attr", false, "charge every issue slot to a cause: print the CPI stack and offender tables, add an attribution section to -json reports")
 		pviewOn   = flag.Bool("pipeview", false, "record per-instruction pipeline lifetimes: print an ASCII waterfall and squash genealogy, add a pipeview section to -json reports")
 		konataOut = flag.String("konata", "", "write the captured lifetimes in Konata/O3PipeView format (open in the Konata viewer) to this file; implies -pipeview")
 		pvAround  = flag.Int("pipeview-around", 0, "capture around the Nth squash/misprediction instead of the run's tail (implies -pipeview)")
@@ -72,8 +72,10 @@ func main() {
 	if flag.NArg() != 1 {
 		log.Fatal("usage: vgrun [flags] prog.s")
 	}
-	if *attrDiff && *transform {
-		log.Fatal("-attr-diff builds both binaries itself; drop -transform")
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = f.Value.String() != f.DefValue })
+	if err := checkFlags(given); err != nil {
+		log.Fatal(err)
 	}
 	var o harness.Options
 	sess := shared.Start(&o)
@@ -88,17 +90,9 @@ func main() {
 
 	var rep *core.Report
 	if *transform {
-		prof, err := profile.CollectDefault(ir.MustLinearize(p), mem.New(), *maxInstrs)
-		if err != nil {
-			log.Fatalf("profile: %v", err)
-		}
-		rep, err = core.Transform(p, prof, core.DefaultOptions())
-		if err != nil {
-			log.Fatalf("transform: %v", err)
-		}
+		_, rep = decompose(p, *maxInstrs, *width)
 		fmt.Fprintf(os.Stderr, "converted %d branch(es), code size %+.1f%%\n",
 			len(rep.Converted), rep.PISCS())
-		sched.Program(p, sched.DefaultModel(*width))
 	}
 	if *dump {
 		fmt.Print(asm.Format(p))
@@ -115,88 +109,37 @@ func main() {
 	fmt.Printf("functional: %d instructions, %d branches (%d taken), halted=%v\n",
 		fstats.Instrs, fstats.Branches, fstats.Taken, gst.Halted)
 
-	if *attrDiff {
-		runAttrDiff(p, im, gm, src, o, sess, *width, *maxInstrs, *attrCSV)
-		return
-	}
-	// Event tracing needs a live machine, so those runs bypass the cache
-	// (profiled runs have none: -cpuprofile leaves o.Cache nil); cache
-	// hits skip the memory cross-check (the run was verified when its
-	// result was computed and stored).
-	tracing := *doTrace || *traceAll || *chromeOut != ""
-
-	// Pipeview capture rides inside Stats, so pipeviewed runs stay
-	// cacheable: the waterfall, genealogy and Konata renderings below all
-	// work from the cached report.
-	var pvCfg *pipeview.Config
+	// The machine every run simulates, observers included. Pipeview
+	// capture and the predictor study ride inside Stats, so pipeviewed and
+	// probed runs stay cacheable: the renderings below all work from the
+	// cached report.
+	cfg := pipeline.DefaultConfig(*width)
+	cfg.SampleWindow = *sampleWin
+	cfg.Attr = o.Attr || *attrDiff
+	cfg.Probe = o.Probe
 	if *pviewOn || *konataOut != "" || *pvAround > 0 || *pvTo > 0 || *pvEvery > 0 {
 		c := pipeview.DefaultConfig()
 		c.AroundSquash = *pvAround
 		c.From, c.To = *pvFrom, *pvTo
 		c.EveryWindow = *pvEvery
-		pvCfg = &c
+		cfg.Pipeview = &c
 	}
-	// The predictor observatory rides inside Stats like pipeview, so
-	// probed runs (o.Probe) stay cacheable too. The key names the program
-	// and how it was built, then the exact machine the run uses.
-	cfg := pipeline.DefaultConfig(*width)
-	cfg.SampleWindow = *sampleWin
-	cfg.Attr = *attrOn
-	cfg.Pipeview = pvCfg
-	cfg.Probe = o.Probe
+
+	if *attrDiff {
+		runAttrDiff(p, im, gm, src, cfg, o, sess, *maxInstrs, *attrCSV)
+		return
+	}
+	// Event tracing needs a live machine, so those runs bypass the cache
+	// (profiled runs have none: -cpuprofile leaves o.Cache nil); cache
+	// hits skip the memory cross-check (the run was verified when its
+	// result was computed and stored). The key names the program and how
+	// it was built, then the exact machine the run uses.
+	sinks := eventSinks{text: *doTrace || *traceAll, all: *traceAll, chrome: *chromeOut}
 	key := ""
-	if !tracing {
+	if !sinks.text && sinks.chrome == "" {
 		key = engine.Key("vgrun/v6", string(src), *transform, *maxInstrs, cfg)
 	}
-
-	runTiming := func(context.Context) (*pipeline.Stats, error) {
-		mach := pipeline.New(im, mem.New(), cfg)
-
-		// An always-on bounded ring keeps the most recent lifecycle events
-		// so a failing run can explain itself post mortem.
-		ring := trace.NewRing(64)
-		sinks := []trace.Sink{ring}
-		if *doTrace || *traceAll {
-			sinks = append(sinks, &trace.Text{W: os.Stderr, All: *traceAll})
-		}
-		var chrome *trace.Chrome
-		if *chromeOut != "" {
-			f, err := os.Create(*chromeOut)
-			if err != nil {
-				return nil, err
-			}
-			chrome = trace.NewChrome(f)
-			sinks = append(sinks, chrome)
-		}
-		mach.Sink = trace.Tee(sinks...)
-
-		st, simErr := mach.Run()
-		if chrome != nil {
-			if err := chrome.Close(); err != nil {
-				return nil, fmt.Errorf("chrome trace: %w", err)
-			}
-			log.Printf("wrote %s (load in chrome://tracing or ui.perfetto.dev)", *chromeOut)
-		}
-		if simErr != nil {
-			fmt.Fprintf(os.Stderr, "last %d pipeline events before the failure:\n", ring.Len())
-			trace.WriteEvents(os.Stderr, ring.Events())
-			return nil, simErr
-		}
-		if !mach.Memory().Equal(gm) {
-			return nil, fmt.Errorf("timing simulation diverged from the golden model")
-		}
-		return st, nil
-	}
-
-	results, est, err := engine.Run(context.Background(),
-		engine.Config{Jobs: o.Jobs, Cache: o.Cache, Monitor: o.Monitor, Recorder: o.Recorder},
-		[]engine.Unit[*pipeline.Stats]{{Label: "timing/" + flag.Arg(0), Key: key, Run: runTiming}})
-	o.EngineStats.Add(est)
-	harness.ObserveResults(o.Monitor, results...)
-	sweep := sess.Finish()
-	if err != nil {
-		log.Fatalf("simulate: %v", err)
-	}
+	results, est, sweep := simulate(o, sess, simUnit("timing", key, im, cfg, gm, sinks))
 	st := results[0]
 	if est.Units[0].CacheHit {
 		fmt.Fprintf(os.Stderr, "timing run served from the run cache (%s)\n", o.Cache.Dir())
@@ -249,7 +192,7 @@ func main() {
 		harness.WriteBpredStudy(os.Stdout, "predictor study", st.Bpred, 10)
 		if shared.BpredCSV != "" {
 			cli.Write(shared.BpredCSV, func(w io.Writer) error {
-				_, err := harness.WriteBpredStudyCSV(w, flag.Arg(0), workload.Input{}, *width, "timing", st.Bpred)
+				_, err := harness.WriteBpredRuns(w, harness.BpredRun{Benchmark: flag.Arg(0), Width: *width, Binary: "timing", Study: st.Bpred})
 				return err
 			})
 		}
@@ -289,54 +232,129 @@ func main() {
 	}
 }
 
-// runAttrDiff is the -attr-diff path: build the vanguard binary from the
-// parsed (untransformed) program, simulate both binaries with cycle
-// attribution on as engine units (cached, monitored), and render the
-// differential — which causes shrank, and which branches paid off.
-func runAttrDiff(p *ir.Program, baseIm *ir.Image, gm *mem.Memory, src []byte,
-	o harness.Options, sess *cli.Session, width int, maxInstrs int64, csvPrefix string) {
-	prof, err := profile.CollectDefault(baseIm, mem.New(), maxInstrs)
+// attrDiffIgnores lists the flags that shape vgrun's one timing run,
+// which -attr-diff replaces with the two binaries' runs.
+var attrDiffIgnores = []string{
+	"json", "bpred-report", "bpred-csv", "sample-window",
+	"pipeview", "pipeview-around", "pipeview-from", "pipeview-to", "pipeview-every", "konata",
+	"trace", "trace-all", "chrome-trace",
+}
+
+// checkFlags rejects a command line that gives a flag the run would
+// silently ignore. given maps each flag set on the command line to
+// whether its value differs from the default.
+func checkFlags(given map[string]bool) error {
+	if !given["attr-diff"] {
+		if given["attr-csv"] {
+			return errors.New("-attr-csv needs -attr-diff")
+		}
+		return nil
+	}
+	if given["transform"] {
+		return errors.New("-attr-diff builds both binaries itself; drop -transform")
+	}
+	for _, name := range attrDiffIgnores {
+		if given[name] {
+			return fmt.Errorf("-attr-diff does not apply -%s; drop it", name)
+		}
+	}
+	return nil
+}
+
+// decompose profiles p, applies the Decomposed Branch Transformation to
+// it in place and schedules it for width: the build behind -transform and
+// behind the vanguard binary of -attr-diff.
+func decompose(p *ir.Program, maxInstrs int64, width int) (*profile.Profile, *core.Report) {
+	prof, err := profile.CollectDefault(ir.MustLinearize(p), mem.New(), maxInstrs)
 	if err != nil {
 		log.Fatalf("profile: %v", err)
 	}
-	expProg := p.Clone()
-	rep, err := core.Transform(expProg, prof, core.DefaultOptions())
+	rep, err := core.Transform(p, prof, core.DefaultOptions())
 	if err != nil {
 		log.Fatalf("transform: %v", err)
 	}
-	sched.Program(expProg, sched.DefaultModel(width))
-	expIm := ir.MustLinearize(expProg)
+	sched.Program(p, sched.DefaultModel(width))
+	return prof, rep
+}
 
-	cfg := pipeline.DefaultConfig(width)
-	cfg.Attr = true
-	sim := func(im *ir.Image, binary string) engine.Unit[*pipeline.Stats] {
-		return engine.Unit[*pipeline.Stats]{
-			Label: binary + "/" + flag.Arg(0),
-			Key:   engine.Key("vgrun-attrdiff/v3", string(src), maxInstrs, binary, cfg),
-			Run: func(context.Context) (*pipeline.Stats, error) {
-				mach := pipeline.New(im, mem.New(), cfg)
-				st, err := mach.Run()
-				if err != nil {
-					return nil, err
-				}
-				if !mach.Memory().Equal(gm) {
-					return nil, fmt.Errorf("%s binary diverged from the golden model", binary)
-				}
-				return st, nil
-			},
+// eventSinks are the lifecycle-event consumers a timing run attaches:
+// text lines on stderr (all kinds, or the historical issue/mispredict
+// format) and a Chrome trace_event file.
+type eventSinks struct {
+	text, all bool
+	chrome    string
+}
+
+// simUnit returns the engine unit that simulates one binary's image on
+// cfg: a machine over fresh memory with the sinks attached beside an
+// always-on ring of the latest events (dumped if the run fails), the
+// run, and the check of its final memory against the golden model's gm.
+func simUnit(binary, key string, im *ir.Image, cfg pipeline.Config, gm *mem.Memory, sinks eventSinks) engine.Unit[*pipeline.Stats] {
+	run := func(context.Context) (*pipeline.Stats, error) {
+		mach := pipeline.New(im, mem.New(), cfg)
+		ring := trace.NewRing(64)
+		tee := []trace.Sink{ring}
+		if sinks.text {
+			tee = append(tee, &trace.Text{W: os.Stderr, All: sinks.all})
 		}
+		var chrome *trace.Chrome
+		if sinks.chrome != "" {
+			f, err := os.Create(sinks.chrome)
+			if err != nil {
+				return nil, err
+			}
+			chrome = trace.NewChrome(f)
+			tee = append(tee, chrome)
+		}
+		mach.Sink = trace.Tee(tee...)
+
+		st, simErr := mach.Run()
+		if chrome != nil {
+			if err := chrome.Close(); err != nil {
+				return nil, fmt.Errorf("chrome trace: %w", err)
+			}
+			log.Printf("wrote %s (load in chrome://tracing or ui.perfetto.dev)", sinks.chrome)
+		}
+		if simErr != nil {
+			fmt.Fprintf(os.Stderr, "last %d pipeline events before the failure:\n", ring.Len())
+			trace.WriteEvents(os.Stderr, ring.Events())
+			return nil, simErr
+		}
+		if !mach.Memory().Equal(gm) {
+			return nil, fmt.Errorf("%s simulation diverged from the golden model", binary)
+		}
+		return st, nil
 	}
-	results, est, err := engine.Run(context.Background(),
-		engine.Config{Jobs: o.Jobs, Cache: o.Cache, Monitor: o.Monitor, Recorder: o.Recorder},
-		[]engine.Unit[*pipeline.Stats]{sim(baseIm, "base"), sim(expIm, "exp")})
-	o.EngineStats.Add(est)
+	return engine.Unit[*pipeline.Stats]{Label: binary + "/" + flag.Arg(0), Key: key, Run: run}
+}
+
+// simulate runs the units as one engine job set, feeds their results to
+// the monitor and ends the session. It exits on a failed run.
+func simulate(o harness.Options, sess *cli.Session, units ...engine.Unit[*pipeline.Stats]) ([]*pipeline.Stats, engine.Stats, *trace.SweepReport) {
+	results, est, err := harness.RunUnits(o, units)
 	harness.ObserveResults(o.Monitor, results...)
-	sess.Finish()
+	sweep := sess.Finish()
 	if err != nil {
 		log.Fatalf("simulate: %v", err)
 	}
+	return results, est, sweep
+}
+
+// runAttrDiff is the -attr-diff path: build the vanguard binary from the
+// parsed (untransformed) program, simulate both binaries on cfg
+// (attribution on) as engine units (cached, monitored), and render the
+// differential — which causes shrank, and which branches paid off.
+func runAttrDiff(p *ir.Program, baseIm *ir.Image, gm *mem.Memory, src []byte, cfg pipeline.Config,
+	o harness.Options, sess *cli.Session, maxInstrs int64, csvPrefix string) {
+	expProg := p.Clone()
+	prof, rep := decompose(expProg, maxInstrs, cfg.Width)
+	unit := func(binary string, im *ir.Image) engine.Unit[*pipeline.Stats] {
+		key := engine.Key("vgrun-attrdiff/v3", string(src), maxInstrs, binary, cfg)
+		return simUnit(binary, key, im, cfg, gm, eventSinks{})
+	}
+	results, _, _ := simulate(o, sess, unit("base", baseIm), unit("exp", ir.MustLinearize(expProg)))
 	d := &harness.AttrDiff{
-		Benchmark: flag.Arg(0), Width: width,
+		Benchmark: flag.Arg(0), Width: cfg.Width,
 		Base: results[0].Attr, Exp: results[1].Attr,
 		Profile: prof, Transform: rep,
 	}

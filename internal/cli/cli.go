@@ -1,11 +1,18 @@
 // Package cli holds the engine and observability plumbing every
 // experiment command shares. Register defines the shared flags once —
 // -jobs, -cache-dir, -no-cache, -progress, -listen, -sweep-trace,
-// -sweep-chrome, -bpred-report, -bpred-csv, -cpuprofile, -memprofile — so
-// every command's -h prints the same lines for them; Start turns them into
-// harness.Options and Finish writes what they asked for. The helpers are
-// for command mains: they log through the standard logger and exit on
-// error.
+// -sweep-chrome, -attr, -bpred-report, -bpred-csv, -cpuprofile,
+// -memprofile — so every command's -h prints the same lines for them;
+// Start turns them into harness.Options and Finish writes what they asked
+// for. The helpers are for command mains: they log through the standard
+// logger and exit on error.
+//
+// A flag is shared when it means the same thing in every command. Two
+// observer switches stay local on purpose. -sample-window only feeds the
+// per-run samples sections of -json reports, and ablate, figures and
+// vanguard write no run sections, so in those three it would be a flag
+// with no output. -pipeview takes a benchmark name in spec, whose runs span
+// whole suites, but is a plain switch in vgrun, which runs one program.
 package cli
 
 import (
@@ -34,6 +41,7 @@ type Flags struct {
 	Listen      string
 	SweepTrace  string
 	SweepChrome string
+	Attr        bool
 	BpredReport bool
 	BpredCSV    string
 	CPUProfile  string
@@ -50,6 +58,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.Listen, "listen", "", "serve live progress over HTTP on this address (e.g. :0): "+endpoints)
 	fs.StringVar(&f.SweepTrace, "sweep-trace", "", "record the engine flight recording (one span per unit lifecycle phase) and write it as a "+trace.SweepSchema+" JSON artifact to this file; -json reports gain a sweep section")
 	fs.StringVar(&f.SweepChrome, "sweep-chrome", "", "record the engine flight recording and write it as a Chrome trace_event timeline (one track per worker; open in chrome://tracing or ui.perfetto.dev) to this file")
+	fs.BoolVar(&f.Attr, "attr", false, "charge every issue slot to a cause on every simulation: vgrun prints the CPI stack and offender tables, vanguard the baseline-vs-vanguard cycle stack and per-branch deltas; -json reports gain attribution sections and /metrics per-cause slot counters")
 	fs.BoolVar(&f.BpredReport, "bpred-report", false, "probe the direction predictor on every simulation and print the table-level studies with per-branch predictability classes; -json reports gain bpredstudy sections")
 	fs.StringVar(&f.BpredCSV, "bpred-csv", "", "probe the direction predictor and write the per-branch classifications as CSV to this file (implies -bpred-report)")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this file (bypasses the run cache, so the profile shows the simulations)")
@@ -68,15 +77,16 @@ type Session struct {
 	closeSrv   func() error
 }
 
-// Start applies the flags to o — Jobs, Probe, EngineStats, and the Cache,
-// Monitor and Recorder they ask for — and starts the status line, the
-// monitor server and the CPU profile. -bpred-csv sets BpredReport, and
+// Start applies the flags to o — Jobs, Attr, Probe, EngineStats, and the
+// Cache, Monitor and Recorder they ask for — and starts the status line,
+// the monitor server and the CPU profile. -bpred-csv sets BpredReport, and
 // -cpuprofile leaves o.Cache nil: a cache hit would profile nothing.
 func (f *Flags) Start(o *harness.Options) *Session {
 	if f.BpredCSV != "" {
 		f.BpredReport = true
 	}
 	o.Jobs = f.Jobs
+	o.Attr = f.Attr
 	o.Probe = f.BpredReport
 	o.EngineStats = &harness.EngineStats{}
 	switch {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ import (
 
 // sharedNames lists every flag Register defines.
 var sharedNames = []string{"jobs", "cache-dir", "no-cache", "progress", "listen", "sweep-trace",
-	"sweep-chrome", "bpred-report", "bpred-csv", "cpuprofile", "memprofile"}
+	"sweep-chrome", "attr", "bpred-report", "bpred-csv", "cpuprofile", "memprofile"}
 
 func parse(t *testing.T, args ...string) *Flags {
 	t.Helper()
@@ -142,41 +143,134 @@ func TestWriteBufferedSurfacesWriteErrors(t *testing.T) {
 	}
 }
 
-// TestSharedFlagsHelpIdentical builds the five experiment commands and
-// requires every shared flag's -h lines to be byte-identical across them.
-func TestSharedFlagsHelpIdentical(t *testing.T) {
+// commands are the five experiment commands that call Register.
+var commands = []string{"spec", "ablate", "figures", "vanguard", "vgrun"}
+
+// commandHelp builds the five experiment commands and returns each one's
+// -h output split into per-flag lines (flagHelp).
+func commandHelp(t *testing.T) map[string]map[string]string {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds the five commands")
 	}
-	cmds := []string{"spec", "ablate", "figures", "vanguard", "vgrun"}
 	bin := t.TempDir()
 	args := []string{"build", "-o", bin}
-	for _, c := range cmds {
+	for _, c := range commands {
 		args = append(args, "vanguard/cmd/"+c)
 	}
 	build := exec.Command("go", args...)
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	var first map[string]string
-	for _, c := range cmds {
+	help := map[string]map[string]string{}
+	for _, c := range commands {
 		out, _ := exec.Command(filepath.Join(bin, c), "-h").CombinedOutput()
-		help := flagHelp(string(out))
+		help[c] = flagHelp(string(out))
+	}
+	return help
+}
+
+// TestSharedFlagsHelpIdentical builds the five experiment commands and
+// requires every shared flag's -h lines to be byte-identical across them.
+func TestSharedFlagsHelpIdentical(t *testing.T) {
+	help := commandHelp(t)
+	first := help[commands[0]]
+	for _, c := range commands {
 		for _, name := range sharedNames {
-			if help[name] == "" {
+			if help[c][name] == "" {
 				t.Errorf("%s -h: no -%s entry", c, name)
 			}
-		}
-		if first == nil {
-			first = help
-			continue
-		}
-		for _, name := range sharedNames {
-			if help[name] != first[name] {
-				t.Errorf("-%s help differs between %s and %s:\n%s\nvs\n%s", name, cmds[0], c, first[name], help[name])
+			if help[c][name] != first[name] {
+				t.Errorf("-%s help differs between %s and %s:\n%s\nvs\n%s", name, commands[0], c, first[name], help[c][name])
 			}
 		}
 	}
+}
+
+// TestReadmeFlagTables audits README's flag tables against the five
+// commands' -h output: the shared table lists exactly the flags Register
+// defines and each is on all five commands, and each per-tool row's flags
+// are on exactly the tools the row names.
+func TestReadmeFlagTables(t *testing.T) {
+	help := commandHelp(t)
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, perTool := readmeFlagTables(string(readme))
+	if len(shared) == 0 || len(perTool) == 0 {
+		t.Fatal("README has no shared-flag or per-tool flag table")
+	}
+	var inTable []string
+	for _, row := range shared {
+		inTable = append(inTable, row.flags...)
+	}
+	slices.Sort(inTable)
+	want := slices.Clone(sharedNames)
+	slices.Sort(want)
+	if !slices.Equal(inTable, want) {
+		t.Errorf("README shared table lists %v, Register defines %v", inTable, want)
+	}
+	for _, name := range inTable {
+		for _, c := range commands {
+			if help[c][name] == "" {
+				t.Errorf("README shared table: %s -h has no -%s", c, name)
+			}
+		}
+	}
+	for _, row := range perTool {
+		for _, name := range row.flags {
+			for _, c := range commands {
+				if has := help[c][name] != ""; has != row.tools[c] {
+					t.Errorf("README per-tool row -%s lists tools %v, but %s -h has it: %v", name, row.tools, c, has)
+				}
+			}
+		}
+	}
+}
+
+// flagRow is one row of a README flag table: the flags its first cell
+// names and, for the per-tool table, the tools its second cell lists.
+type flagRow struct {
+	flags []string
+	tools map[string]bool
+}
+
+// readmeFlagTables parses README's shared-flag table (header "| shared
+// flag |") and its per-tool table (header "| flag | tools |"). A flag is
+// every backquoted span of the first cell that starts with '-'; its name
+// is the span's first word without the dash.
+func readmeFlagTables(readme string) (shared, perTool []flagRow) {
+	var table *[]flagRow
+	for _, line := range strings.Split(readme, "\n") {
+		switch {
+		case strings.HasPrefix(line, "| shared flag |"):
+			table = &shared
+			continue
+		case strings.HasPrefix(line, "| flag | tools |"):
+			table = &perTool
+			continue
+		case !strings.HasPrefix(line, "|"):
+			table = nil
+		}
+		if table == nil || strings.HasPrefix(line, "| ---") {
+			continue
+		}
+		cells := strings.Split(line, "|")
+		row := flagRow{tools: map[string]bool{}}
+		for i, span := range strings.Split(cells[1], "`") {
+			if i%2 == 1 && strings.HasPrefix(span, "-") {
+				row.flags = append(row.flags, strings.Fields(span)[0][1:])
+			}
+		}
+		if table == &perTool {
+			for _, tool := range strings.Split(cells[2], ",") {
+				row.tools[strings.TrimSpace(tool)] = true
+			}
+		}
+		*table = append(*table, row)
+	}
+	return shared, perTool
 }
 
 // flagHelp splits flag.PrintDefaults output into each flag's lines.

@@ -34,34 +34,65 @@ type AttrDiff struct {
 // engine (so the run cache and monitor apply). Attribution is forced on
 // regardless of o.Attr.
 func RunAttrDiff(c workload.Config, o Options, width int) (*AttrDiff, error) {
+	_, d, err := runDiff(c, o, width)
+	return d, err
+}
+
+// runDiff runs the benchmark's first REF input at width with attribution
+// on and returns the run with its differential attribution.
+func runDiff(c workload.Config, o Options, width int) (*WidthRun, *AttrDiff, error) {
 	o.Attr = true
 	o.Widths = []int{width}
 	if len(o.RefInputs) == 0 {
-		return nil, fmt.Errorf("attr-diff %s: no REF inputs", c.Name)
+		return nil, nil, fmt.Errorf("attr-diff %s: no REF inputs", c.Name)
 	}
 	o.RefInputs = o.RefInputs[:1]
 	res, err := RunBenchmark(c, o)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	wr := res.Inputs[0].Runs[0]
+	d, err := res.AttrDiff(width)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res.run(width), d, nil
+}
+
+// AttrDiff builds the differential attribution of the first REF input's
+// run at width, which must have been simulated with attribution on.
+func (b *BenchResult) AttrDiff(width int) (*AttrDiff, error) {
+	wr := b.run(width)
+	if wr == nil {
+		return nil, fmt.Errorf("attr-diff %s: no w%d run", b.Config.Name, width)
+	}
 	if wr.Base.Attr == nil || wr.Exp.Attr == nil {
-		return nil, fmt.Errorf("attr-diff %s: simulation returned no attribution", c.Name)
+		return nil, fmt.Errorf("attr-diff %s: simulation returned no attribution", b.Config.Name)
 	}
 	return &AttrDiff{
-		Benchmark: c.Name,
+		Benchmark: b.Config.Name,
 		Width:     width,
-		Input:     o.RefInputs[0],
+		Input:     b.Inputs[0].Input,
 		Base:      wr.Base.Attr,
 		Exp:       wr.Exp.Attr,
-		Profile:   res.Profile,
-		Transform: res.Report,
+		Profile:   b.Profile,
+		Transform: b.Report,
 	}, nil
 }
 
 // SpeedupPct returns the baseline→vanguard speedup of the diffed run.
 func (d *AttrDiff) SpeedupPct() float64 {
 	return metrics.SpeedupPct(d.Base.Cycles, d.Exp.Cycles)
+}
+
+// writeHeadline writes the line every text rendering of the diff opens
+// with: the run and its cycle counts on both binaries.
+func (d *AttrDiff) writeHeadline(w io.Writer) {
+	in := ""
+	if d.Input.Iters > 0 {
+		in = fmt.Sprintf(" seed=%d iters=%d", d.Input.Seed, d.Input.Iters)
+	}
+	fmt.Fprintf(w, "%s w%d%s: %d -> %d cycles (%+.2f%% speedup)\n",
+		d.Benchmark, d.Width, in, d.Base.Cycles, d.Exp.Cycles, d.SpeedupPct())
 }
 
 // BranchDelta is one static branch's before/after attribution, joined
@@ -128,21 +159,29 @@ func (d *AttrDiff) BranchDeltas() []BranchDelta {
 // CPIStackBars returns the two runs as stacked bars in cycles (slots ÷
 // width), segment order attr.Causes().
 func (d *AttrDiff) CPIStackBars() (names []string, bars []textplot.StackedBar) {
+	bars = []textplot.StackedBar{
+		{Label: "baseline", Segments: stackCycles(d.Base)},
+		{Label: "vanguard", Segments: stackCycles(d.Exp)},
+	}
+	return causeKeys(), bars
+}
+
+// causeKeys returns the cause keys in attr.Causes() order.
+func causeKeys() []string {
+	var names []string
 	for _, c := range attr.Causes() {
 		names = append(names, c.Key())
 	}
-	toCycles := func(r *attr.Report) []float64 {
-		st := r.Stack()
-		for i := range st {
-			st[i] /= float64(r.Width)
-		}
-		return st
+	return names
+}
+
+// stackCycles returns a run's CPI stack in cycles (slots ÷ width).
+func stackCycles(r *attr.Report) []float64 {
+	st := r.Stack()
+	for i := range st {
+		st[i] /= float64(r.Width)
 	}
-	bars = []textplot.StackedBar{
-		{Label: "baseline", Segments: toCycles(d.Base)},
-		{Label: "vanguard", Segments: toCycles(d.Exp)},
-	}
-	return names, bars
+	return st
 }
 
 // WriteAttrDiff renders the differential as terminal text: the stacked
@@ -153,12 +192,7 @@ func WriteAttrDiff(w io.Writer, d *AttrDiff, topN int) {
 	if topN <= 0 {
 		topN = 10
 	}
-	in := ""
-	if d.Input.Iters > 0 {
-		in = fmt.Sprintf(" seed=%d iters=%d", d.Input.Seed, d.Input.Iters)
-	}
-	fmt.Fprintf(w, "%s w%d%s: %d -> %d cycles (%+.2f%% speedup)\n",
-		d.Benchmark, d.Width, in, d.Base.Cycles, d.Exp.Cycles, d.SpeedupPct())
+	d.writeHeadline(w)
 
 	names, bars := d.CPIStackBars()
 	textplot.StackedBars(w, "cycle stack (cycles by cause)", names, bars, 60)
@@ -181,12 +215,8 @@ func WriteAttrDiff(w io.Writer, d *AttrDiff, topN int) {
 	fmt.Fprintf(w, "  %-6s %-5s %-5s %-4s %12s %12s %12s\n",
 		"branch", "bias", "pred", "conv", "baseline", "vanguard", "delta")
 	for _, bd := range deltas {
-		conv := "-"
-		if bd.Converted {
-			conv = "yes"
-		}
 		fmt.Fprintf(w, "  %-6d %5.2f %5.2f %-4s %12d %12d %+12d\n",
-			bd.ID, bd.Bias, bd.Predictability, conv, bd.BaseSlots, bd.ExpSlots, bd.Delta)
+			bd.ID, bd.Bias, bd.Predictability, pick(bd.Converted, "yes", "-"), bd.BaseSlots, bd.ExpSlots, bd.Delta)
 	}
 
 	WriteAttrTables(w, "baseline", d.Base, topN)
@@ -197,15 +227,7 @@ func WriteAttrDiff(w io.Writer, d *AttrDiff, topN int) {
 // -attr text surface): its CPI stack as a single stacked bar plus the
 // offender tables.
 func WriteAttrReport(w io.Writer, title string, r *attr.Report, topN int) {
-	var names []string
-	for _, c := range attr.Causes() {
-		names = append(names, c.Key())
-	}
-	st := r.Stack()
-	for i := range st {
-		st[i] /= float64(r.Width)
-	}
-	textplot.StackedBars(w, title, names, []textplot.StackedBar{{Label: "cycles", Segments: st}}, 60)
+	textplot.StackedBars(w, title, causeKeys(), []textplot.StackedBar{{Label: "cycles", Segments: stackCycles(r)}}, 60)
 	WriteAttrTables(w, "timing", r, topN)
 }
 
@@ -237,30 +259,21 @@ var attrStackCSVHeader = []string{"benchmark", "width", "binary", "cause", "slot
 // CSV (one row per binary × cause), the plotting-friendly companion of
 // the stacked text bars. Returns the number of data rows written.
 func WriteCPIStackCSV(w io.Writer, d *AttrDiff) (int, error) {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(attrStackCSVHeader); err != nil {
-		return 0, err
-	}
-	rows := 0
+	var recs [][]string
 	for _, bin := range []struct {
 		name string
 		rep  *attr.Report
 	}{{"base", d.Base}, {"exp", d.Exp}} {
 		for _, c := range attr.Causes() {
 			slots := bin.rep.Slots[c.Key()]
-			rec := []string{
+			recs = append(recs, []string{
 				d.Benchmark, strconv.Itoa(d.Width), bin.name, c.Key(),
 				strconv.FormatInt(slots, 10),
 				strconv.FormatFloat(float64(slots)/float64(d.Width), 'f', 2, 64),
-			}
-			if err := cw.Write(rec); err != nil {
-				return rows, err
-			}
-			rows++
+			})
 		}
 	}
-	cw.Flush()
-	return rows, cw.Error()
+	return writeCSV(w, attrStackCSVHeader, recs)
 }
 
 // attrDeltaCSVHeader is the stable column order of WriteBranchDeltaCSV.
@@ -272,30 +285,34 @@ var attrDeltaCSVHeader = []string{
 // WriteBranchDeltaCSV exports the per-branch delta table as CSV, one row
 // per static branch, most-recovered first. Returns the data-row count.
 func WriteBranchDeltaCSV(w io.Writer, d *AttrDiff) (int, error) {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(attrDeltaCSVHeader); err != nil {
-		return 0, err
-	}
-	rows := 0
+	var recs [][]string
 	for _, bd := range d.BranchDeltas() {
-		conv := "0"
-		if bd.Converted {
-			conv = "1"
-		}
-		rec := []string{
+		recs = append(recs, []string{
 			d.Benchmark, strconv.Itoa(d.Width), strconv.Itoa(bd.ID),
 			strconv.FormatFloat(bd.Bias, 'f', 4, 64),
 			strconv.FormatFloat(bd.Predictability, 'f', 4, 64),
-			conv,
+			pick(bd.Converted, "1", "0"),
 			strconv.FormatInt(bd.BaseSlots, 10),
 			strconv.FormatInt(bd.ExpSlots, 10),
 			strconv.FormatInt(bd.Delta, 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return rows, err
-		}
-		rows++
+		})
 	}
-	cw.Flush()
-	return rows, cw.Error()
+	return writeCSV(w, attrDeltaCSVHeader, recs)
+}
+
+// pick renders a boolean column: on when b holds, else off.
+func pick(b bool, on, off string) string {
+	if b {
+		return on
+	}
+	return off
+}
+
+// writeCSV writes the header and the records as CSV and returns the
+// data-row count.
+func writeCSV(w io.Writer, header []string, recs [][]string) (int, error) {
+	if err := csv.NewWriter(w).WriteAll(append([][]string{header}, recs...)); err != nil {
+		return 0, err
+	}
+	return len(recs), nil
 }

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"sort"
@@ -18,55 +17,37 @@ import (
 // predictability class — which conversions rescued genuinely
 // unpredictable branches versus merely mispredicted ones.
 type BpredDiff struct {
-	Benchmark string
-	Width     int
-	Input     workload.Input
 	// Base and Exp are the two binaries' predictor studies.
 	Base, Exp *bpred.StudyReport
 	// Attr is the matching differential attribution (same runs — the
-	// probe and the recorder observe the identical simulations).
+	// probe and the recorder observe the identical simulations). It also
+	// names the benchmark, width and input.
 	Attr *AttrDiff
 }
 
-// RunBpredDiff measures one benchmark's baseline-vs-vanguard predictor
-// study at one width on the first REF input, through the ordinary
-// experiment engine (so the run cache and monitor apply). The probe and
-// attribution are forced on regardless of o.Probe / o.Attr.
+// RunBpredDiff is RunAttrDiff with the predictor probe forced on: one
+// benchmark's baseline-vs-vanguard predictor study at one width on the
+// first REF input, joined with its differential attribution.
 func RunBpredDiff(c workload.Config, o Options, width int) (*BpredDiff, error) {
-	o.Attr = true
 	o.Probe = true
-	o.Widths = []int{width}
-	if len(o.RefInputs) == 0 {
-		return nil, fmt.Errorf("bpred-diff %s: no REF inputs", c.Name)
-	}
-	o.RefInputs = o.RefInputs[:1]
-	res, err := RunBenchmark(c, o)
+	wr, d, err := runDiff(c, o, width)
 	if err != nil {
 		return nil, err
 	}
-	wr := res.Inputs[0].Runs[0]
 	if wr.Base.Bpred == nil || wr.Exp.Bpred == nil {
 		return nil, fmt.Errorf("bpred-diff %s: simulation returned no predictor study", c.Name)
 	}
-	if wr.Base.Attr == nil || wr.Exp.Attr == nil {
-		return nil, fmt.Errorf("bpred-diff %s: simulation returned no attribution", c.Name)
+	return &BpredDiff{Base: wr.Base.Bpred, Exp: wr.Exp.Bpred, Attr: d}, nil
+}
+
+// Runs returns the two binaries' studies as rows of the long-form
+// predictor CSV (WriteBpredRuns).
+func (d *BpredDiff) Runs() []BpredRun {
+	a := d.Attr
+	return []BpredRun{
+		{Benchmark: a.Benchmark, Input: a.Input, Width: a.Width, Binary: "base", Study: d.Base},
+		{Benchmark: a.Benchmark, Input: a.Input, Width: a.Width, Binary: "exp", Study: d.Exp},
 	}
-	return &BpredDiff{
-		Benchmark: c.Name,
-		Width:     width,
-		Input:     o.RefInputs[0],
-		Base:      wr.Base.Bpred,
-		Exp:       wr.Exp.Bpred,
-		Attr: &AttrDiff{
-			Benchmark: c.Name,
-			Width:     width,
-			Input:     o.RefInputs[0],
-			Base:      wr.Base.Attr,
-			Exp:       wr.Exp.Attr,
-			Profile:   res.Profile,
-			Transform: res.Report,
-		},
-	}, nil
 }
 
 // BpredJoinRow is one static branch of the classification × conversion
@@ -213,12 +194,7 @@ func WriteBpredReport(w io.Writer, d *BpredDiff, topN int) {
 	if topN <= 0 {
 		topN = 10
 	}
-	in := ""
-	if d.Input.Iters > 0 {
-		in = fmt.Sprintf(" seed=%d iters=%d", d.Input.Seed, d.Input.Iters)
-	}
-	fmt.Fprintf(w, "%s w%d%s: %d -> %d cycles (%+.2f%% speedup)\n",
-		d.Benchmark, d.Width, in, d.Attr.Base.Cycles, d.Attr.Exp.Cycles, d.Attr.SpeedupPct())
+	d.Attr.writeHeadline(w)
 	WriteBpredStudy(w, "baseline", d.Base, topN)
 	WriteBpredStudy(w, "vanguard", d.Exp, topN)
 
@@ -230,12 +206,8 @@ func WriteBpredReport(w io.Writer, d *BpredDiff, topN int) {
 	fmt.Fprintf(w, "  %-6s %-8s %-4s %6s %6s %8s %8s %12s %12s %12s\n",
 		"branch", "class", "conv", "bias", "trans", "entropy", "misp%", "baseline", "vanguard", "delta")
 	for _, r := range rows {
-		conv := "-"
-		if r.Converted {
-			conv = "yes"
-		}
 		fmt.Fprintf(w, "  %-6d %-8s %-4s %6.2f %6.2f %8.2f %7.2f%% %12d %12d %+12d\n",
-			r.ID, r.Class, conv, r.MeasuredBias, r.TransitionRate, r.Entropy,
+			r.ID, r.Class, pick(r.Converted, "yes", "-"), r.MeasuredBias, r.TransitionRate, r.Entropy,
 			100*r.MispredictRate, r.BaseSlots, r.ExpSlots, r.Delta)
 	}
 }
@@ -251,18 +223,10 @@ var bpredJoinCSVHeader = []string{
 // one row per static branch, most-recovered first. Returns the data-row
 // count.
 func WriteBpredJoinCSV(w io.Writer, d *BpredDiff) (int, error) {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(bpredJoinCSVHeader); err != nil {
-		return 0, err
-	}
-	rows := 0
+	var recs [][]string
 	for _, r := range d.JoinRows() {
-		conv := "0"
-		if r.Converted {
-			conv = "1"
-		}
-		rec := []string{
-			d.Benchmark, strconv.Itoa(d.Width), strconv.Itoa(r.ID), r.Class, conv,
+		recs = append(recs, []string{
+			d.Attr.Benchmark, strconv.Itoa(d.Attr.Width), strconv.Itoa(r.ID), r.Class, pick(r.Converted, "1", "0"),
 			strconv.FormatFloat(r.MeasuredBias, 'f', 4, 64),
 			strconv.FormatFloat(r.TransitionRate, 'f', 4, 64),
 			strconv.FormatFloat(r.Entropy, 'f', 4, 64),
@@ -271,48 +235,27 @@ func WriteBpredJoinCSV(w io.Writer, d *BpredDiff) (int, error) {
 			strconv.FormatInt(r.BaseSlots, 10),
 			strconv.FormatInt(r.ExpSlots, 10),
 			strconv.FormatInt(r.Delta, 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return rows, err
-		}
-		rows++
+		})
 	}
-	cw.Flush()
-	return rows, cw.Error()
+	return writeCSV(w, bpredJoinCSVHeader, recs)
 }
 
-// bpredCSVHeader is the stable column order of WriteBpredCSV and
-// WriteBpredStudyCSV: one row per (benchmark, input, width, binary,
-// branch) digest.
+// bpredCSVHeader is the stable column order of the long-form predictor
+// CSV: one row per (benchmark, input, width, binary, branch) digest.
 var bpredCSVHeader = []string{
 	"benchmark", "seed", "iters", "width", "binary", "predictor",
 	"branch", "class", "execs", "taken", "mispredicts",
 	"bias", "transition_rate", "entropy", "mispredict_rate",
 }
 
-// bpredStudyRows appends one study's digests as CSV records.
-func bpredStudyRows(cw *csv.Writer, bench string, in workload.Input, width int, binary string, st *bpred.StudyReport) (int, error) {
-	rows := 0
-	for i := range st.Branches {
-		d := &st.Branches[i]
-		rec := []string{
-			bench, strconv.FormatInt(in.Seed, 10), strconv.FormatInt(in.Iters, 10),
-			strconv.Itoa(width), binary, st.Predictor,
-			strconv.Itoa(d.ID), d.Class,
-			strconv.FormatInt(d.Execs, 10),
-			strconv.FormatInt(d.Taken, 10),
-			strconv.FormatInt(d.Mispredicts, 10),
-			strconv.FormatFloat(d.Bias, 'f', 4, 64),
-			strconv.FormatFloat(d.TransitionRate, 'f', 4, 64),
-			strconv.FormatFloat(d.Entropy, 'f', 4, 64),
-			strconv.FormatFloat(d.MispredictRate(), 'f', 4, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return rows, err
-		}
-		rows++
-	}
-	return rows, nil
+// BpredRun is one probed simulation as the long-form predictor CSV keys
+// its rows.
+type BpredRun struct {
+	Benchmark string
+	Input     workload.Input
+	Width     int
+	Binary    string
+	Study     *bpred.StudyReport
 }
 
 // WriteBpredCSV exports every probed run of a result set as long-form CSV
@@ -320,70 +263,45 @@ func bpredStudyRows(cw *csv.Writer, bench string, in workload.Input, width int, 
 // the spec/ablate/figures bulk surface. Runs without a study (probe off)
 // are skipped. Returns the data-row count.
 func WriteBpredCSV(w io.Writer, results []*BenchResult) (int, error) {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(bpredCSVHeader); err != nil {
-		return 0, err
-	}
-	rows := 0
+	var runs []BpredRun
 	for _, res := range results {
 		for _, ir := range res.Inputs {
 			for _, wr := range ir.Runs {
-				for _, bin := range []struct {
-					name string
-					st   *bpred.StudyReport
-				}{{"base", wr.Base.Bpred}, {"exp", wr.Exp.Bpred}} {
-					if bin.st == nil {
-						continue
-					}
-					n, err := bpredStudyRows(cw, res.Config.Name, ir.Input, wr.Width, bin.name, bin.st)
-					rows += n
-					if err != nil {
-						return rows, err
-					}
-				}
+				runs = append(runs,
+					BpredRun{Benchmark: res.Config.Name, Input: ir.Input, Width: wr.Width, Binary: "base", Study: wr.Base.Bpred},
+					BpredRun{Benchmark: res.Config.Name, Input: ir.Input, Width: wr.Width, Binary: "exp", Study: wr.Exp.Bpred})
 			}
 		}
 	}
-	cw.Flush()
-	return rows, cw.Error()
+	return WriteBpredRuns(w, runs...)
 }
 
-// WriteBpredStudyCSV exports one run's study in the same long form — the
-// vgrun single-binary surface. Returns the data-row count.
-func WriteBpredStudyCSV(w io.Writer, bench string, in workload.Input, width int, binary string, st *bpred.StudyReport) (int, error) {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(bpredCSVHeader); err != nil {
-		return 0, err
-	}
-	rows, err := bpredStudyRows(cw, bench, in, width, binary, st)
-	if err != nil {
-		return rows, err
-	}
-	cw.Flush()
-	return rows, cw.Error()
-}
-
-// WriteBpredDiffCSV exports both binaries' studies of a predictor
-// differential in the WriteBpredCSV long form, under one header. Returns
-// the data-row count.
-func WriteBpredDiffCSV(w io.Writer, d *BpredDiff) (int, error) {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(bpredCSVHeader); err != nil {
-		return 0, err
-	}
-	rows := 0
-	for _, bin := range []struct {
-		name string
-		st   *bpred.StudyReport
-	}{{"base", d.Base}, {"exp", d.Exp}} {
-		n, err := bpredStudyRows(cw, d.Benchmark, d.Input, d.Width, bin.name, bin.st)
-		rows += n
-		if err != nil {
-			return rows, err
+// WriteBpredRuns is the long-form predictor CSV's one writer: the header,
+// then each study's digests in order. Runs without a study are skipped.
+// Returns the data-row count.
+func WriteBpredRuns(w io.Writer, runs ...BpredRun) (int, error) {
+	var recs [][]string
+	for _, run := range runs {
+		if run.Study == nil {
+			continue
+		}
+		for i := range run.Study.Branches {
+			d := &run.Study.Branches[i]
+			recs = append(recs, []string{
+				run.Benchmark, strconv.FormatInt(run.Input.Seed, 10), strconv.FormatInt(run.Input.Iters, 10),
+				strconv.Itoa(run.Width), run.Binary, run.Study.Predictor,
+				strconv.Itoa(d.ID), d.Class,
+				strconv.FormatInt(d.Execs, 10),
+				strconv.FormatInt(d.Taken, 10),
+				strconv.FormatInt(d.Mispredicts, 10),
+				strconv.FormatFloat(d.Bias, 'f', 4, 64),
+				strconv.FormatFloat(d.TransitionRate, 'f', 4, 64),
+				strconv.FormatFloat(d.Entropy, 'f', 4, 64),
+				strconv.FormatFloat(d.MispredictRate(), 'f', 4, 64),
+			})
 		}
 	}
-	cw.Flush()
-	return rows, cw.Error()
+	return writeCSV(w, bpredCSVHeader, recs)
 }
 
 // WriteBpredStudies renders, per benchmark of a probed result set, the
@@ -396,11 +314,9 @@ func WriteBpredStudies(w io.Writer, results []*BenchResult, width, topN int) {
 		if len(r.Inputs) == 0 || len(r.Inputs[0].Runs) == 0 {
 			continue
 		}
-		wr := r.Inputs[0].Runs[0]
-		for _, cand := range r.Inputs[0].Runs {
-			if cand.Width == width {
-				wr = cand
-			}
+		wr := r.run(width)
+		if wr == nil {
+			wr = &r.Inputs[0].Runs[0]
 		}
 		if wr.Base.Bpred == nil || wr.Exp.Bpred == nil {
 			continue

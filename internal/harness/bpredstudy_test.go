@@ -80,7 +80,7 @@ func TestRunBpredDiff(t *testing.T) {
 	}
 
 	sb.Reset()
-	n, err = WriteBpredStudyCSV(&sb, d.Benchmark, d.Input, d.Width, "base", d.Base)
+	n, err = WriteBpredRuns(&sb, d.Runs()[0])
 	if err != nil {
 		t.Fatal(err)
 	}

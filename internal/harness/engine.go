@@ -320,7 +320,7 @@ func (j *benchJob) units(jobIdx int) []engine.Unit[*pipeline.Stats] {
 // as one engine job set and aggregates per-job BenchResults in
 // enumeration order. Jobs that share an input share its products
 // (shareInputs). The execution policy (Jobs, Cache, EngineStats) comes
-// from o; each job's own Options govern what it simulates.
+// from o (RunUnits); each job's own Options govern what it simulates.
 func runBenchJobs(jobs []*benchJob, o Options) ([]*BenchResult, error) {
 	shareInputs(jobs)
 	var units []engine.Unit[*pipeline.Stats]
@@ -329,12 +329,7 @@ func runBenchJobs(jobs []*benchJob, o Options) ([]*BenchResult, error) {
 		first[ji] = len(units) + 1 // skip the build unit
 		units = append(units, j.units(ji)...)
 	}
-	results, est, err := engine.Run(context.Background(),
-		engine.Config{Jobs: o.Jobs, Cache: o.Cache, Monitor: o.Monitor, Recorder: o.Recorder},
-		units)
-	if o.EngineStats != nil {
-		o.EngineStats.Add(est)
-	}
+	results, _, err := RunUnits(o, units)
 	if err != nil {
 		return nil, err
 	}
@@ -362,6 +357,17 @@ func runBenchJobs(jobs []*benchJob, o Options) ([]*BenchResult, error) {
 		out[ji] = res
 	}
 	return out, nil
+}
+
+// RunUnits runs units on the experiment engine under o's execution
+// policy (Jobs, Cache, Monitor, Recorder) and adds the run's telemetry to
+// o.EngineStats. Every engine run of the harness and the commands goes
+// through it.
+func RunUnits[T any](o Options, units []engine.Unit[T]) ([]T, engine.Stats, error) {
+	results, est, err := engine.Run(context.Background(),
+		engine.Config{Jobs: o.Jobs, Cache: o.Cache, Monitor: o.Monitor, Recorder: o.Recorder}, units)
+	o.EngineStats.add(est)
+	return results, est, err
 }
 
 // ObserveResults feeds a result set's attribution slot totals and
@@ -396,10 +402,9 @@ type EngineStats struct {
 	miss  int
 }
 
-// Add folds one engine run's telemetry into the totals. Commands that
-// drive engine.Run directly call it so their summary reads like the
-// harness drivers'.
-func (s *EngineStats) Add(est engine.Stats) {
+// add folds one engine run's telemetry into the totals (RunUnits calls
+// it). A nil receiver ignores the run.
+func (s *EngineStats) add(est engine.Stats) {
 	if s == nil {
 		return
 	}

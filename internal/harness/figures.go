@@ -61,11 +61,7 @@ func BiasPredictabilityCurveOpts(suite string, in workload.Input, o Options) (*C
 			},
 		})
 	}
-	curves, est, err := engine.Run(context.Background(),
-		engine.Config{Jobs: o.Jobs, Cache: o.Cache, Monitor: o.Monitor, Recorder: o.Recorder}, units)
-	if o.EngineStats != nil {
-		o.EngineStats.Add(est)
-	}
+	curves, _, err := RunUnits(o, units)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +175,7 @@ func sensitivityRows(benchmarks []string, rs []*BenchResult) []SensitivityRow {
 	for bi, name := range benchmarks {
 		for si, spec := range specs {
 			r := rs[bi*len(specs)+si]
-			wr := r.run4()
+			wr := r.run(4)
 			rows = append(rows, SensitivityRow{
 				Benchmark:  name,
 				Predictor:  spec.Name,
@@ -259,7 +255,7 @@ func icacheRows(cs []workload.Config, rs []*BenchResult) []ICacheStudy {
 	var out []ICacheStudy
 	for ci, c := range cs {
 		rBig, rSmall := rs[2*ci], rs[2*ci+1]
-		wb, ws := rBig.run4(), rSmall.run4()
+		wb, ws := rBig.run(4), rSmall.run(4)
 		slow := (float64(ws.Base.Cycles)/float64(wb.Base.Cycles) - 1) * 100
 		frac := 0.0
 		if wb.Base.ICacheMisses > 0 {

@@ -183,13 +183,15 @@ func (b *BenchResult) SpeedupBestRefPct(width int) float64 {
 	return best
 }
 
-// run4 returns the width-4 runs of the first input (Table 2 details).
-func (b *BenchResult) run4() *WidthRun {
-	for i := range b.Inputs {
-		for j := range b.Inputs[i].Runs {
-			if b.Inputs[i].Runs[j].Width == 4 {
-				return &b.Inputs[i].Runs[j]
-			}
+// run returns the first REF input's run at width, or nil when that
+// width was not simulated.
+func (b *BenchResult) run(width int) *WidthRun {
+	if len(b.Inputs) == 0 {
+		return nil
+	}
+	for i, wr := range b.Inputs[0].Runs {
+		if wr.Width == width {
+			return &b.Inputs[0].Runs[i]
 		}
 	}
 	return nil
@@ -225,7 +227,7 @@ func (b *BenchResult) Table2() metrics.Table2Row {
 		PHI:   metrics.PHI(b.Report),
 		PISCS: 100 * float64(b.StaticExp-b.StaticBase) / float64(b.StaticBase),
 	}
-	if wr := b.run4(); wr != nil {
+	if wr := b.run(4); wr != nil {
 		row.MPPKI = wr.Base.MPKI()
 		row.ASPCB = metrics.ASPCB(b.Report, wr.Exp)
 		row.PDIH = metrics.PDIH(b.Report, b.Profile, wr.Exp.Committed)

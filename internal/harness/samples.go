@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/csv"
 	"io"
 	"strconv"
 
@@ -24,11 +23,7 @@ var sampleCSVHeader = []string{
 // of phase behaviour consumes. Runs without samples contribute nothing;
 // it returns the number of data rows written.
 func WriteSamplesCSV(w io.Writer, rep *trace.Report) (int, error) {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(sampleCSVHeader); err != nil {
-		return 0, err
-	}
-	rows := 0
+	var recs [][]string
 	d := strconv.FormatInt // shorthand: every numeric column is base-10
 	for _, b := range rep.Benchmarks {
 		for _, run := range b.Runs {
@@ -37,7 +32,7 @@ func WriteSamplesCSV(w io.Writer, rep *trace.Report) (int, error) {
 			}
 			for i := range run.Samples.Windows {
 				win := &run.Samples.Windows[i]
-				rec := []string{
+				recs = append(recs, []string{
 					b.Name, run.Label, run.Input, strconv.Itoa(run.Width),
 					d(win.Start, 10), d(win.End, 10), d(win.Committed, 10), d(win.Issued, 10),
 					d(win.BrMispredicts, 10), d(win.ResMispredicts, 10), d(win.RetMispredicts, 10),
@@ -47,14 +42,9 @@ func WriteSamplesCSV(w io.Writer, rep *trace.Report) (int, error) {
 					d(win.L1IMisses, 10), d(win.L1DMisses, 10), d(win.L2Misses, 10),
 					strconv.Itoa(win.DBBHighWater),
 					strconv.FormatFloat(win.IPC(), 'f', 6, 64),
-				}
-				if err := cw.Write(rec); err != nil {
-					return rows, err
-				}
-				rows++
+				})
 			}
 		}
 	}
-	cw.Flush()
-	return rows, cw.Error()
+	return writeCSV(w, sampleCSVHeader, recs)
 }
