@@ -113,6 +113,21 @@ func ladderStream(n int, seed uint64) []streamEvent {
 // every update is observed by p when non-nil. pend is scratch, so a warm
 // caller's drive allocates nothing.
 func driveLadderStream(d DirPredictor, p *Probe, evs []streamEvent, pend []streamPending, sink func(bool, Meta)) []streamPending {
+	return driveStream(d, p, evs, pend, sink, false)
+}
+
+// driveDeepStream is driveLadderStream with a reorder window of 193 to
+// 256 branches, so an Update trails its Predict by hundreds of
+// predictions, and with forged updates mixed in: about one branch in
+// sixteen is preceded by an Update whose Meta no Predict produced. It
+// takes one of the 32 youngest pending branches, keeps its PC and Meta
+// and changes the history: one bit flipped in the low word, in the high
+// word, the same bit in both words, or a random history.
+func driveDeepStream(d DirPredictor, p *Probe, evs []streamEvent, pend []streamPending, sink func(bool, Meta)) []streamPending {
+	return driveStream(d, p, evs, pend, sink, true)
+}
+
+func driveStream(d DirPredictor, p *Probe, evs []streamEvent, pend []streamPending, sink func(bool, Meta), deep bool) []streamPending {
 	rng := uint64(0x2545f4914f6cdd1d)
 	update := func(u *streamPending) {
 		d.Update(u.pc, u.taken, u.meta)
@@ -147,7 +162,31 @@ func driveLadderStream(d DirPredictor, p *Probe, evs []streamEvent, pend []strea
 			d.Restore(wp)
 		}
 		pend = append(pend, streamPending{streamEvent: e, pred: pred, meta: meta})
-		for len(pend) > int(splitmix(&rng)&7) {
+		if !deep {
+			for len(pend) > int(splitmix(&rng)&7) {
+				j := int(splitmix(&rng) % uint64(len(pend)))
+				update(&pend[j])
+				pend = append(pend[:j], pend[j+1:]...)
+			}
+			continue
+		}
+		if f := splitmix(&rng); f&15 == 0 {
+			u := &pend[len(pend)-1-int(f>>4%uint64(min(len(pend), 32)))]
+			m, bit := u.meta, uint64(1)<<(f>>34&63)
+			switch f >> 32 & 3 {
+			case 0:
+				m.Hist[0] ^= bit
+			case 1:
+				m.Hist[1] ^= bit
+			case 2:
+				m.Hist[0] ^= bit
+				m.Hist[1] ^= bit
+			default:
+				m.Hist = Hist{splitmix(&rng), splitmix(&rng)}
+			}
+			d.Update(u.pc, f>>40&1 == 1, m)
+		}
+		for len(pend) > 256-int(splitmix(&rng)&63) {
 			j := int(splitmix(&rng) % uint64(len(pend)))
 			update(&pend[j])
 			pend = append(pend[:j], pend[j+1:]...)
@@ -176,10 +215,14 @@ func streamPredictors() []LadderSpec {
 	)
 }
 
-// streamDigests runs the stream through a fresh predictor and returns the
+// streamDriver runs a stream through a predictor under some update
+// protocol; driveLadderStream and driveDeepStream are the two.
+type streamDriver func(DirPredictor, *Probe, []streamEvent, []streamPending, func(bool, Meta)) []streamPending
+
+// streamDigests drives the stream through a fresh predictor and returns the
 // digest of every prediction, every Meta and the final Survey, plus (when
 // a probe is attached) the digest of the probe's report.
-func streamDigests(spec LadderSpec, evs []streamEvent, withProbe bool) (stream, probe string) {
+func streamDigests(spec LadderSpec, drive streamDriver, evs []streamEvent, withProbe bool) (stream, probe string) {
 	d := spec.New()
 	var p *Probe
 	if withProbe {
@@ -194,7 +237,7 @@ func streamDigests(spec LadderSpec, evs []streamEvent, withProbe bool) (stream, 
 		}
 		return 0
 	}
-	driveLadderStream(d, p, evs, nil, func(pred bool, m Meta) {
+	drive(d, p, evs, nil, func(pred bool, m Meta) {
 		binary.LittleEndian.PutUint64(buf[0:], m.Hist[0])
 		binary.LittleEndian.PutUint64(buf[8:], m.Hist[1])
 		buf[16] = byte(m.Provider)
@@ -243,35 +286,70 @@ var ladderStreamGolden = map[string][2]string{
 	"small-isl-tage":     {"f93ffaff34fe6d0f", "5134ba29cd8c3972"},
 }
 
+// deepStreamGolden pins the same digests under driveDeepStream. Its
+// goldens were taken on the TAGE that hashed every Update from m.Hist, so
+// an Update that reuses a prediction's hash must still agree when the
+// prediction was made hundreds of branches earlier or never made at all.
+var deepStreamGolden = map[string][2]string{
+	"gshare-4KB":         {"f5cb6d4797206cb9", "8609cdb431788c1e"},
+	"gshare-8KB":         {"4ff9bfa9c63c5f6c", "bdb48bda1705cd3d"},
+	"gshare-3table-24KB": {"a072836933c5f61e", "b793a3d3ad19b456"},
+	"tage-27KB":          {"88de77311f9e7468", "9497a2edabc5c94c"},
+	"tage-50KB":          {"8520a34f6b913fd7", "d8c39837cc60aecd"},
+	"isl-tage-64KB":      {"3e3b620960571480", "ad3f95d49f85d3be"},
+	"byname-static":      {"9b0fa10c174318cd", "8e18cb360b9f98dc"},
+	"byname-bimodal":     {"0480e8b130ed6dec", "7160327c49f93525"},
+	"byname-gshare":      {"3f616f3ee4f82f6d", "6c4ff978179bab5c"},
+	"byname-default":     {"a072836933c5f61e", "b793a3d3ad19b456"},
+	"byname-tage":        {"88de77311f9e7468", "9497a2edabc5c94c"},
+	"byname-isl-tage":    {"3e3b620960571480", "ad3f95d49f85d3be"},
+	"byname-perceptron":  {"7772cb0347cd923b", "44dc97bd2f3cd23b"},
+	"small-tage":         {"06d88aa4d0c5ef60", "e53f2776996812f3"},
+	"small-isl-tage":     {"5990fad499d2e542", "15bab3dba0fc23f3"},
+}
+
 // TestLadderStreamGolden pins the simulated behaviour of every predictor
 // at stream level: the same predictions, the same Meta, the same final
-// table state and the same probe books. It runs each predictor twice,
-// with a probe attached and without, so attaching the observatory must
-// not perturb the stream either.
+// table state and the same probe books, under the shallow reorder window
+// of driveLadderStream and the deep, forged-update one of
+// driveDeepStream. It runs each predictor twice per stream, with a probe
+// attached and without, so attaching the observatory must not perturb
+// the stream either.
 func TestLadderStreamGolden(t *testing.T) {
 	evs := ladderStream(30000, 1)
-	var table strings.Builder
-	for _, spec := range streamPredictors() {
-		bare, _ := streamDigests(spec, evs, false)
-		probed, probe := streamDigests(spec, evs, true)
-		fmt.Fprintf(&table, "\t%q: {%q, %q},\n", spec.Name, bare, probe)
-		if bare != probed {
-			t.Errorf("%s: attaching a probe changed the stream: %s vs %s", spec.Name, probed, bare)
+	for _, stream := range []struct {
+		name   string
+		drive  streamDriver
+		golden map[string][2]string
+	}{
+		{"ladder", driveLadderStream, ladderStreamGolden},
+		{"deep", driveDeepStream, deepStreamGolden},
+	} {
+		var table strings.Builder
+		failed := false
+		for _, spec := range streamPredictors() {
+			bare, _ := streamDigests(spec, stream.drive, evs, false)
+			probed, probe := streamDigests(spec, stream.drive, evs, true)
+			fmt.Fprintf(&table, "\t%q: {%q, %q},\n", spec.Name, bare, probe)
+			if bare != probed {
+				t.Errorf("%s/%s: attaching a probe changed the stream: %s vs %s", stream.name, spec.Name, probed, bare)
+			}
+			want, ok := stream.golden[spec.Name]
+			switch {
+			case !ok:
+				t.Errorf("%s/%s: no golden", stream.name, spec.Name)
+			case bare != want[0]:
+				t.Errorf("%s/%s: stream digest %s, golden %s", stream.name, spec.Name, bare, want[0])
+			case probe != want[1]:
+				t.Errorf("%s/%s: probe digest %s, golden %s", stream.name, spec.Name, probe, want[1])
+			default:
+				continue
+			}
+			failed = true
 		}
-		want, ok := ladderStreamGolden[spec.Name]
-		if !ok {
-			t.Errorf("%s: no golden", spec.Name)
-			continue
+		if failed {
+			t.Logf("%s digests of this tree:\n%s", stream.name, table.String())
 		}
-		if bare != want[0] {
-			t.Errorf("%s: stream digest %s, golden %s", spec.Name, bare, want[0])
-		}
-		if probe != want[1] {
-			t.Errorf("%s: probe digest %s, golden %s", spec.Name, probe, want[1])
-		}
-	}
-	if t.Failed() {
-		t.Logf("digests of this tree:\n%s", table.String())
 	}
 }
 
