@@ -82,8 +82,11 @@ sweep-gate:
 # key audit (harness.Options classified, every pipeline.Config leaf
 # perturbed), the monitor's /metrics + /debug/bpred surface, and the
 # stream-level golden digests of every predictor (predictions, Meta,
-# table state, probe books) — all under the race detector and uncached.
-BPRED_GATE_RUN := TestProbe|TestHist|TestCtr2|TestLadderStream|TestBpredProbe|TestReportSchema|TestRunBpredDiff|TestDiffSurfacesGolden|TestWriteBpredCSV|TestBpredCSVImpliesReport|TestRunCacheKey|TestSimKey|TestMonitorBpred
+# table state, probe books) under a shallow and a deep update window,
+# TAGE's folded-history registers and prediction-hash memo against Fold,
+# its geometry checks, and the ByName name list — all under the race
+# detector and uncached.
+BPRED_GATE_RUN := TestProbe|TestHist|TestCtr2|TestLadderStream|TestTAGEGeometry|TestTAGEMemo|FuzzFoldedHistory|TestByName|TestBpredProbe|TestReportSchema|TestRunBpredDiff|TestDiffSurfacesGolden|TestWriteBpredCSV|TestBpredCSVImpliesReport|TestRunCacheKey|TestSimKey|TestMonitorBpred
 BPRED_GATE_PKGS := ./internal/bpred/ ./internal/pipeline/ ./internal/trace/ ./internal/harness/ ./internal/engine/ ./internal/cli/
 bpred-gate:
 	$(GO) test -race -count 1 -run '$(BPRED_GATE_RUN)' $(BPRED_GATE_PKGS)
@@ -116,6 +119,7 @@ sim-gate:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScheduleMatchesReference -fuzztime 10s -fuzzminimizetime 100x ./internal/sched/
 	$(GO) test -run '^$$' -fuzz FuzzFoldMatchesReference -fuzztime 10s -fuzzminimizetime 100x ./internal/bpred/
+	$(GO) test -run '^$$' -fuzz FuzzFoldedHistoryMatchesFold -fuzztime 10s -fuzzminimizetime 100x ./internal/bpred/
 	$(GO) test -run '^$$' -fuzz FuzzAsmRoundTrip -fuzztime 10s -fuzzminimizetime 100x ./internal/asm/
 	$(GO) test -run '^$$' -fuzz FuzzObserversDoNotSteer -fuzztime 10s -fuzzminimizetime 100x ./internal/pipeline/
 	$(GO) test -run '^$$' -fuzz FuzzSkipMatchesStepper -fuzztime 10s -fuzzminimizetime 100x ./internal/pipeline/

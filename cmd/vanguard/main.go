@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"vanguard/internal/bpred"
 	"vanguard/internal/cli"
@@ -28,7 +29,7 @@ func main() {
 	var (
 		bench     = flag.String("bench", "h264ref", "benchmark name (any SPEC 2000/2006 stand-in)")
 		width     = flag.Int("width", 4, "issue width (2, 4 or 8)")
-		predictor = flag.String("predictor", "default", "direction predictor: static|bimodal|gshare|default|tage|isl-tage")
+		predictor = flag.String("predictor", "default", "direction predictor: "+strings.Join(bpred.Names(), "|"))
 		iters     = flag.Int64("iters", 0, "override REF iteration count")
 		dump      = flag.Bool("dump", false, "disassemble the baseline and experimental binaries")
 		list      = flag.Bool("list", false, "list available benchmarks and exit")
@@ -54,7 +55,7 @@ func main() {
 	o := harness.DefaultOptions()
 	o.Widths = []int{*width}
 	if bpred.ByName(*predictor) == nil {
-		log.Fatalf("unknown predictor %q", *predictor)
+		log.Fatalf("unknown predictor %q (have %s)", *predictor, strings.Join(bpred.Names(), ", "))
 	}
 	o.NewPredictor = func() bpred.DirPredictor { return bpred.ByName(*predictor) }
 	o.PredictorName = *predictor

@@ -12,7 +12,9 @@
 // Checkpoint/Restore pair lets the pipeline repair history on a
 // misprediction, and Meta carries everything an out-of-place update (via
 // the Decomposed Branch Buffer) needs to train the tables that produced
-// the prediction.
+// the prediction. A checkpoint is the history alone: TAGE also keeps
+// each table's folded histories, which PushHistory advances in O(1) and
+// Restore rebuilds from the checkpoint with Hist.Fold.
 package bpred
 
 // Hist is the global branch history register: bit 0 is the most recent

@@ -2,6 +2,7 @@ package bpred
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -300,10 +301,28 @@ func TestLadderMonotonicOnHardTrace(t *testing.T) {
 	}
 }
 
+// TestByName checks the name list the CLIs show against ByName: every
+// listed name constructs a fresh predictor, no name is listed twice, and
+// every configuration ByName ever accepted is listed.
 func TestByName(t *testing.T) {
-	for _, name := range []string{"static", "bimodal", "gshare", "default", "tage", "isl-tage"} {
-		if ByName(name) == nil {
+	seen := map[string]bool{}
+	for _, name := range Names() {
+		if seen[name] {
+			t.Errorf("Names lists %q twice", name)
+		}
+		seen[name] = true
+		a, b := ByName(name), ByName(name)
+		if a == nil {
 			t.Errorf("ByName(%q) = nil", name)
+			continue
+		}
+		if a == b {
+			t.Errorf("ByName(%q) returned the same predictor twice", name)
+		}
+	}
+	for _, name := range []string{"static", "bimodal", "gshare", "default", "gshare-3table", "tournament", "tage", "isl-tage", "perceptron"} {
+		if !seen[name] {
+			t.Errorf("ByName accepts %q but Names does not list it", name)
 		}
 	}
 	if ByName("nonsense") != nil {
@@ -510,4 +529,146 @@ func FuzzFoldMatchesReference(f *testing.F) {
 			t.Fatalf("Fold(%d,%d) on %x = %x, reference %x", n, w, h, got, want)
 		}
 	})
+}
+
+// TestTAGEGeometryPanics checks that NewTAGE and NewISLTAGE reject a
+// geometry with an empty fold width (logT-1 < 1, tagW-2 < 1), a tag wider
+// than its 16-bit field, or a history length < 1, and accept the edges.
+func TestTAGEGeometryPanics(t *testing.T) {
+	for _, g := range []struct {
+		logT, tagW int
+		lens       []int
+		bad        bool
+	}{
+		{1, 8, []int{4}, true},
+		{0, 8, []int{4}, true},
+		{8, 2, []int{4}, true},
+		{8, 17, []int{4}, true},
+		{8, 8, []int{4, 0}, true},
+		{8, 8, []int{-3}, true},
+		{2, 3, []int{1, 2, 3, 128, 129, 1000}, false},
+		{8, 16, []int{4}, false},
+	} {
+		for _, build := range []func(){
+			func() { NewTAGE(4, g.logT, g.tagW, g.lens) },
+			func() { NewISLTAGE(4, g.logT, g.tagW, g.lens, 4, 4) },
+		} {
+			panicked := func() (p bool) {
+				defer func() { p = recover() != nil }()
+				build()
+				return false
+			}()
+			if panicked != g.bad {
+				t.Errorf("logT=%d tagW=%d lens=%v: panicked=%v, want %v", g.logT, g.tagW, g.lens, panicked, g.bad)
+			}
+		}
+	}
+}
+
+// FuzzFoldedHistoryMatchesFold checks TAGE's folded-history registers
+// against Fold: on an arbitrary geometry (logT 2..10, tagW 3..16, up to
+// eight history lengths 1..140, so lengths at or below a fold width and
+// past the 128-bit register both occur) and after every call of an
+// arbitrary PushHistory / Checkpoint / Restore sequence, every register
+// must equal Fold of the current history at the table's length and the
+// register's width, and hashing from the registers must equal hashing
+// the history with Fold.
+func FuzzFoldedHistoryMatchesFold(f *testing.F) {
+	long := make([]byte, 400)
+	for i := range long {
+		long[i] = byte(i*37 + i>>3)
+	}
+	f.Add(uint8(11), uint8(10), []byte{4, 8, 16, 32, 64, 128}, long)
+	f.Add(uint8(5), uint8(8), []byte{5, 11, 23, 47, 97, 130}, long)
+	f.Add(uint8(0), uint8(0), []byte{1, 2, 3, 63, 64, 65, 127, 128}, long)
+	f.Add(uint8(8), uint8(13), []byte{139, 140, 9}, []byte{3, 2, 1, 5, 6, 2, 7, 11, 3})
+	f.Fuzz(func(t *testing.T, logT, tagW uint8, lens, ops []byte) {
+		g := []int{1}
+		if len(lens) > 0 {
+			g = g[:0]
+			for _, b := range lens[:min(len(lens), 8)] {
+				g = append(g, 1+int(b)%140)
+			}
+		}
+		tg := NewTAGE(4, 2+int(logT)%9, 3+int(tagW)%14, g)
+		want := tg.Checkpoint()
+		var cks []Hist
+		check := func(step int) {
+			if tg.Checkpoint() != want {
+				t.Fatalf("step %d: history %x, want %x", step, tg.Checkpoint(), want)
+			}
+			for i, n := range g {
+				for k, w := range tg.width {
+					if got, fold := tg.folds[i].comp[k], want.Fold(n, int(w)); got != fold {
+						t.Fatalf("step %d: table %d (n=%d) width %d: register %x, Fold %x", step, i, n, w, got, fold)
+					}
+				}
+			}
+			pc := uint64(step)*0x9e3779b97f4a7c15 | 1
+			tg.hash(pc)
+			idx, tags := append([]uint64(nil), tg.idx...), append([]uint16(nil), tg.tags...)
+			tg.hashHist(pc, want)
+			if !slices.Equal(idx, tg.idx) || !slices.Equal(tags, tg.tags) {
+				t.Fatalf("step %d: register hash %x/%x, Fold hash %x/%x", step, idx, tags, tg.idx, tg.tags)
+			}
+		}
+		check(-1)
+		for i, b := range ops {
+			switch b & 3 {
+			case 0, 1:
+				tg.PushHistory(b&4 != 0)
+				want.Push(b&4 != 0)
+			case 2:
+				cks = append(cks, tg.Checkpoint())
+			default:
+				h := Hist{uint64(b) * 0x9e3779b97f4a7c15, ^uint64(b) * 0xbf58476d1ce4e5b9}
+				if len(cks) > 0 && b&4 == 0 {
+					h = cks[int(b>>3)%len(cks)]
+				}
+				tg.Restore(h)
+				want = h
+			}
+			check(i)
+		}
+	})
+}
+
+// TestTAGEMemoKeysOnFullHistory updates with Metas whose (pc, Hist)
+// shares a memo slot with a live prediction but differs from it in the
+// low history word, the high word or the PC, and with the (0, empty
+// history) pair an unfilled slot stands for: each Update must hash its
+// own pair, exactly as folding it from scratch does.
+func TestTAGEMemoKeysOnFullHistory(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		tg := NewTAGE(8, 7, 9, []int{3, 9, 27, 81, 130})
+		for i := 0; i < 200; i++ {
+			tg.PushHistory(r.Intn(2) == 1)
+		}
+		pc := uint64(r.Intn(1<<16)) * 4
+		_, m := tg.Predict(pc)
+		slot := memoSlot(pc, m.Hist)
+		// Perturb one part of the key until the pair lands in the same
+		// slot; trial 0 keeps the pair an unfilled slot stands for.
+		upc, uh := uint64(0), Hist{}
+		for trial > 0 && (upc == pc && uh == m.Hist || memoSlot(upc, uh) != slot) {
+			upc, uh = pc, m.Hist
+			switch trial % 3 {
+			case 0:
+				uh[0] = r.Uint64()
+			case 1:
+				uh[1] = r.Uint64()
+			default:
+				upc = uint64(r.Intn(1<<16)) * 4
+			}
+		}
+		ref := NewTAGE(8, 7, 9, []int{3, 9, 27, 81, 130})
+		ref.hashHist(upc, uh)
+		um := m
+		um.Hist = uh
+		tg.Update(upc, true, um)
+		if !slices.Equal(tg.idx, ref.idx) || !slices.Equal(tg.tags, ref.tags) {
+			t.Fatalf("trial %d: Update(%#x, %x) read %x/%x, its hash is %x/%x", trial, upc, uh, tg.idx, tg.tags, ref.idx, ref.tags)
+		}
+	}
 }

@@ -52,24 +52,40 @@ var (
 	_ Surveyor = (*Perceptron)(nil)
 )
 
+// byName lists every predictor configuration the CLI tools accept, an
+// alias next to the name it aliases. ByName and Names both read it, so
+// the -predictor help cannot miss a name ByName takes.
+var byName = []struct {
+	name string
+	new  func() DirPredictor
+}{
+	{"static", func() DirPredictor { return &Static{} }},
+	{"bimodal", func() DirPredictor { return NewBimodal(14) }},
+	{"gshare", func() DirPredictor { return NewGShare(15, 14) }},
+	{"default", func() DirPredictor { return NewDefault() }},
+	{"gshare-3table", func() DirPredictor { return NewDefault() }},
+	{"tournament", func() DirPredictor { return NewDefault() }},
+	{"tage", func() DirPredictor { return NewTAGE(14, 11, 10, []int{4, 8, 16, 32, 64, 128}) }},
+	{"isl-tage", func() DirPredictor { return NewISLTAGE(14, 12, 12, []int{4, 8, 16, 32, 64, 128}, 6, 12) }},
+	{"perceptron", func() DirPredictor { return NewPerceptron(10, 32) }},
+}
+
 // ByName constructs a predictor from a configuration name; the CLI tools
 // use it. Unknown names return nil.
 func ByName(name string) DirPredictor {
-	switch name {
-	case "static":
-		return &Static{}
-	case "bimodal":
-		return NewBimodal(14)
-	case "gshare":
-		return NewGShare(15, 14)
-	case "default", "gshare-3table", "tournament":
-		return NewDefault()
-	case "tage":
-		return NewTAGE(14, 11, 10, []int{4, 8, 16, 32, 64, 128})
-	case "isl-tage":
-		return NewISLTAGE(14, 12, 12, []int{4, 8, 16, 32, 64, 128}, 6, 12)
-	case "perceptron":
-		return NewPerceptron(10, 32)
+	for _, c := range byName {
+		if c.name == name {
+			return c.new()
+		}
 	}
 	return nil
+}
+
+// Names returns every name ByName accepts, in a fixed order.
+func Names() []string {
+	names := make([]string, len(byName))
+	for i, c := range byName {
+		names[i] = c.name
+	}
+	return names
 }

@@ -29,15 +29,31 @@ type TAGE struct {
 	idxMask    uint64
 	logT       int
 	tagW       int
-	lens       []int
 	hist       Hist
 
+	// folds holds each tagged table's folded histories of hist, kept
+	// current by PushHistory; width and mask are the four fold widths
+	// (foldIdx, foldIdx1, foldTag, foldTag2) every table shares.
+	folds []foldedHist
+	width [4]uint
+	mask  [4]uint64
+
 	// idx and tags hold every tagged table's index and tag for the
-	// (pc, history) pair of the current Predict or Update call: lookup
-	// hashes once, and every later site of the call reads from here.
-	// Predictors are per-machine, so the scratch needs no locking.
+	// (pc, history) pair of the current Predict or Update call: hashing
+	// fills them once, and every later site of the call reads from here.
+	// They are one row of memoIdx and memoTags (see useRow). Predictors
+	// are per-machine, so the scratch needs no locking.
 	idx  []uint64
 	tags []uint16
+
+	// memo remembers the hash of the last Predict at each of its slots,
+	// keyed on the full (pc, Hist), so the Update that trains the same
+	// pair reads it instead of folding m.Hist again. Row j of memoIdx and
+	// memoTags is slot j's hash; the extra last row is where an Update
+	// that misses the memo hashes.
+	memo     []memoKey
+	memoIdx  []uint64 // memoSlots+1 rows of len(tables) indices
+	memoTags []uint16 // memoSlots+1 rows of len(tables) tags
 
 	ticks int
 	rng   uint64 // deterministic xorshift for allocation choice
@@ -47,10 +63,62 @@ type TAGE struct {
 	probeTab  []int
 }
 
+// The four folds of one table's history, in foldedHist.comp order: the
+// index hash folds into logT and logT-1 bits, the tag hash into tagW and
+// tagW-2 bits.
+const (
+	foldIdx = iota
+	foldIdx1
+	foldTag
+	foldTag2
+)
+
+// foldedHist is one tagged table's circular-shift folded history
+// (Seznec): comp[k] always equals hist.Fold(n, width[k]). Pushing an
+// outcome rotates each register left by one within its width, xors the
+// outcome in at bit 0 and xors out, at bit n mod width, the outcome that
+// leaves the n-bit history, so a push costs O(1) per register however
+// long the history.
+type foldedHist struct {
+	n      int      // history length, capped at 128 as Fold caps it
+	outW   uint     // hist word of bit n-1, the bit the next push drops
+	outB   uint     // its position in that word
+	outPos [4]uint8 // n mod width[k]
+	comp   [4]uint64
+}
+
+// memoKey tags one memo slot with the (pc, Hist) its row was hashed
+// from. A slot no Predict has filled reads as pc 0 under the empty
+// history with an all-zero row, which is that pair's true hash, so it
+// needs no valid bit.
+type memoKey struct {
+	pc   uint64
+	hist Hist
+}
+
+// memoSlots is the memo's size: a direct-mapped table of the most recent
+// predictions, indexed by a multiplicative hash of (pc, Hist). At 64
+// slots about 98.5% of the ladder's TAGE Updates hit; each halving of
+// the size doubles the misses.
+const (
+	memoLog   = 6
+	memoSlots = 1 << memoLog
+)
+
+func memoSlot(pc uint64, h Hist) int {
+	return int((pc ^ h[0] ^ h[1]) * 0x9e3779b97f4a7c15 >> (64 - memoLog))
+}
+
 // NewTAGE builds a TAGE predictor: a 2^logBase bimodal base plus
 // len(lens) tagged tables of 2^logT entries with tagW-bit tags and the
-// given geometric history lengths.
+// given geometric history lengths. Lengths past the 128-bit history
+// register fold as 128. It panics on a geometry whose folds would be
+// empty: logT < 2, tagW < 3 or tagW > 16 (a tag is 16 bits), or a
+// history length < 1.
 func NewTAGE(logBase, logT, tagW int, lens []int) *TAGE {
+	if logT < 2 || tagW < 3 || tagW > 16 {
+		panic(fmt.Sprintf("bpred: TAGE geometry logT=%d tagW=%d, need logT >= 2 and 3 <= tagW <= 16", logT, tagW))
+	}
 	t := &TAGE{
 		base:       make([]ctr2, 1<<logBase),
 		baseMask:   uint64(1<<logBase - 1),
@@ -59,11 +127,28 @@ func NewTAGE(logBase, logT, tagW int, lens []int) *TAGE {
 		idxMask:    uint64(1<<logT - 1),
 		logT:       logT,
 		tagW:       tagW,
-		lens:       append([]int(nil), lens...),
-		idx:        make([]uint64, len(lens)),
-		tags:       make([]uint16, len(lens)),
+		folds:      make([]foldedHist, len(lens)),
+		width:      [4]uint{uint(logT), uint(logT - 1), uint(tagW), uint(tagW - 2)},
+		memo:       make([]memoKey, memoSlots),
+		memoIdx:    make([]uint64, (memoSlots+1)*len(lens)),
+		memoTags:   make([]uint16, (memoSlots+1)*len(lens)),
 		rng:        0x9e3779b97f4a7c15,
 	}
+	for k, w := range t.width {
+		t.mask[k] = 1<<w - 1
+	}
+	for i, n := range lens {
+		if n < 1 {
+			panic(fmt.Sprintf("bpred: TAGE history length %d, need >= 1", n))
+		}
+		n = min(n, 128)
+		f := &t.folds[i]
+		f.n, f.outW, f.outB = n, uint(n-1)>>6, uint(n-1)&63
+		for k, w := range t.width {
+			f.outPos[k] = uint8(uint(n) % w)
+		}
+	}
+	t.useRow(memoSlots)
 	for i := range t.base {
 		t.base[i] = 1
 	}
@@ -90,24 +175,54 @@ func (t *TAGE) SizeBits() int {
 	return bits
 }
 
-// hash computes every tagged table's index and tag for (pc, h) into the
-// idx and tags scratch.
-func (t *TAGE) hash(pc uint64, h Hist) {
-	for i, n := range t.lens {
-		t.idx[i] = (pc ^ (pc >> uint(t.logT)) ^ h.Fold(n, t.logT) ^ h.Fold(n, t.logT-1)<<1) & t.idxMask
-		// The tag hash must stay decorrelated from the index hash
-		// (different pc mixing and different fold widths), otherwise when
-		// tagW == logT a slot's tag always equals its index and every
-		// lookup falsely matches.
-		t.tags[i] = uint16((pc ^ pc>>3 ^ h.Fold(n, t.tagW) ^ h.Fold(n, t.tagW-2)<<1) & (1<<t.tagW - 1))
+// useRow points the idx and tags scratch at row r of the memo.
+func (t *TAGE) useRow(r int) {
+	n := len(t.folds)
+	t.idx = t.memoIdx[r*n : r*n+n : r*n+n]
+	t.tags = t.memoTags[r*n : r*n+n : r*n+n]
+}
+
+// hash computes every tagged table's index and tag for pc under the
+// current history, straight from the folded registers, into the idx and
+// tags scratch.
+func (t *TAGE) hash(pc uint64) {
+	for i := range t.folds {
+		t.hashTable(i, pc, &t.folds[i].comp)
 	}
+}
+
+// hashHist is hash for an arbitrary history h, folded with Fold: the
+// values the registers hold when h is the current history.
+func (t *TAGE) hashHist(pc uint64, h Hist) {
+	for i := range t.folds {
+		c := t.fold(h, t.folds[i].n)
+		t.hashTable(i, pc, &c)
+	}
+}
+
+// fold returns h folded at length n into each of the four widths.
+func (t *TAGE) fold(h Hist, n int) (c [4]uint64) {
+	for k, w := range t.width {
+		c[k] = h.Fold(n, int(w))
+	}
+	return c
+}
+
+// hashTable sets tagged table i's index and tag for pc from the table's
+// four folds c.
+func (t *TAGE) hashTable(i int, pc uint64, c *[4]uint64) {
+	t.idx[i] = (pc ^ (pc >> uint(t.logT)) ^ c[foldIdx] ^ c[foldIdx1]<<1) & t.idxMask
+	// The tag hash must stay decorrelated from the index hash (different
+	// pc mixing and different fold widths), otherwise when tagW == logT a
+	// slot's tag always equals its index and every lookup falsely matches.
+	t.tags[i] = uint16((pc ^ pc>>3 ^ c[foldTag] ^ c[foldTag2]<<1) & t.mask[foldTag])
 }
 
 // confident reports whether a 3-bit counter is outside the weak band.
 func confident(c int8) bool { return c >= 1 || c <= -2 }
 
-// lookup hashes (pc, h) into the scratch, then scans the tagged tables
-// from longest history to shortest.
+// lookup scans the tagged tables, whose indices and tags for pc the
+// caller has left in the scratch, from longest history to shortest.
 //
 //   - provider is the longest matching entry (it is trained, and drives
 //     allocation decisions); -1 when only the base matched;
@@ -118,13 +233,12 @@ func confident(c int8) bool { return c >= 1 || c <= -2 }
 //     well-trained short-history or base prediction;
 //   - alt is the prediction the machine would have made without the
 //     provider (for useful-bit training).
-func (t *TAGE) lookup(pc uint64, h Hist) (pred, alt bool, provider int8, weak, tagged bool) {
+func (t *TAGE) lookup(pc uint64) (pred, alt bool, provider int8, weak, tagged bool) {
 	basePred := t.base[pc&t.baseMask].taken()
 	pred, alt = basePred, basePred
 	provider = -1
 	havePred := false
 	haveAlt := false
-	t.hash(pc, h)
 	for i := len(t.tables) - 1; i >= 0; i-- {
 		e := &t.tables[i][t.idx[i]]
 		if e.tag != t.tags[i] {
@@ -154,9 +268,15 @@ func (t *TAGE) lookup(pc uint64, h Hist) (pred, alt bool, provider int8, weak, t
 	return pred, alt, provider, weak, tagged
 }
 
-// Predict implements DirPredictor.
+// Predict implements DirPredictor. It hashes from the folded registers
+// into the memo row of (pc, history), for the Update that trains this
+// prediction.
 func (t *TAGE) Predict(pc uint64) (bool, Meta) {
-	pred, alt, provider, weak, _ := t.lookup(pc, t.hist)
+	j := memoSlot(pc, t.hist)
+	t.memo[j] = memoKey{pc, t.hist}
+	t.useRow(j)
+	t.hash(pc)
+	pred, alt, provider, weak, _ := t.lookup(pc)
 	return pred, Meta{Hist: t.hist, Pred: pred, Provider: provider, AltPred: alt, TagePred: pred, Weak: weak}
 }
 
@@ -214,10 +334,19 @@ func (t *TAGE) Survey() []TableSurvey {
 	return out
 }
 
-// Update implements DirPredictor. Its lookup leaves the indices and tags
-// of (pc, m.Hist) in the scratch, and every site below reads them there.
+// Update implements DirPredictor. It points the scratch at the indices
+// and tags of (pc, m.Hist): the memo row of the Predict that made m when
+// that is still there, else the spare row, hashed by folding m.Hist (an
+// evicted slot, or a Meta no Predict produced). Every site below reads
+// them there.
 func (t *TAGE) Update(pc uint64, taken bool, m Meta) {
-	_, alt, provider, _, _ := t.lookup(pc, m.Hist)
+	if j := memoSlot(pc, m.Hist); t.memo[j] == (memoKey{pc, m.Hist}) {
+		t.useRow(j)
+	} else {
+		t.useRow(memoSlots)
+		t.hashHist(pc, m.Hist)
+	}
+	_, alt, provider, _, _ := t.lookup(pc)
 	if t.probe != nil {
 		t.probe.noteEntry(t.probeBase, pc&t.baseMask, pc)
 		if provider >= 0 {
@@ -320,14 +449,35 @@ func (t *TAGE) Update(pc uint64, taken bool, m Meta) {
 	}
 }
 
-// PushHistory implements DirPredictor.
-func (t *TAGE) PushHistory(taken bool) { t.hist.Push(taken) }
+// PushHistory implements DirPredictor: it pushes the outcome into the
+// history and into every folded register.
+func (t *TAGE) PushHistory(taken bool) {
+	in := b2u(taken)
+	for i := range t.folds {
+		f := &t.folds[i]
+		out := t.hist[f.outW] >> f.outB & 1
+		for k := range f.comp {
+			c := f.comp[k]<<1 | in
+			c ^= out << (f.outPos[k] & 63)
+			c ^= c >> (t.width[k] & 63)
+			f.comp[k] = c & t.mask[k]
+		}
+	}
+	t.hist.Push(taken)
+}
 
 // Checkpoint implements DirPredictor.
 func (t *TAGE) Checkpoint() Hist { return t.hist }
 
-// Restore implements DirPredictor.
-func (t *TAGE) Restore(h Hist) { t.hist = h }
+// Restore implements DirPredictor. The checkpoint holds only the history,
+// so the folded registers are rebuilt from it with Fold; the pipeline
+// restores only to repair a misprediction.
+func (t *TAGE) Restore(h Hist) {
+	t.hist = h
+	for i := range t.folds {
+		t.folds[i].comp = t.fold(h, t.folds[i].n)
+	}
+}
 
 // loopEntry tracks a loop branch with a (nearly) constant trip count.
 type loopEntry struct {
