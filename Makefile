@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet race bench bench-all bench-diff bench-json results results-full attr-gate sim-gate staticcheck pipeview-gate kernel-gate sweep-gate bpred-gate sched-gate fuzz-smoke gate-patterns doc-refs
+.PHONY: all build test check fmt vet race bench-module bench bench-all bench-diff bench-json results results-full attr-gate sim-gate staticcheck pipeview-gate kernel-gate sweep-gate bpred-gate sched-gate fuzz-smoke gate-patterns doc-refs
 
 # Pinned staticcheck version: `go run` resolves it through the module
 # proxy, so the exact analyzer version is reproducible everywhere.
@@ -165,8 +165,13 @@ doc-refs:
 	if [ $$bad -ne 0 ]; then exit 1; fi; \
 	echo "doc-refs: every cited test name matches a test"
 
+# bench/ is its own module over this one's internal packages: vet and
+# test it, so a change to an API it uses cannot leave it broken unnoticed.
+bench-module:
+	cd bench && GOFLAGS= $(GO) vet ./... && GOFLAGS= $(GO) test ./...
+
 # Pre-PR gate: run this before every commit.
-check: fmt vet build staticcheck gate-patterns doc-refs kernel-gate sweep-gate bpred-gate sched-gate sim-gate attr-gate pipeview-gate fuzz-smoke race
+check: fmt vet build staticcheck gate-patterns doc-refs bench-module kernel-gate sweep-gate bpred-gate sched-gate sim-gate attr-gate pipeview-gate fuzz-smoke race
 
 # Attribution-conservation gate: every attributed fast-suite simulation
 # must charge exactly cycles x width issue slots (pipeline invariant

@@ -278,7 +278,10 @@ func TestLadderMonotonicOnHardTrace(t *testing.T) {
 			k++
 		}
 	}
-	ladder := Ladder()
+	var ladder []DirPredictor
+	for _, spec := range LadderSpecs() {
+		ladder = append(ladder, spec.New())
+	}
 	accs := make([]float64, len(ladder))
 	for i, p := range ladder {
 		accs[i] = accuracy(p, trace)

@@ -1,19 +1,5 @@
 package bpred
 
-// Ladder returns the Section 5.3 sensitivity sequence of ever-improving
-// direction predictors, from a small bimodal up to the 64KB ISL-TAGE-class
-// design. Each call constructs fresh (untrained) predictors.
-func Ladder() []DirPredictor {
-	return []DirPredictor{
-		NewGShare(14, 12), // 4KB gshare
-		NewGShare(15, 12), // 8KB gshare
-		NewDefault(),      // 24KB 3-table (Table 1 baseline)
-		NewTAGE(14, 11, 10, []int{4, 8, 16, 32, 64, 128}),           // ~27KB TAGE
-		NewTAGE(14, 12, 10, []int{4, 8, 16, 32, 64, 128}),           // ~50KB TAGE
-		NewISLTAGE(14, 12, 12, []int{4, 8, 16, 32, 64, 128}, 6, 12), // ~64KB ISL-TAGE
-	}
-}
-
 // LadderSpec names one rung of the sensitivity ladder with a constructor,
 // so harnesses can instantiate fresh predictors per run.
 type LadderSpec struct {
@@ -21,16 +7,25 @@ type LadderSpec struct {
 	New  func() DirPredictor
 }
 
-// LadderSpecs returns constructors for the Section 5.3 ladder.
+// LadderSpecs returns constructors for the Section 5.3 sensitivity
+// sequence of ever-improving direction predictors, from a small gshare up
+// to the 64KB ISL-TAGE-class design.
 func LadderSpecs() []LadderSpec {
 	return []LadderSpec{
 		{"gshare-4KB", func() DirPredictor { return NewGShare(14, 12) }},
 		{"gshare-8KB", func() DirPredictor { return NewGShare(15, 12) }},
-		{"gshare-3table-24KB", func() DirPredictor { return NewDefault() }},
-		{"tage-27KB", func() DirPredictor { return NewTAGE(14, 11, 10, []int{4, 8, 16, 32, 64, 128}) }},
+		{"gshare-3table-24KB", newDefault},
+		{"tage-27KB", newTAGE27KB},
 		{"tage-50KB", func() DirPredictor { return NewTAGE(14, 12, 10, []int{4, 8, 16, 32, 64, 128}) }},
-		{"isl-tage-64KB", func() DirPredictor { return NewISLTAGE(14, 12, 12, []int{4, 8, 16, 32, 64, 128}, 6, 12) }},
+		{"isl-tage-64KB", newISLTAGE64KB},
 	}
+}
+
+// The ladder rungs byName also offers.
+func newDefault() DirPredictor  { return NewDefault() }
+func newTAGE27KB() DirPredictor { return NewTAGE(14, 11, 10, []int{4, 8, 16, 32, 64, 128}) }
+func newISLTAGE64KB() DirPredictor {
+	return NewISLTAGE(14, 12, 12, []int{4, 8, 16, 32, 64, 128}, 6, 12)
 }
 
 // Every ladder rung supports the full observatory: table-level event
@@ -62,11 +57,11 @@ var byName = []struct {
 	{"static", func() DirPredictor { return &Static{} }},
 	{"bimodal", func() DirPredictor { return NewBimodal(14) }},
 	{"gshare", func() DirPredictor { return NewGShare(15, 14) }},
-	{"default", func() DirPredictor { return NewDefault() }},
-	{"gshare-3table", func() DirPredictor { return NewDefault() }},
-	{"tournament", func() DirPredictor { return NewDefault() }},
-	{"tage", func() DirPredictor { return NewTAGE(14, 11, 10, []int{4, 8, 16, 32, 64, 128}) }},
-	{"isl-tage", func() DirPredictor { return NewISLTAGE(14, 12, 12, []int{4, 8, 16, 32, 64, 128}, 6, 12) }},
+	{"default", newDefault},
+	{"gshare-3table", newDefault},
+	{"tournament", newDefault},
+	{"tage", newTAGE27KB},
+	{"isl-tage", newISLTAGE64KB},
 	{"perceptron", func() DirPredictor { return NewPerceptron(10, 32) }},
 }
 

@@ -142,11 +142,17 @@ func Run[T any](ctx context.Context, cfg Config, units []Unit[T]) ([]T, Stats, e
 		if rec != nil {
 			rec.dequeue(base+i, wid)
 		}
-		done := func(hit, failed bool) {
+		var probed, hit bool
+		// finish books the unit's terminal outcome (trace.SweepRetire,
+		// SweepFail or SweepCancel) with every observer.
+		finish := func(outcome string) {
+			if rec != nil {
+				rec.finish(base+i, outcome)
+			}
 			wall := time.Since(t0)
 			st.Units[i] = UnitStat{Label: u.Label, Wall: wall, CacheHit: hit}
 			if slot >= 0 {
-				cfg.Monitor.endUnit(slot, wall, hit, failed)
+				cfg.Monitor.endUnit(slot, wall, probed, hit, outcome)
 			}
 		}
 		cacheable := cfg.Cache != nil && u.Key != ""
@@ -156,7 +162,9 @@ func Run[T any](ctx context.Context, cfg Config, units []Unit[T]) ([]T, Stats, e
 				p0 = rec.since()
 			}
 			var v T
-			hit, corrupt := cfg.Cache.Load(u.Key, &v)
+			var corrupt bool
+			probed = true
+			hit, corrupt = cfg.Cache.Load(u.Key, &v)
 			if hit {
 				results[i] = v
 			}
@@ -170,18 +178,12 @@ func Run[T any](ctx context.Context, cfg Config, units []Unit[T]) ([]T, Stats, e
 				mu.Lock()
 				hits++
 				mu.Unlock()
-				if rec != nil {
-					rec.finish(base+i, trace.SweepRetire)
-				}
-				done(true, false)
+				finish(trace.SweepRetire)
 				return
 			}
 		}
 		if ctx.Err() != nil && (parent.Err() != nil || failedBefore(i)) {
-			if rec != nil {
-				rec.finish(base+i, trace.SweepCancel)
-			}
-			done(false, false)
+			finish(trace.SweepCancel)
 			return
 		}
 		if rec != nil {
@@ -190,10 +192,7 @@ func Run[T any](ctx context.Context, cfg Config, units []Unit[T]) ([]T, Stats, e
 		v, err := u.Run(ctx)
 		if err != nil {
 			fail(i, fmt.Errorf("%s: %w", u.Label, err))
-			if rec != nil {
-				rec.finish(base+i, trace.SweepFail)
-			}
-			done(false, true)
+			finish(trace.SweepFail)
 			return
 		}
 		results[i] = v
@@ -205,10 +204,7 @@ func Run[T any](ctx context.Context, cfg Config, units []Unit[T]) ([]T, Stats, e
 			misses++
 			mu.Unlock()
 		}
-		if rec != nil {
-			rec.finish(base+i, trace.SweepRetire)
-		}
-		done(false, false)
+		finish(trace.SweepRetire)
 	}
 
 	start := time.Now()
@@ -224,18 +220,23 @@ func Run[T any](ctx context.Context, cfg Config, units []Unit[T]) ([]T, Stats, e
 		wg.Add(1)
 		go worker(w)
 	}
+	fed := 0
 feed:
-	for i := range units {
+	for ; fed < len(units); fed++ {
 		select {
-		case idx <- i:
+		case idx <- fed:
 		case <-ctx.Done():
 			break feed
 		}
 	}
 	close(idx)
 	wg.Wait()
+	// A failure drains the units never fed to a worker: they cancel now.
 	if rec != nil {
 		rec.finishRun(base, len(units))
+	}
+	if cfg.Monitor != nil {
+		cfg.Monitor.cancelQueued(len(units) - fed)
 	}
 
 	st.Wall = time.Since(start)

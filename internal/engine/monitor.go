@@ -130,23 +130,28 @@ func (m *Monitor) beginUnit(label string) int {
 	return slot
 }
 
-// endUnit retires a unit: cache hits complete without touching the
-// latency average (they measure the cache, not the simulator), failures
-// count separately, and everything else feeds the EWMA.
-func (m *Monitor) endUnit(slot int, wall time.Duration, cacheHit, failed bool) {
+// endUnit retires a unit that ended with outcome (trace.SweepRetire,
+// SweepFail or SweepCancel). Only a unit that probed the run cache counts
+// as a hit or a miss, so uncacheable units (keyless, or run without a
+// cache) are neither. Only a unit computed to completion feeds the EWMA
+// and the latency histogram: hits measure the cache, and failures and
+// cancels did not finish the work.
+func (m *Monitor) endUnit(slot int, wall time.Duration, probed, hit bool, outcome string) {
 	m.mu.Lock()
 	delete(m.active, slot)
 	m.done++
 	m.busy += wall
-	if !cacheHit {
-		m.cacheMisses++
+	if probed {
+		if hit {
+			m.cacheHits++
+		} else {
+			m.cacheMisses++
+		}
 	}
 	switch {
-	case failed:
+	case outcome == trace.SweepFail:
 		m.failed++
-	case cacheHit:
-		m.cacheHits++
-	default:
+	case outcome == trace.SweepRetire && !hit:
 		if m.ewma == 0 {
 			m.ewma = wall
 		} else {
@@ -154,6 +159,14 @@ func (m *Monitor) endUnit(slot int, wall time.Duration, cacheHit, failed bool) {
 		}
 		m.latency.Observe(int64(wall / time.Microsecond))
 	}
+	m.mu.Unlock()
+}
+
+// cancelQueued retires n units an engine run never dequeued: a failure
+// drained them from the queue, and they cancel at run end.
+func (m *Monitor) cancelQueued(n int) {
+	m.mu.Lock()
+	m.done += n
 	m.mu.Unlock()
 }
 
@@ -175,7 +188,10 @@ func (m *Monitor) noteCorrupt() {
 // remaining-unit estimate remaining×EWMA÷active-workers; it is zero
 // until the first computed unit retires.
 type Progress struct {
-	Total       int          `json:"total"`
+	Total int `json:"total"`
+	// Done counts retired units: computed, served from the cache,
+	// failed or cancelled. CacheHits and CacheMisses count only units
+	// that probed the run cache.
 	Done        int          `json:"done"`
 	Failed      int          `json:"failed"`
 	CacheHits   int          `json:"cache_hits"`
@@ -329,13 +345,13 @@ func (m *Monitor) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		fmt.Fprintf(w, "# HELP vanguard_units_total Units enqueued on the engine.\n")
 		fmt.Fprintf(w, "# TYPE vanguard_units_total counter\nvanguard_units_total %d\n", p.Total)
-		fmt.Fprintf(w, "# HELP vanguard_units_done Units completed (including failures).\n")
+		fmt.Fprintf(w, "# HELP vanguard_units_done Units retired: computed, served from the run cache, failed or cancelled.\n")
 		fmt.Fprintf(w, "# TYPE vanguard_units_done gauge\nvanguard_units_done %d\n", p.Done)
 		fmt.Fprintf(w, "# HELP vanguard_units_failed Units that returned an error.\n")
 		fmt.Fprintf(w, "# TYPE vanguard_units_failed gauge\nvanguard_units_failed %d\n", p.Failed)
 		fmt.Fprintf(w, "# HELP vanguard_cache_hits_total Units served from the run cache.\n")
 		fmt.Fprintf(w, "# TYPE vanguard_cache_hits_total counter\nvanguard_cache_hits_total %d\n", p.CacheHits)
-		fmt.Fprintf(w, "# HELP vanguard_cache_misses_total Units computed because the run cache had no entry (includes failures).\n")
+		fmt.Fprintf(w, "# HELP vanguard_cache_misses_total Cacheable units whose run-cache probe found no entry (includes later failures and cancels; uncacheable units are not counted).\n")
 		fmt.Fprintf(w, "# TYPE vanguard_cache_misses_total counter\nvanguard_cache_misses_total %d\n", p.CacheMisses)
 		fmt.Fprintf(w, "# HELP vanguard_cache_corrupt_total Run-cache entries that did not decode and were recomputed (also counted as misses).\n")
 		fmt.Fprintf(w, "# TYPE vanguard_cache_corrupt_total counter\nvanguard_cache_corrupt_total %d\n", p.CacheCorrupt)
@@ -347,11 +363,11 @@ func (m *Monitor) Handler() http.Handler {
 		fmt.Fprintf(w, "# TYPE vanguard_queue_depth gauge\nvanguard_queue_depth %d\n", p.QueueDepth)
 		fmt.Fprintf(w, "# HELP vanguard_worker_busy_ratio Fraction of available worker-time spent executing units.\n")
 		fmt.Fprintf(w, "# TYPE vanguard_worker_busy_ratio gauge\nvanguard_worker_busy_ratio %g\n", p.BusyRatio)
-		fmt.Fprintf(w, "# HELP vanguard_unit_latency_ewma_seconds EWMA wall time of computed units.\n")
+		fmt.Fprintf(w, "# HELP vanguard_unit_latency_ewma_seconds EWMA wall time of units computed to completion.\n")
 		fmt.Fprintf(w, "# TYPE vanguard_unit_latency_ewma_seconds gauge\nvanguard_unit_latency_ewma_seconds %g\n", p.EWMAUnitMS/1000)
 		fmt.Fprintf(w, "# HELP vanguard_eta_seconds Estimated time to drain the remaining units.\n")
 		fmt.Fprintf(w, "# TYPE vanguard_eta_seconds gauge\nvanguard_eta_seconds %g\n", p.ETAMS/1000)
-		fmt.Fprintf(w, "# HELP vanguard_unit_latency_seconds Wall time of computed units.\n")
+		fmt.Fprintf(w, "# HELP vanguard_unit_latency_seconds Wall time of units computed to completion (not cache hits, failures or cancels).\n")
 		fmt.Fprintf(w, "# TYPE vanguard_unit_latency_seconds histogram\n")
 		var cum int64
 		if h := p.UnitLatencyUS; h != nil {

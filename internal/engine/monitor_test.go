@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"vanguard/internal/trace"
 )
 
 func getBody(t *testing.T, url string) string {
@@ -219,7 +221,7 @@ func TestMonitorStatusLineAndETA(t *testing.T) {
 	mon := NewMonitor()
 	mon.addRun(10, 2)
 	slot := mon.beginUnit("a")
-	mon.endUnit(slot, 100*time.Millisecond, false, false)
+	mon.endUnit(slot, 100*time.Millisecond, false, false, trace.SweepRetire)
 	p := mon.Snapshot()
 	if p.EWMAUnitMS != 100 {
 		t.Errorf("first sample must set the EWMA directly: %v", p.EWMAUnitMS)
@@ -229,7 +231,7 @@ func TestMonitorStatusLineAndETA(t *testing.T) {
 		t.Errorf("ETA = %v ms, want 450", p.ETAMS)
 	}
 	slot = mon.beginUnit("b")
-	mon.endUnit(slot, 200*time.Millisecond, false, false)
+	mon.endUnit(slot, 200*time.Millisecond, false, false, trace.SweepRetire)
 	if got := mon.Snapshot().EWMAUnitMS; got != 120 {
 		t.Errorf("EWMA after 100,200 = %v, want 0.8*100+0.2*200 = 120", got)
 	}
@@ -321,11 +323,11 @@ func TestMonitorHammer(t *testing.T) {
 				mon.ObserveAttr(map[string]int64{"base": 2, "br_mispredict": 1})
 				switch i % 4 {
 				case 0:
-					mon.endUnit(slot, time.Microsecond, false, true) // failed
+					mon.endUnit(slot, time.Microsecond, true, false, trace.SweepFail) // failed
 				case 1:
-					mon.endUnit(slot, time.Microsecond, true, false) // cache hit
+					mon.endUnit(slot, time.Microsecond, true, true, trace.SweepRetire) // cache hit
 				default:
-					mon.endUnit(slot, time.Microsecond, false, false) // computed
+					mon.endUnit(slot, time.Microsecond, true, false, trace.SweepRetire) // computed
 				}
 			}
 		}(g)
@@ -372,10 +374,10 @@ func TestSweepDashboard(t *testing.T) {
 	mon := NewMonitor()
 	mon.addRun(10, 4)
 	slot := mon.beginUnit("done-unit")
-	mon.endUnit(slot, 3*time.Millisecond, false, false) // computed
+	mon.endUnit(slot, 3*time.Millisecond, true, false, trace.SweepRetire) // computed
 	slot = mon.beginUnit("hit-unit")
-	mon.endUnit(slot, time.Millisecond, true, false) // cache hit
-	mon.beginUnit("live-unit")                       // stays active
+	mon.endUnit(slot, time.Millisecond, true, true, trace.SweepRetire) // cache hit
+	mon.beginUnit("live-unit")                                         // stays active
 
 	srv := httptest.NewServer(mon.Handler())
 	defer srv.Close()
@@ -416,4 +418,100 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.sb.String()
+}
+
+// TestMonitorMatchesStatsAndRecording attaches both observers to one
+// engine run and holds the monitor's books to the engine's own: its
+// hits, misses, failed and done counts must equal engine.Stats and the
+// sweep recording, with an empty queue at run end and only units computed
+// to completion in the latency histogram. A keyless unit under a warm
+// cache is neither a hit nor a miss; units a failure drains from the
+// queue, or cancels after dequeue, still retire.
+func TestMonitorMatchesStatsAndRecording(t *testing.T) {
+	ok := func(i int) func(context.Context) (int, error) {
+		return func(context.Context) (int, error) { return i, nil }
+	}
+	for _, tc := range []struct {
+		name string
+		jobs int
+		warm bool // run the units once before the observed run
+		// units builds the run; the failing unit, if any, is unit 0.
+		units func() []Unit[int]
+	}{
+		{"warm-with-keyless-unit", 2, true, func() []Unit[int] {
+			units := []Unit[int]{{Label: "keyless", Run: ok(-1)}}
+			for i := 0; i < 6; i++ {
+				units = append(units, Unit[int]{Label: fmt.Sprintf("u%d", i),
+					Key: Key(fmt.Sprintf("monitor-books-%d", i)), Run: ok(i)})
+			}
+			return units
+		}},
+		{"failing-jobs-4", 4, false, func() []Unit[int] {
+			// The other three workers hold a unit until the failure, so
+			// the queue still has units to drain when it comes.
+			var busy sync.WaitGroup
+			busy.Add(3)
+			units := []Unit[int]{{Label: "bad", Run: func(context.Context) (int, error) {
+				busy.Wait()
+				return 0, fmt.Errorf("boom")
+			}}}
+			for i := 1; i < 21; i++ {
+				units = append(units, Unit[int]{Label: fmt.Sprintf("u%d", i), Run: ok(i)})
+			}
+			for i := 1; i <= 3; i++ {
+				units[i].Run = func(ctx context.Context) (int, error) {
+					busy.Done()
+					<-ctx.Done()
+					return i, nil
+				}
+			}
+			return units
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			units := tc.units()
+			if tc.warm {
+				if _, _, err := Run(context.Background(), Config{Jobs: tc.jobs, Cache: cache}, units); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mon, rec := NewMonitor(), NewSweepRecorder()
+			cfg := Config{Jobs: tc.jobs, Cache: cache, Monitor: mon, Recorder: rec}
+			_, st, runErr := Run(context.Background(), cfg, units)
+			if (runErr != nil) == tc.warm {
+				t.Fatalf("run error = %v", runErr)
+			}
+			s := rec.Report()
+			if err := s.Check(); err != nil {
+				t.Fatal(err)
+			}
+			p := mon.Snapshot()
+
+			type books struct{ hits, misses, failed, done int }
+			failed := 0
+			if runErr != nil {
+				failed = 1
+			}
+			engine := books{st.CacheHits, st.CacheMisses, failed, len(st.Units)}
+			recording := books{s.CacheHits, s.CacheMisses, s.Failed, s.Units}
+			monitor := books{p.CacheHits, p.CacheMisses, p.Failed, p.Done}
+			if monitor != engine || monitor != recording {
+				t.Errorf("monitor %+v, engine.Stats %+v, recording %+v: must agree", monitor, engine, recording)
+			}
+			if p.QueueDepth != 0 || len(p.Workers) != 0 {
+				t.Errorf("after the run: queue_depth=%d active=%d, want 0/0", p.QueueDepth, len(p.Workers))
+			}
+			var monLat int64
+			if p.UnitLatencyUS != nil {
+				monLat = p.UnitLatencyUS.Count
+			}
+			if monLat != s.UnitLatency.Count {
+				t.Errorf("monitor latency histogram holds %d units, recording %d computed retires", monLat, s.UnitLatency.Count)
+			}
+		})
+	}
 }

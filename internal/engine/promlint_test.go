@@ -6,6 +6,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"vanguard/internal/trace"
 )
 
 var (
@@ -213,11 +215,11 @@ func TestMetricsPromFormat(t *testing.T) {
 	mon := NewMonitor()
 	mon.addRun(4, 2)
 	slot := mon.beginUnit("u")
-	mon.endUnit(slot, 0, false, false) // computed: a cache miss
+	mon.endUnit(slot, 0, true, false, trace.SweepRetire) // computed: a cache miss
 	slot = mon.beginUnit("u2")
-	mon.endUnit(slot, 0, true, false) // cache hit
+	mon.endUnit(slot, 0, true, true, trace.SweepRetire) // cache hit
 	slot = mon.beginUnit("u3")
-	mon.endUnit(slot, 0, false, true) // failed: also a cache miss
+	mon.endUnit(slot, 0, true, false, trace.SweepFail) // failed: also a cache miss
 	mon.ObserveAttr(map[string]int64{
 		"base":          100,
 		"br_mispredict": 40,

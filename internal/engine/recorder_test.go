@@ -233,7 +233,7 @@ func TestRecorderOffZeroAlloc(t *testing.T) {
 	}
 	small, big := measure(1), measure(101)
 	perUnit := (big - small) / 100
-	// The scalar path costs one allocation per unit (its done closure);
+	// The scalar path costs one allocation per unit (its finish closure);
 	// any recorder bookkeeping on the off path would push this up.
 	if perUnit > 1.5 {
 		t.Errorf("nil-recorder marginal cost = %.2f allocs/unit (1 unit: %.0f, 101 units: %.0f), want <= 1.5",

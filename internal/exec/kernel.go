@@ -9,13 +9,15 @@
 // property tests in kernel_test.go prove every compiled kernel
 // byte-equivalent to it on state, result and error for every opcode.
 //
-// On top of per-PC kernels, CompileProgram adds straight-line fusion for
-// the functional interpreter: maximal runs of non-control, non-memory,
-// non-poison-faulting instructions (pure register ops — they cannot
-// fault, branch, or touch memory) are compiled into one fused unit of
-// work that executes the whole run with a single PC update and no
-// per-instruction Result construction. The pipeline deliberately keeps
-// per-PC kernels only: fusing would merge issue slots and change timing.
+// Each pure register op (one that cannot fault, branch, halt or touch
+// memory) is defined once, by CompilePure, as its bare register effect;
+// its kernel wraps that closure with the PC update and Result. On top of
+// per-PC kernels, CompileProgram adds straight-line fusion for the
+// functional interpreter: maximal runs of pure ops execute back to back
+// through the same closures, with a single PC update and no
+// per-instruction Result construction. The pipeline issues a pure op
+// through its CompilePure form and every other op through its kernel; it
+// never fuses, because fusing would merge issue slots and change timing.
 package exec
 
 import (
@@ -51,207 +53,20 @@ func (d Dispatch) String() string {
 // callers steering PREDICT by a live predictor or oracle must use Step.
 type Kernel func(*State) (Result, error)
 
-// Compile compiles the instruction at pc into a Kernel. Unknown opcodes
-// are rejected here, at compile time, rather than surfacing as a step-time
-// error mid-simulation.
+// Compile compiles the instruction at pc into a Kernel. A pure op's
+// kernel wraps its CompilePure form, so each register effect is written
+// once. Unknown opcodes are rejected here, at compile time, rather than
+// surfacing as a step-time error mid-simulation.
 func Compile(ins *isa.Instr, pc int) (Kernel, error) {
 	next := pc + 1
+	if f := CompilePure(ins); f != nil {
+		return pureKernel(f, next), nil
+	}
 	d, s1, s2 := ins.Dst, ins.Src1, ins.Src2
 	imm := ins.Imm
 	tgt := ins.Target
 
 	switch ins.Op {
-	case isa.NOP:
-		return func(st *State) (Result, error) {
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-
-	case isa.ADD:
-		return func(st *State) (Result, error) {
-			st.set2(d, st.Regs[s1]+st.Regs[s2], s1, s2)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.SUB:
-		return func(st *State) (Result, error) {
-			st.set2(d, st.Regs[s1]-st.Regs[s2], s1, s2)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.MUL:
-		return func(st *State) (Result, error) {
-			st.set2(d, st.Regs[s1]*st.Regs[s2], s1, s2)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.DIV:
-		return func(st *State) (Result, error) {
-			var v int64
-			if dv := st.Regs[s2]; dv != 0 {
-				v = st.Regs[s1] / dv
-			}
-			st.set2(d, v, s1, s2)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.REM:
-		return func(st *State) (Result, error) {
-			var v int64
-			if dv := st.Regs[s2]; dv != 0 {
-				v = st.Regs[s1] % dv
-			}
-			st.set2(d, v, s1, s2)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.AND:
-		return func(st *State) (Result, error) {
-			st.set2(d, st.Regs[s1]&st.Regs[s2], s1, s2)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.OR:
-		return func(st *State) (Result, error) {
-			st.set2(d, st.Regs[s1]|st.Regs[s2], s1, s2)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.XOR:
-		return func(st *State) (Result, error) {
-			st.set2(d, st.Regs[s1]^st.Regs[s2], s1, s2)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.SHL:
-		return func(st *State) (Result, error) {
-			st.set2(d, st.Regs[s1]<<(uint64(st.Regs[s2])&63), s1, s2)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.SHR:
-		return func(st *State) (Result, error) {
-			st.set2(d, st.Regs[s1]>>(uint64(st.Regs[s2])&63), s1, s2)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.ADDI:
-		return func(st *State) (Result, error) {
-			st.set1(d, st.Regs[s1]+imm, s1)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.MULI:
-		return func(st *State) (Result, error) {
-			st.set1(d, st.Regs[s1]*imm, s1)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.ANDI:
-		return func(st *State) (Result, error) {
-			st.set1(d, st.Regs[s1]&imm, s1)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.LI:
-		return func(st *State) (Result, error) {
-			st.set0(d, imm)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.MOV, isa.FMOV:
-		return func(st *State) (Result, error) {
-			st.set1(d, st.Regs[s1], s1)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-
-	case isa.CMPEQ:
-		return func(st *State) (Result, error) {
-			st.set2(d, b2i(st.Regs[s1] == st.Regs[s2]), s1, s2)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.CMPNE:
-		return func(st *State) (Result, error) {
-			st.set2(d, b2i(st.Regs[s1] != st.Regs[s2]), s1, s2)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.CMPLT:
-		return func(st *State) (Result, error) {
-			st.set2(d, b2i(st.Regs[s1] < st.Regs[s2]), s1, s2)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.CMPLE:
-		return func(st *State) (Result, error) {
-			st.set2(d, b2i(st.Regs[s1] <= st.Regs[s2]), s1, s2)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.CMPGT:
-		return func(st *State) (Result, error) {
-			st.set2(d, b2i(st.Regs[s1] > st.Regs[s2]), s1, s2)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.CMPGE:
-		return func(st *State) (Result, error) {
-			st.set2(d, b2i(st.Regs[s1] >= st.Regs[s2]), s1, s2)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-
-	case isa.FADD:
-		return func(st *State) (Result, error) {
-			st.set2(d, fbits(st.F(s1)+st.F(s2)), s1, s2)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.FSUB:
-		return func(st *State) (Result, error) {
-			st.set2(d, fbits(st.F(s1)-st.F(s2)), s1, s2)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.FMUL:
-		return func(st *State) (Result, error) {
-			st.set2(d, fbits(st.F(s1)*st.F(s2)), s1, s2)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.FDIV:
-		return func(st *State) (Result, error) {
-			st.set2(d, fbits(st.F(s1)/st.F(s2)), s1, s2)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.FCMPLT:
-		return func(st *State) (Result, error) {
-			st.set2(d, b2i(st.F(s1) < st.F(s2)), s1, s2)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.FCMPGE:
-		return func(st *State) (Result, error) {
-			st.set2(d, b2i(st.F(s1) >= st.F(s2)), s1, s2)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.CVTIF:
-		return func(st *State) (Result, error) {
-			st.set1(d, fbits(float64(st.Regs[s1])), s1)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-	case isa.CVTFI:
-		return func(st *State) (Result, error) {
-			st.set1(d, int64(st.F(s1)), s1)
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
-
 	case isa.LD:
 		return func(st *State) (Result, error) {
 			if st.poison1(s1) {
@@ -368,10 +183,7 @@ func Compile(ins *isa.Instr, pc int) (Kernel, error) {
 		// it, and the interpreter routes oracle-steered PREDICTs through
 		// Step. Program results are independent of the choice by
 		// construction of the decomposed branch transformation.
-		return func(st *State) (Result, error) {
-			st.PC = next
-			return Result{NextPC: next}, nil
-		}, nil
+		return pureKernel(func(*State) {}, next), nil
 	case isa.RESOLVE:
 		expect := ins.Expect
 		return func(st *State) (Result, error) {
@@ -391,43 +203,23 @@ func Compile(ins *isa.Instr, pc int) (Kernel, error) {
 	return nil, fmt.Errorf("exec: cannot compile unknown opcode %s at pc %d", ins.Op.String(), pc)
 }
 
-// CompileImage compiles every instruction of an image into its per-PC
-// kernel. Any unknown opcode fails the whole compilation — a program that
-// cannot execute should be rejected before the machine starts stepping.
-func CompileImage(instrs []isa.Instr) ([]Kernel, error) {
-	ks := make([]Kernel, len(instrs))
-	for pc := range instrs {
-		k, err := Compile(&instrs[pc], pc)
-		if err != nil {
-			return nil, err
-		}
-		ks[pc] = k
+// pureKernel is the kernel of a pure op: its register effect f, then the
+// fall-through PC update.
+func pureKernel(f func(*State), next int) Kernel {
+	return func(st *State) (Result, error) {
+		f(st)
+		st.PC = next
+		return Result{NextPC: next}, nil
 	}
-	return ks, nil
 }
 
-// Fusable reports whether an opcode is legal inside a fused straight-line
-// run: it must be unable to fault (no poison consumption, no memory), to
-// transfer control, or to halt — the pure register-to-register subset of
-// the ISA. CMOV is excluded because consuming a poisoned condition is an
+// CompilePure compiles a pure register op into its bare register effect:
+// no Result, no error, no PC update — the caller (Compile's kernel, a
+// fused run, or the pipeline issue stage) owns those. It returns nil for
+// every other opcode, and that nil is the fusion legality rule: a pure op
+// cannot fault (no poison consumption, no memory), transfer control or
+// halt. CMOV is excluded because consuming a poisoned condition is an
 // architectural fault.
-func Fusable(op isa.Op) bool {
-	switch op {
-	case isa.NOP, isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.REM,
-		isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR,
-		isa.ADDI, isa.MULI, isa.ANDI, isa.LI, isa.MOV,
-		isa.CMPEQ, isa.CMPNE, isa.CMPLT, isa.CMPLE, isa.CMPGT, isa.CMPGE,
-		isa.FADD, isa.FSUB, isa.FMUL, isa.FDIV, isa.FMOV,
-		isa.FCMPLT, isa.FCMPGE, isa.CVTIF, isa.CVTFI:
-		return true
-	}
-	return false
-}
-
-// CompilePure compiles a fusable instruction into its bare register
-// effect: no Result, no error, no PC update — the caller (a fused run,
-// or the pipeline issue stage fast-pathing a known-pure op) owns those.
-// Returns nil for non-fusable opcodes.
 func CompilePure(ins *isa.Instr) func(*State) {
 	d, s1, s2 := ins.Dst, ins.Src1, ins.Src2
 	imm := ins.Imm
@@ -528,22 +320,27 @@ type fusedRun struct {
 }
 
 // CompileProgram compiles an image into per-PC kernels and fused
-// straight-line runs. It fails on any unknown opcode.
+// straight-line runs. A pure PC's kernel wraps the same CompilePure
+// closure its fused runs call. It fails on any unknown opcode.
 func CompileProgram(instrs []isa.Instr) (*Program, error) {
-	ks, err := CompileImage(instrs)
-	if err != nil {
-		return nil, err
-	}
-	p := &Program{Kernels: ks, fused: make([]fusedRun, len(instrs))}
-
-	// pure[pc] is the bare effect of each fusable instruction; fused
+	p := &Program{Kernels: make([]Kernel, len(instrs)), fused: make([]fusedRun, len(instrs))}
+	// pure[pc] is the bare effect of each pure instruction; fused
 	// suffixes are windows over this one slice, so compiling all suffixes
 	// of a run costs one closure per covered PC, not O(n^2).
 	pure := make([]func(*State), len(instrs))
 	for pc := range instrs {
-		pure[pc] = CompilePure(&instrs[pc])
+		if f := CompilePure(&instrs[pc]); f != nil {
+			pure[pc] = f
+			p.Kernels[pc] = pureKernel(f, pc+1)
+			continue
+		}
+		k, err := Compile(&instrs[pc], pc)
+		if err != nil {
+			return nil, err
+		}
+		p.Kernels[pc] = k
 	}
-	// Scan backward: runLen[pc] = 1 + runLen[pc+1] while fusable.
+	// Scan backward: runLen[pc] = 1 + runLen[pc+1] while pure.
 	runLen := 0
 	for pc := len(instrs) - 1; pc >= 0; pc-- {
 		if pure[pc] == nil {

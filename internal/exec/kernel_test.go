@@ -183,9 +183,6 @@ func checkKernelStep(t *testing.T, ins isa.Instr, pc int, seed int64) {
 	}
 
 	pure := CompilePure(&ins)
-	if (pure != nil) != Fusable(ins.Op) {
-		t.Fatalf("%v: CompilePure non-nil = %v, but Fusable = %v", ins, pure != nil, Fusable(ins.Op))
-	}
 	if pure == nil {
 		return
 	}
@@ -214,8 +211,8 @@ func TestKernelPredictNotTaken(t *testing.T) {
 }
 
 // TestCompileRejectsUnknownOpcode: the compiler refuses unknown opcodes
-// at compile time, naming the opcode and PC, and CompileImage /
-// CompileProgram propagate the rejection.
+// at compile time, naming the opcode and PC, and CompileProgram
+// propagates the rejection.
 func TestCompileRejectsUnknownOpcode(t *testing.T) {
 	bad := isa.Instr{Op: isa.Op(200)}
 	if _, err := Compile(&bad, 3); err == nil {
@@ -224,9 +221,6 @@ func TestCompileRejectsUnknownOpcode(t *testing.T) {
 		t.Fatalf("rejection must name the opcode and pc: %v", err)
 	}
 	img := []isa.Instr{{Op: isa.NOP}, bad}
-	if _, err := CompileImage(img); err == nil {
-		t.Fatal("CompileImage must propagate the rejection")
-	}
 	if _, err := CompileProgram(img); err == nil {
 		t.Fatal("CompileProgram must propagate the rejection")
 	}
@@ -298,23 +292,22 @@ func TestDivRemByZeroSpecPin(t *testing.T) {
 	}
 }
 
-// TestFusableLegality pins the fusion legality rule: only instructions
-// that can neither fault, touch memory, transfer control, nor halt may
-// join a fused run. CMOV is the interesting exclusion — it poison-faults
-// on its condition.
+// isFusable reports whether op joins fused runs: CompilePure compiles it.
+func isFusable(op isa.Op) bool { return CompilePure(&isa.Instr{Op: op}) != nil }
+
+// TestFusableLegality pins the fusion legality rule over every opcode:
+// CompilePure compiles exactly the instructions that can neither fault,
+// touch memory, transfer control, nor halt, and only those may join a
+// fused run. CMOV is the interesting exclusion — it poison-faults on its
+// condition.
 func TestFusableLegality(t *testing.T) {
-	illegal := []isa.Op{isa.LD, isa.LDS, isa.ST, isa.CMOV, isa.BR, isa.JMP,
-		isa.CALL, isa.RET, isa.HALT, isa.PREDICT, isa.RESOLVE, isa.Op(200)}
-	for _, op := range illegal {
-		if Fusable(op) {
-			t.Errorf("%v must not be fusable", op)
-		}
-	}
-	legal := []isa.Op{isa.NOP, isa.ADD, isa.DIV, isa.REM, isa.LI, isa.MOV,
-		isa.CMPEQ, isa.FADD, isa.FDIV, isa.CVTIF, isa.CVTFI}
-	for _, op := range legal {
-		if !Fusable(op) {
-			t.Errorf("%v must be fusable", op)
+	illegal := map[isa.Op]bool{isa.LD: true, isa.LDS: true, isa.ST: true,
+		isa.CMOV: true, isa.BR: true, isa.JMP: true, isa.CALL: true,
+		isa.RET: true, isa.HALT: true, isa.PREDICT: true, isa.RESOLVE: true}
+	for _, op := range append(allOps(), isa.Op(200)) {
+		want := !illegal[op] && op <= isa.RESOLVE
+		if got := isFusable(op); got != want {
+			t.Errorf("%v: CompilePure non-nil = %v, want %v", op, got, want)
 		}
 	}
 }
@@ -322,11 +315,12 @@ func TestFusableLegality(t *testing.T) {
 // randomFusableBlock builds a straight-line image: n random fusable
 // instructions followed by a HALT.
 func randomFusableBlock(r *rand.Rand, n int) []isa.Instr {
-	fusable := []isa.Op{isa.NOP, isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.REM,
-		isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR, isa.ADDI, isa.MULI,
-		isa.ANDI, isa.LI, isa.MOV, isa.CMPEQ, isa.CMPNE, isa.CMPLT,
-		isa.CMPLE, isa.CMPGT, isa.CMPGE, isa.FADD, isa.FSUB, isa.FMUL,
-		isa.FDIV, isa.FMOV, isa.FCMPLT, isa.FCMPGE, isa.CVTIF, isa.CVTFI}
+	var fusable []isa.Op
+	for _, op := range allOps() {
+		if isFusable(op) {
+			fusable = append(fusable, op)
+		}
+	}
 	img := make([]isa.Instr, 0, n+1)
 	for i := 0; i < n; i++ {
 		img = append(img, randomInstr(r, fusable[r.Intn(len(fusable))]))
@@ -448,10 +442,11 @@ func BenchmarkStepSwitch(b *testing.B) {
 }
 
 func BenchmarkStepKernel(b *testing.B) {
-	kernels, err := CompileImage(benchImage)
+	prog, err := CompileProgram(benchImage)
 	if err != nil {
 		b.Fatal(err)
 	}
+	kernels := prog.Kernels
 	st := benchState()
 	n := len(benchImage)
 	b.ReportAllocs()

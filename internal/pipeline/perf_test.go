@@ -6,10 +6,12 @@ import (
 	"testing"
 	"unsafe"
 
+	"vanguard/internal/exec"
 	"vanguard/internal/interp"
 	"vanguard/internal/ir"
 	"vanguard/internal/isa"
 	"vanguard/internal/mem"
+	"vanguard/internal/workload"
 )
 
 // allocProbeProgram is a long-running loop with data-dependent branches,
@@ -70,6 +72,32 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 func TestPredecodedIs32Bytes(t *testing.T) {
 	if n := unsafe.Sizeof(predecoded{}); n != 32 {
 		t.Fatalf("predecoded entry is %d bytes, want 32", n)
+	}
+}
+
+// TestPredecodeAllocs pins what predecode builds per instruction: one
+// closure, the form the issue stage calls (a pure op's CompilePure form,
+// or else its kernel), never both. On real benchmark images that is at
+// most one allocation per instruction plus the Program and its table.
+func TestPredecodeAllocs(t *testing.T) {
+	for _, c := range []workload.Config{workload.Int2006()[0], workload.FP2006()[0]} {
+		prog, _ := c.Generate(workload.TrainInput())
+		im := ir.MustLinearize(prog)
+		pure := 0
+		for pc := range im.Instrs {
+			if exec.CompilePure(&im.Instrs[pc]) != nil {
+				pure++
+			}
+		}
+		const slack = 4
+		if pure <= slack {
+			t.Fatalf("%s: %d pure ops cannot tell one closure per op from two", c.Name, pure)
+		}
+		allocs := testing.AllocsPerRun(5, func() { Predecode(im) })
+		if limit := float64(len(im.Instrs) + slack); allocs > limit {
+			t.Errorf("%s: Predecode made %v allocations for %d instructions (%d pure), want at most %v",
+				c.Name, allocs, len(im.Instrs), pure, limit)
+		}
 	}
 }
 

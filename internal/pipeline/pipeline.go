@@ -75,18 +75,20 @@ func Predecode(im *ir.Image) *Program {
 // isa switches per issued instruction. Built once per Program; the image
 // is immutable for the life of every run over it.
 type predecoded struct {
-	// kernel is the instruction's compiled semantics (exec.Compile): one
-	// direct-through-pointer call replaces exec.Step's megamorphic opcode
-	// switch in the issue stage. nil only for an opcode the compiler
-	// rejected; predecode surfaces that as its error and Run refuses to
-	// start under kernel dispatch (switch dispatch keeps the reference
-	// step-time fault behavior).
-	kernel exec.Kernel
 	// pure is the no-Result/no-error form of a pure register op
 	// (exec.CompilePure; nil otherwise): such an op cannot fault, touch
-	// memory, or issue a speculation point, so the issue stage skips the
-	// kernel's Result construction and error check entirely.
+	// memory, or issue a speculation point, so the issue stage calls it
+	// and skips a kernel's Result construction and error check entirely.
 	pure func(*exec.State)
+	// kernel is the compiled semantics (exec.Compile) of every other op:
+	// one direct-through-pointer call replaces exec.Step's megamorphic
+	// opcode switch in the issue stage. Only one of pure and kernel is
+	// built per PC, the one the issue stage calls. kernel is nil for a
+	// pure op and for an opcode the compiler rejected; predecode surfaces
+	// the rejection as its error and Run refuses to start under kernel
+	// dispatch (switch dispatch keeps the reference step-time fault
+	// behavior).
+	kernel exec.Kernel
 	// uses are the source operands as scoreboard slots: a register's own
 	// index, or noRegSlot (always ready) for an unused operand.
 	uses  [3]isa.Reg
@@ -95,7 +97,7 @@ type predecoded struct {
 	fu    isa.FU
 	flags uint8
 	// run is the number of instructions from this PC up to the next
-	// front-end control op (fetchControl) or the end of the fetch line,
+	// control op (isa.Instr.IsControl) or the end of the fetch line,
 	// whichever comes first; 0 at a control op. Fetch pushes a run with
 	// one bounds, line and op check.
 	run     uint8
@@ -111,17 +113,6 @@ const noRegSlot = isa.Reg(isa.NumRegs)
 // per 64-byte line it enters.
 const fetchLine = 64
 
-// fetchControl reports whether fetch handles op on its own rather than as
-// part of a straight-line run: the ops that redirect or stop fetch, push
-// the RAS, or take a predictor or DBB checkpoint.
-func fetchControl(op isa.Op) bool {
-	switch op {
-	case isa.JMP, isa.CALL, isa.RET, isa.BR, isa.PREDICT, isa.RESOLVE, isa.HALT:
-		return true
-	}
-	return false
-}
-
 // predecoded.flags bits.
 const (
 	pdLoad  uint8 = 1 << iota // LD or LDS
@@ -129,12 +120,12 @@ const (
 	pdSpec                    // BR, RESOLVE or RET: issues a speculation point
 )
 
-// predecode builds the per-PC table, compiling each instruction's kernel
-// along the way. The returned error is the first kernel-compile failure
-// (an unknown opcode); the table itself is still fully built — under
-// switch dispatch the machine runs it exactly as before (the bad opcode
-// faults at step time, the reference behavior), while kernel dispatch
-// refuses to start.
+// predecode builds the per-PC table, compiling each instruction along
+// the way: a pure op's CompilePure form, or else its kernel. The returned
+// error is the first kernel-compile failure (an unknown opcode); the
+// table itself is still fully built — under switch dispatch the machine
+// runs it exactly as before (the bad opcode faults at step time, the
+// reference behavior), while kernel dispatch refuses to start.
 func predecode(im *ir.Image) ([]predecoded, error) {
 	instrs := im.Instrs
 	pre := make([]predecoded, len(instrs))
@@ -162,18 +153,21 @@ func predecode(im *ir.Image) ([]predecoded, error) {
 		if op := ins.Op; op == isa.BR || op == isa.RESOLVE || op == isa.RET {
 			p.flags |= pdSpec
 		}
-		k, err := exec.Compile(ins, pc)
-		if err != nil && firstErr == nil {
-			firstErr = err
+		if p.pure = exec.CompilePure(ins); p.pure == nil {
+			k, err := exec.Compile(ins, pc)
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
+			p.kernel = k
 		}
-		p.kernel = k
-		p.pure = exec.CompilePure(ins)
 	}
-	// Runs, back to front: a run stops before a control op and at the
-	// last instruction of a fetch line or of the image.
+	// Runs, back to front: a run stops before a control op (the ops fetch
+	// handles on its own: they redirect or stop fetch, push the RAS, or
+	// take a predictor or DBB checkpoint) and at the last instruction of a
+	// fetch line or of the image.
 	for pc := len(pre) - 1; pc >= 0; pc-- {
 		switch {
-		case fetchControl(pre[pc].op):
+		case instrs[pc].IsControl():
 			pre[pc].run = 0
 		case pc+1 == len(pre) || im.PCAddr(pc+1)%fetchLine == 0:
 			pre[pc].run = 1
