@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet race bench-module bench bench-all bench-diff bench-json results results-full attr-gate sim-gate staticcheck pipeview-gate kernel-gate sweep-gate bpred-gate sched-gate fuzz-smoke gate-patterns doc-refs
+.PHONY: all build test check fmt vet race bench-module bench bench-all bench-diff bench-json results results-full attr-gate sim-gate staticcheck pipeview-gate kernel-gate sweep-gate bpred-gate sched-gate core-gate fuzz-smoke gate-patterns doc-refs
 
 # Pinned staticcheck version: `go run` resolves it through the module
 # proxy, so the exact analyzer version is reproducible everywhere.
@@ -100,6 +100,18 @@ SCHED_GATE_PKGS := ./internal/sched/
 sched-gate:
 	$(GO) test -count 1 -run '$(SCHED_GATE_RUN)' $(SCHED_GATE_PKGS)
 
+# Core gate: the liveness the transformation passes maintain across
+# their edits against a from-scratch recomputation after every hoist,
+# decomposition and if-conversion of every int2006 and fp2006 TRAIN
+# program, the per-edit allocation bound of speculation plus
+# transformation on gobmk and gcc, the passes' structure and semantics
+# tests, and the seeds of the transform-preserves-semantics fuzz target,
+# uncached.
+CORE_GATE_RUN := TestMaintainedLivenessExact|TestLiveness|TestBuildAllocs|TestTransform|TestSpeculate|TestIfConvert|FuzzTransformPreservesSemantics
+CORE_GATE_PKGS := ./internal/ir/ ./internal/core/
+core-gate:
+	$(GO) test -count 1 -run '$(CORE_GATE_RUN)' $(CORE_GATE_PKGS)
+
 # Simulator gate: frozen-cycle skipping against the per-cycle stepper
 # (Stats JSON with every observer section, error, final memory and event
 # stream) on random loops under every machine variation and on every
@@ -145,6 +157,7 @@ gate-patterns:
 	check '$(SWEEP_GATE_RUN)' '$(SWEEP_GATE_PKGS)' && \
 	check '$(BPRED_GATE_RUN)' '$(BPRED_GATE_PKGS)' && \
 	check '$(SCHED_GATE_RUN)' '$(SCHED_GATE_PKGS)' && \
+	check '$(CORE_GATE_RUN)' '$(CORE_GATE_PKGS)' && \
 	check '$(SIM_GATE_RUN)' '$(SIM_GATE_PKGS)' && \
 	check '$(ATTR_GATE_RUN)' '$(ATTR_GATE_PKGS)' && \
 	check '$(PIPEVIEW_GATE_RUN)' '$(PIPEVIEW_GATE_PKGS)' && \
@@ -171,7 +184,7 @@ bench-module:
 	cd bench && GOFLAGS= $(GO) vet ./... && GOFLAGS= $(GO) test ./...
 
 # Pre-PR gate: run this before every commit.
-check: fmt vet build staticcheck gate-patterns doc-refs bench-module kernel-gate sweep-gate bpred-gate sched-gate sim-gate attr-gate pipeview-gate fuzz-smoke race
+check: fmt vet build staticcheck gate-patterns doc-refs bench-module kernel-gate sweep-gate bpred-gate sched-gate core-gate sim-gate attr-gate pipeview-gate fuzz-smoke race
 
 # Attribution-conservation gate: every attributed fast-suite simulation
 # must charge exactly cycles x width issue slots (pipeline invariant

@@ -103,6 +103,11 @@ func (r *Report) PBC() float64 {
 // Transform applies the decomposed branch transformation in place to every
 // profitable branch in p, most-executed first.
 func Transform(p *ir.Program, prof *profile.Profile, opt Options) (*Report, error) {
+	return newPass(p).transform(prof, opt)
+}
+
+func (ps *pass) transform(prof *profile.Profile, opt Options) (*Report, error) {
+	p := ps.p
 	rep := &Report{Skipped: make(map[int]string), StaticBefore: p.NumInstrs()}
 
 	// Rank candidates by the selection heuristic.
@@ -138,7 +143,7 @@ func Transform(p *ir.Program, prof *profile.Profile, opt Options) (*Report, erro
 			rep.Skipped[cand.ID] = "branch not found in IR"
 			continue
 		}
-		conv, reason := decompose(p.Funcs[fi], bi, cand, opt)
+		conv, reason := ps.decompose(fi, bi, cand, opt)
 		if conv == nil {
 			rep.Skipped[cand.ID] = reason
 			continue
@@ -151,6 +156,55 @@ func Transform(p *ir.Program, prof *profile.Profile, opt Options) (*Report, erro
 		return rep, fmt.Errorf("core: transformed program invalid: %w", err)
 	}
 	return rep, nil
+}
+
+// pass is the state one whole-program pass keeps across its edits: the
+// maintained liveness of each function it has queried. Every edit site
+// invalidates the blocks it rewrote, and remaps block numbers when it
+// inserted or deleted blocks, so the liveness the next candidate sees
+// equals ir.ComputeLiveness of the function as edited so far.
+type pass struct {
+	p    *ir.Program
+	live []*ir.Liveness // by function index; nil until first queried
+	// checkLive, when set (tests only), runs after every edit with the
+	// edited function and its maintained liveness brought up to date.
+	checkLive func(f *ir.Func, lv *ir.Liveness)
+}
+
+func newPass(p *ir.Program) *pass {
+	return &pass{p: p, live: make([]*ir.Liveness, len(p.Funcs))}
+}
+
+// liveness returns the liveness of function fi, up to date with every
+// edit recorded so far.
+func (ps *pass) liveness(fi int) *ir.Liveness {
+	f := ps.p.Funcs[fi]
+	if ps.live[fi] == nil {
+		ps.live[fi] = ir.ComputeLiveness(f)
+	} else {
+		ps.live[fi].Update(f)
+	}
+	return ps.live[fi]
+}
+
+// edited is called by every edit site once it has recorded its
+// invalidations in the liveness of function fi.
+func (ps *pass) edited(fi int) {
+	if ps.checkLive != nil {
+		ps.checkLive(ps.p.Funcs[fi], ps.liveness(fi))
+	}
+}
+
+// retarget renumbers the block target of blk's terminator, the one
+// instruction of a block that can carry one, after blocks were inserted
+// or deleted.
+func retarget(blk *ir.Block, to func(int) int) {
+	if t, ok := blk.Terminator(); ok {
+		switch t.Op {
+		case isa.BR, isa.JMP, isa.PREDICT, isa.RESOLVE:
+			blk.Instrs[len(blk.Instrs)-1].Target = to(t.Target)
+		}
+	}
 }
 
 // findBranch locates the block ending in the BR with the given ID.

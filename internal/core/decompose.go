@@ -6,9 +6,10 @@ import (
 	"vanguard/internal/profile"
 )
 
-// decompose rewrites the branch terminating f.Blocks[a]. It returns nil and
-// a reason when the branch is structurally ineligible.
-func decompose(f *ir.Func, a int, cand *profile.Branch, opt Options) (*Converted, string) {
+// decompose rewrites the branch terminating block a of function fi. It
+// returns nil and a reason when the branch is structurally ineligible.
+func (ps *pass) decompose(fi, a int, cand *profile.Branch, opt Options) (*Converted, string) {
+	f := ps.p.Funcs[fi]
 	blk := f.Blocks[a]
 	term, ok := blk.Terminator()
 	if !ok || term.Op != isa.BR {
@@ -21,11 +22,11 @@ func decompose(f *ir.Func, a int, cand *profile.Branch, opt Options) (*Converted
 	if b >= len(f.Blocks) || c >= len(f.Blocks) {
 		return nil, "successor out of range"
 	}
-	preds := f.Preds()
-	if len(preds[b]) != 1 || preds[b][0] != a {
+	// a is a predecessor of both.
+	if f.NumPreds(b) != 1 {
 		return nil, "fall-through successor has multiple predecessors"
 	}
-	if len(preds[c]) != 1 || preds[c][0] != a {
+	if f.NumPreds(c) != 1 {
 		return nil, "taken successor has multiple predecessors"
 	}
 	condReg := term.Src1
@@ -40,7 +41,7 @@ func decompose(f *ir.Func, a int, cand *profile.Branch, opt Options) (*Converted
 		}
 	}
 
-	lv := ir.ComputeLiveness(f)
+	lv := ps.liveness(fi)
 	liveB, liveC := lv.In[b], lv.In[c]
 
 	// Condition slice push-down (optional; correctness never depends on it).
@@ -60,6 +61,7 @@ func decompose(f *ir.Func, a int, cand *profile.Branch, opt Options) (*Converted
 
 	// ---- build the new blocks (targets in new-index space) ----
 	// New layout: [0..a-1] A BA' B' [b+1..c-1] CA' C' [c+1..] Correct-C Correct-B
+	n := len(f.Blocks)
 	mapIdx := func(i int) int {
 		n := i
 		if i > a {
@@ -72,7 +74,10 @@ func decompose(f *ir.Func, a int, cand *profile.Branch, opt Options) (*Converted
 	}
 	caIdx := mapIdx(c) - 1
 	bPrimeIdx, cPrimeIdx := mapIdx(b), mapIdx(c)
-	corrCIdx, corrBIdx := len(f.Blocks)+2, len(f.Blocks)+3
+	corrCIdx, corrBIdx := n+2, n+3
+	if mapIdx(n-1)+1 != corrCIdx {
+		return nil, "internal: surgery produced wrong block count"
+	}
 
 	newA := &ir.Block{Label: blk.Label, Instrs: append(append([]isa.Instr{}, rest...),
 		ir.Predict(caIdx, term.BranchID))}
@@ -91,39 +96,25 @@ func decompose(f *ir.Func, a int, cand *profile.Branch, opt Options) (*Converted
 	corrB := &ir.Block{Label: blk.Label + ".correct-b",
 		Instrs: append(unspeculate(hb.hoisted), ir.Jmp(bPrimeIdx))}
 
-	// ---- remap the rest of the function and assemble ----
-	remap := func(blkp *ir.Block) *ir.Block {
-		nb := &ir.Block{Label: blkp.Label, Instrs: append([]isa.Instr{}, blkp.Instrs...)}
-		for i := range nb.Instrs {
-			switch nb.Instrs[i].Op {
-			case isa.BR, isa.JMP, isa.PREDICT, isa.RESOLVE:
-				nb.Instrs[i].Target = mapIdx(nb.Instrs[i].Target)
-			}
-		}
-		return nb
+	// ---- renumber in place and assemble ----
+	// Blocks after A move up (mapIdx(i) >= i, so high to low never
+	// overwrites a block not yet moved); every block that came from the
+	// old function, B' and C' included, has its terminator renumbered.
+	f.Blocks = append(f.Blocks, nil, nil, nil, nil)
+	for i := n - 1; i > a; i-- {
+		f.Blocks[mapIdx(i)] = f.Blocks[i]
 	}
-	// B'/C' terminators may target remapped blocks too.
-	bPrime = remap(bPrime)
-	cPrime = remap(cPrime)
-
-	var out []*ir.Block
-	for i, ob := range f.Blocks {
-		switch i {
-		case a:
-			out = append(out, newA, ba, bPrime)
-		case b:
-			// replaced by bPrime above
-		case c:
-			out = append(out, ca, cPrime)
-		default:
-			out = append(out, remap(ob))
+	f.Blocks[a], f.Blocks[a+1], f.Blocks[bPrimeIdx] = newA, ba, bPrime
+	f.Blocks[caIdx], f.Blocks[cPrimeIdx] = ca, cPrime
+	f.Blocks[corrCIdx], f.Blocks[corrBIdx] = corrC, corrB
+	for i, nb := range f.Blocks[:corrCIdx] {
+		if i != a && i != a+1 && i != caIdx {
+			retarget(nb, mapIdx)
 		}
 	}
-	out = append(out, corrC, corrB)
-	if len(out) != len(f.Blocks)+4 {
-		return nil, "internal: surgery produced wrong block count"
-	}
-	f.Blocks = out
+	lv.Remap(len(f.Blocks), mapIdx)
+	lv.Invalidate(a, bPrimeIdx, cPrimeIdx)
+	ps.edited(fi)
 
 	return &Converted{
 		ID:             term.BranchID,

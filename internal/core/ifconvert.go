@@ -42,6 +42,11 @@ type IfConvertReport struct {
 
 // IfConvertBranches predicates every profitable unpredictable hammock.
 func IfConvertBranches(p *ir.Program, prof *profile.Profile, opt IfConvertOptions) (*IfConvertReport, error) {
+	return newPass(p).ifConvert(prof, opt)
+}
+
+func (ps *pass) ifConvert(prof *profile.Profile, opt IfConvertOptions) (*IfConvertReport, error) {
+	p := ps.p
 	rep := &IfConvertReport{Skipped: make(map[int]string)}
 	var ids []int
 	for id, b := range prof.ByID {
@@ -61,7 +66,7 @@ func IfConvertBranches(p *ir.Program, prof *profile.Profile, opt IfConvertOption
 			rep.Skipped[id] = "branch not found in IR"
 			continue
 		}
-		if reason := ifConvertOne(p.Funcs[fi], bi, opt); reason != "" {
+		if reason := ps.ifConvertOne(fi, bi, opt); reason != "" {
 			rep.Skipped[id] = reason
 			continue
 		}
@@ -73,15 +78,17 @@ func IfConvertBranches(p *ir.Program, prof *profile.Profile, opt IfConvertOption
 	return rep, nil
 }
 
-// ifConvertOne flattens the hammock at block a. The required shape is the
-// layout the generators (and most compilers) produce:
+// ifConvertOne flattens the hammock at block a of function fi. The
+// required shape is the layout the generators (and most compilers)
+// produce:
 //
 //	a:   [body] br cond -> c
 //	b:   [arm] jmp j        (b = a+1)
 //	c:   [arm]              (c = b+1, falls through to j = c+1)
 //
 // Returns "" on success or a skip reason.
-func ifConvertOne(f *ir.Func, a int, opt IfConvertOptions) string {
+func (ps *pass) ifConvertOne(fi, a int, opt IfConvertOptions) string {
+	f := ps.p.Funcs[fi]
 	blk := f.Blocks[a]
 	term, ok := blk.Terminator()
 	if !ok || term.Op != isa.BR {
@@ -94,8 +101,7 @@ func ifConvertOne(f *ir.Func, a int, opt IfConvertOptions) string {
 	if c+1 >= len(f.Blocks) {
 		return "no join block"
 	}
-	preds := f.Preds()
-	if len(preds[b]) != 1 || len(preds[c]) != 1 {
+	if f.NumPreds(b) != 1 || f.NumPreds(c) != 1 {
 		return "arm has multiple predecessors"
 	}
 	bTerm, ok := f.Blocks[b].Terminator()
@@ -120,7 +126,7 @@ func ifConvertOne(f *ir.Func, a int, opt IfConvertOptions) string {
 	}
 	cond := term.Src1
 
-	lv := ir.ComputeLiveness(f)
+	lv := ps.liveness(fi)
 	liveJoin := lv.In[c+1]
 	temps := newTempPool(f, a, b, c, lv)
 
@@ -224,24 +230,23 @@ func ifConvertOne(f *ir.Func, a int, opt IfConvertOptions) string {
 		}
 		return i
 	}
-	var out []*ir.Block
-	for i, ob := range f.Blocks {
-		switch i {
-		case a:
-			out = append(out, merged)
-		case b, c:
-			// removed
-		default:
-			nb := &ir.Block{Label: ob.Label, Instrs: append([]isa.Instr{}, ob.Instrs...)}
-			for k := range nb.Instrs {
-				switch nb.Instrs[k].Op {
-				case isa.BR, isa.JMP, isa.PREDICT, isa.RESOLVE:
-					nb.Instrs[k].Target = mapIdx(nb.Instrs[k].Target)
-				}
-			}
-			out = append(out, nb)
+	n := len(f.Blocks)
+	f.Blocks[a] = merged
+	copy(f.Blocks[b:], f.Blocks[c+1:])
+	clear(f.Blocks[n-2:])
+	f.Blocks = f.Blocks[:n-2]
+	for i, nb := range f.Blocks {
+		if i != a {
+			retarget(nb, mapIdx)
 		}
 	}
-	f.Blocks = out
+	lv.Remap(len(f.Blocks), func(i int) int {
+		if i == b || i == c {
+			return -1
+		}
+		return mapIdx(i)
+	})
+	lv.Invalidate(a)
+	ps.edited(fi)
 	return ""
 }

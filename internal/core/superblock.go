@@ -35,6 +35,11 @@ type SpeculateReport struct {
 
 // SpeculateBiasedBranches applies the pass in place.
 func SpeculateBiasedBranches(p *ir.Program, prof *profile.Profile, opt SpeculateOptions) (*SpeculateReport, error) {
+	return newPass(p).speculate(prof, opt)
+}
+
+func (ps *pass) speculate(prof *profile.Profile, opt SpeculateOptions) (*SpeculateReport, error) {
+	p := ps.p
 	rep := &SpeculateReport{}
 	var ids []int
 	for id, b := range prof.ByID {
@@ -48,7 +53,7 @@ func SpeculateBiasedBranches(p *ir.Program, prof *profile.Profile, opt Speculate
 		if fi < 0 {
 			continue
 		}
-		if n := speculateOne(p.Funcs[fi], bi, prof.ByID[id], opt); n > 0 {
+		if n := ps.speculateOne(fi, bi, prof.ByID[id], opt); n > 0 {
 			rep.Speculated = append(rep.Speculated, id)
 			rep.Hoisted += n
 		}
@@ -60,8 +65,10 @@ func SpeculateBiasedBranches(p *ir.Program, prof *profile.Profile, opt Speculate
 }
 
 // speculateOne hoists from the dominant successor of the branch ending
-// f.Blocks[a] into A, above the branch. Returns instructions hoisted.
-func speculateOne(f *ir.Func, a int, prof *profile.Branch, opt SpeculateOptions) int {
+// block a of function fi into A, above the branch. Returns instructions
+// hoisted.
+func (ps *pass) speculateOne(fi, a int, prof *profile.Branch, opt SpeculateOptions) int {
+	f := ps.p.Funcs[fi]
 	blk := f.Blocks[a]
 	term, ok := blk.Terminator()
 	if !ok || term.Op != isa.BR {
@@ -79,8 +86,7 @@ func speculateOne(f *ir.Func, a int, prof *profile.Branch, opt SpeculateOptions)
 	} else {
 		hot, cold = c, b
 	}
-	preds := f.Preds()
-	if len(preds[hot]) != 1 || preds[hot][0] != a {
+	if f.NumPreds(hot) != 1 { // a is one of them
 		return 0
 	}
 	for _, bi := range []int{a, hot} {
@@ -90,7 +96,7 @@ func speculateOne(f *ir.Func, a int, prof *profile.Branch, opt SpeculateOptions)
 			}
 		}
 	}
-	lv := ir.ComputeLiveness(f)
+	lv := ps.liveness(fi)
 	temps := newTempPool(f, a, hot, cold, lv)
 	sel := selectHoist(f.Blocks[hot], lv.In[cold], term.Src1, temps, opt.MaxHoist)
 	if len(sel.hoisted) == 0 {
@@ -100,5 +106,7 @@ func speculateOne(f *ir.Func, a int, prof *profile.Branch, opt SpeculateOptions)
 	body := blk.Instrs[:len(blk.Instrs)-1]
 	blk.Instrs = concat(body, sel.hoisted, []isa.Instr{term})
 	f.Blocks[hot].Instrs = concat(sel.movs, sel.rest, nil)
+	lv.Invalidate(a, hot)
+	ps.edited(fi)
 	return len(sel.hoisted)
 }

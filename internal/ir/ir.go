@@ -62,78 +62,98 @@ func (f *Func) NumInstrs() int {
 	return n
 }
 
-// Succs returns the successor block indices of block i, in order
-// (taken target first for conditional control flow, then fall-through).
-// RET and HALT have no successors; CALL's successor is its fall-through
-// (the call edge is interprocedural and not part of the function CFG).
-func (f *Func) Succs(i int) []int {
-	b := f.Blocks[i]
-	term, ok := b.Terminator()
-	if !ok { // plain fall-through
-		if i+1 < len(f.Blocks) {
-			return []int{i + 1}
-		}
-		return nil
-	}
-	switch term.Op {
-	case isa.JMP:
-		return []int{term.Target}
-	case isa.BR, isa.RESOLVE, isa.PREDICT:
-		s := []int{term.Target}
-		if i+1 < len(f.Blocks) {
-			s = append(s, i+1)
-		}
-		return s
-	case isa.CALL:
-		if i+1 < len(f.Blocks) {
-			return []int{i + 1}
-		}
-		return nil
+// Succs returns the successor block indices of block i in s[:n], in
+// order (taken target first for conditional control flow, then
+// fall-through). RET and HALT have no successors; CALL's successor is its
+// fall-through (the call edge is interprocedural and not part of the
+// function CFG). It does not allocate.
+func (f *Func) Succs(i int) (s [2]int, n int) {
+	term, ok := f.Blocks[i].Terminator()
+	switch {
+	case !ok || term.Op == isa.CALL: // plain fall-through
+	case term.Op == isa.JMP:
+		return [2]int{term.Target}, 1
+	case term.Op == isa.BR || term.Op == isa.RESOLVE || term.Op == isa.PREDICT:
+		s[0], n = term.Target, 1
 	default: // RET, HALT
-		return nil
+		return s, 0
 	}
+	if i+1 < len(f.Blocks) {
+		s[n] = i + 1
+		n++
+	}
+	return s, n
 }
 
-// Preds returns the predecessor lists of every block.
-func (f *Func) Preds() [][]int {
-	preds := make([][]int, len(f.Blocks))
-	for i := range f.Blocks {
-		for _, s := range f.Succs(i) {
-			preds[s] = append(preds[s], i)
+// NumPreds returns the number of CFG edges into block i. It scans every
+// block's terminator and does not allocate.
+func (f *Func) NumPreds(i int) int {
+	k := 0
+	for j := range f.Blocks {
+		s, n := f.Succs(j)
+		for _, t := range s[:n] {
+			if t == i {
+				k++
+			}
 		}
 	}
-	return preds
+	return k
 }
 
 // ReversePostorder returns block indices in reverse postorder from the
 // entry (block 0). Unreachable blocks are appended afterwards in slice
 // order so analyses still cover them.
 func (f *Func) ReversePostorder() []int {
-	seen := make([]bool, len(f.Blocks))
-	var post []int
-	var dfs func(int)
-	dfs = func(i int) {
-		seen[i] = true
-		for _, s := range f.Succs(i) {
-			if !seen[s] {
-				dfs(s)
+	var sc rpoScratch
+	return sc.order(len(f.Blocks), f.Succs)
+}
+
+// rpoScratch holds the storage of an iterative depth-first search, so a
+// caller that orders the same function repeatedly reuses it.
+type rpoScratch struct {
+	out   []int
+	seen  []bool
+	stack []rpoFrame
+}
+
+// rpoFrame is a depth-first search frame: a block and how many of its
+// successors have been visited.
+type rpoFrame struct{ b, k int }
+
+// order returns the blocks 0..n-1 in reverse postorder from block 0 over
+// succ, then the blocks unreachable from 0 in index order. The result
+// aliases the scratch storage until the next call.
+func (sc *rpoScratch) order(n int, succ func(int) ([2]int, int)) []int {
+	sc.out = sc.out[:0]
+	sc.seen = append(sc.seen[:0], make([]bool, n)...)
+	if n > 0 {
+		sc.seen[0] = true
+		sc.stack = append(sc.stack[:0], rpoFrame{b: 0})
+		for len(sc.stack) > 0 {
+			top := &sc.stack[len(sc.stack)-1]
+			s, ns := succ(top.b)
+			if top.k < ns {
+				next := s[top.k]
+				top.k++
+				if !sc.seen[next] {
+					sc.seen[next] = true
+					sc.stack = append(sc.stack, rpoFrame{b: next})
+				}
+				continue
 			}
-		}
-		post = append(post, i)
-	}
-	if len(f.Blocks) > 0 {
-		dfs(0)
-	}
-	order := make([]int, 0, len(f.Blocks))
-	for i := len(post) - 1; i >= 0; i-- {
-		order = append(order, post[i])
-	}
-	for i := range f.Blocks {
-		if !seen[i] {
-			order = append(order, i)
+			sc.out = append(sc.out, top.b) // postorder
+			sc.stack = sc.stack[:len(sc.stack)-1]
 		}
 	}
-	return order
+	for i, j := 0, len(sc.out)-1; i < j; i, j = i+1, j-1 {
+		sc.out[i], sc.out[j] = sc.out[j], sc.out[i]
+	}
+	for i, seen := range sc.seen {
+		if !seen {
+			sc.out = append(sc.out, i)
+		}
+	}
+	return sc.out
 }
 
 // Clone returns a deep copy of the function.

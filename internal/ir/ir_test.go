@@ -30,7 +30,8 @@ func TestSuccsPreds(t *testing.T) {
 	f := diamond()
 	wantSuccs := [][]int{{2, 1}, {3}, {3}, nil}
 	for i, want := range wantSuccs {
-		got := f.Succs(i)
+		s, n := f.Succs(i)
+		got := s[:n]
 		if len(got) != len(want) {
 			t.Fatalf("Succs(%d) = %v, want %v", i, got, want)
 		}
@@ -40,12 +41,11 @@ func TestSuccsPreds(t *testing.T) {
 			}
 		}
 	}
-	preds := f.Preds()
-	if len(preds[3]) != 2 {
-		t.Errorf("join block should have 2 preds, got %v", preds[3])
+	if n := f.NumPreds(3); n != 2 {
+		t.Errorf("join block should have 2 preds, got %d", n)
 	}
-	if len(preds[0]) != 0 {
-		t.Errorf("entry should have no preds, got %v", preds[0])
+	if n := f.NumPreds(0); n != 0 {
+		t.Errorf("entry should have no preds, got %d", n)
 	}
 }
 
@@ -60,11 +60,11 @@ func TestSuccsOfDecomposedOps(t *testing.T) {
 	f.Emit(bp, Halt())
 	f.Emit(corr, Halt())
 
-	if s := f.Succs(a); len(s) != 2 || s[0] != corr || s[1] != ba {
-		t.Errorf("PREDICT successors = %v, want [%d %d]", s, corr, ba)
+	if s, n := f.Succs(a); n != 2 || s[0] != corr || s[1] != ba {
+		t.Errorf("PREDICT successors = %v, want [%d %d]", s[:n], corr, ba)
 	}
-	if s := f.Succs(ba); len(s) != 2 || s[0] != corr || s[1] != bp {
-		t.Errorf("RESOLVE successors = %v, want [%d %d]", s, corr, bp)
+	if s, n := f.Succs(ba); n != 2 || s[0] != corr || s[1] != bp {
+		t.Errorf("RESOLVE successors = %v, want [%d %d]", s[:n], corr, bp)
 	}
 }
 
@@ -203,26 +203,99 @@ func TestLivenessLoop(t *testing.T) {
 	}
 }
 
-func TestLiveBefore(t *testing.T) {
-	f := &Func{Name: "lb"}
+// sameLiveness fails the test unless lv matches a from-scratch
+// ComputeLiveness of f.
+func sameLiveness(t *testing.T, what string, f *Func, lv *Liveness) {
+	t.Helper()
+	want := ComputeLiveness(f)
+	if len(lv.In) != len(f.Blocks) || len(lv.Out) != len(f.Blocks) {
+		t.Fatalf("%s: liveness covers %d/%d blocks, func has %d", what, len(lv.In), len(lv.Out), len(f.Blocks))
+	}
+	for i := range f.Blocks {
+		if lv.In[i] != want.In[i] || lv.Out[i] != want.Out[i] {
+			t.Errorf("%s: block %d in %v out %v, recomputed in %v out %v",
+				what, i, lv.In[i], lv.Out[i], want.In[i], want.Out[i])
+		}
+	}
+}
+
+func TestLivenessSingleBlock(t *testing.T) {
+	// No block has a successor, so the order is all the fixpoint has.
+	f := &Func{Name: "one"}
 	a := f.AddBlock("A")
-	e := f.AddBlock("E")
-	f.Emit(a,
-		Li(isa.R(1), 1),                    // 0
-		Addi(isa.R(2), isa.R(1), 1),        // 1
-		Add(isa.R(3), isa.R(2), isa.R(10)), // 2
-		St(isa.R(11), 0, isa.R(3)),         // 3
-	)
-	f.Emit(e, Halt())
+	f.Emit(a, St(isa.R(1), 0, isa.R(2)), Halt())
 	lv := ComputeLiveness(f)
-	at1 := lv.LiveBefore(f, a, 1)
-	if !at1.Has(isa.R(1)) || at1.Has(isa.R(2)) || at1.Has(isa.R(3)) {
-		t.Errorf("LiveBefore(1) = %v", at1)
+	if !lv.In[a].Has(isa.R(1)) || !lv.In[a].Has(isa.R(2)) {
+		t.Errorf("the store's operands must be live into A: %v", lv.In[a])
 	}
-	at3 := lv.LiveBefore(f, a, 3)
-	if !at3.Has(isa.R(3)) || !at3.Has(isa.R(11)) || at3.Has(isa.R(1)) && false {
-		t.Errorf("LiveBefore(3) = %v", at3)
+}
+
+func TestLivenessMaintained(t *testing.T) {
+	f := diamond()
+	lv := ComputeLiveness(f)
+
+	// Rewrite a block in place: B now reads r7 instead of r3.
+	f.Blocks[1].Instrs[0] = Addi(isa.R(3), isa.R(7), 1)
+	lv.Invalidate(1)
+	lv.Update(f)
+	sameLiveness(t, "rewrite", f, lv)
+	if !lv.In[0].Has(isa.R(7)) {
+		t.Errorf("r7 must be live into A after B reads it: %v", lv.In[0])
 	}
+
+	// Insert a block between A and B that reads r8 and falls through to
+	// B: blocks after A move up by one, and so do the targets naming them.
+	to := func(i int) int {
+		if i > 0 {
+			return i + 1
+		}
+		return i
+	}
+	f.Blocks = append(f.Blocks[:1], append([]*Block{{Label: "new", Instrs: []isa.Instr{Addi(isa.R(9), isa.R(8), 1)}}}, f.Blocks[1:]...)...)
+	for _, b := range f.Blocks {
+		if n := len(b.Instrs); n > 0 && b.Instrs[n-1].IsTerminator() && b.Instrs[n-1].Op != isa.HALT {
+			b.Instrs[n-1].Target = to(b.Instrs[n-1].Target)
+		}
+	}
+	lv.Remap(len(f.Blocks), to)
+	lv.Update(f)
+	sameLiveness(t, "insert", f, lv)
+	if !lv.In[0].Has(isa.R(8)) {
+		t.Errorf("r8 must be live into A through the inserted block: %v", lv.In[0])
+	}
+
+	// Delete the inserted block again.
+	back := func(i int) int {
+		switch {
+		case i == 1:
+			return -1
+		case i > 1:
+			return i - 1
+		}
+		return i
+	}
+	f.Blocks = append(f.Blocks[:1], f.Blocks[2:]...)
+	for _, b := range f.Blocks {
+		if n := len(b.Instrs); n > 0 && b.Instrs[n-1].IsTerminator() && b.Instrs[n-1].Op != isa.HALT {
+			b.Instrs[n-1].Target = back(b.Instrs[n-1].Target)
+		}
+	}
+	lv.Remap(len(f.Blocks), back)
+	lv.Update(f)
+	sameLiveness(t, "delete", f, lv)
+	if lv.In[0].Has(isa.R(8)) {
+		t.Errorf("r8 must not be live once the block reading it is gone: %v", lv.In[0])
+	}
+
+	// A block-count change without Remap is an editing bug, not a
+	// silently stale answer.
+	f.AddBlock("unmapped")
+	defer func() {
+		if recover() == nil {
+			t.Error("Update after an unrecorded block insertion must panic")
+		}
+	}()
+	lv.Update(f)
 }
 
 func TestLinearize(t *testing.T) {
