@@ -55,7 +55,7 @@ func suiteGeomean(b *testing.B, suite string, widths []int, bestRef bool) map[in
 // BenchmarkFig2PredictabilityVsBiasInt regenerates Figure 2.
 func BenchmarkFig2PredictabilityVsBiasInt(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cur, err := harness.BiasPredictabilityCurve("int2006", workload.TrainInput())
+		cur, err := harness.BiasPredictabilityCurve("int2006", workload.TrainInput(), harness.Options{Jobs: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func BenchmarkFig2PredictabilityVsBiasInt(b *testing.B) {
 // BenchmarkFig3PredictabilityVsBiasFP regenerates Figure 3.
 func BenchmarkFig3PredictabilityVsBiasFP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cur, err := harness.BiasPredictabilityCurve("fp2006", workload.TrainInput())
+		cur, err := harness.BiasPredictabilityCurve("fp2006", workload.TrainInput(), harness.Options{Jobs: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

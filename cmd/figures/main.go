@@ -117,7 +117,7 @@ func main() {
 		if *fig == 3 {
 			suite, title = "fp2006", "Figure 3: predictability vs bias, top forward branches, SPEC 2006 FP"
 		}
-		cur, err := harness.BiasPredictabilityCurveOpts(suite, in, o)
+		cur, err := harness.BiasPredictabilityCurve(suite, in, o)
 		if err != nil {
 			log.Fatal(err)
 		}

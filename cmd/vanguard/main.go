@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	vanguard -bench h264ref [-width 4] [-predictor default] [-iters 4000]
+//	vanguard -bench h264ref [-width 4] [-predictor tage-27KB] [-iters 4000]
 //	vanguard -bench mcf -dump          # disassemble both binaries
 //	vanguard -list                     # enumerate the SPEC stand-ins
 package main
@@ -29,7 +29,7 @@ func main() {
 	var (
 		bench     = flag.String("bench", "h264ref", "benchmark name (any SPEC 2000/2006 stand-in)")
 		width     = flag.Int("width", 4, "issue width (2, 4 or 8)")
-		predictor = flag.String("predictor", "default", "direction predictor: "+strings.Join(bpred.Names(), "|"))
+		predictor = flag.String("predictor", "", "direction predictor, a Section 5.3 ladder rung: "+strings.Join(rungNames(), "|")+" (empty: the Table 1 default)")
 		iters     = flag.Int64("iters", 0, "override REF iteration count")
 		dump      = flag.Bool("dump", false, "disassemble the baseline and experimental binaries")
 		list      = flag.Bool("list", false, "list available benchmarks and exit")
@@ -54,11 +54,13 @@ func main() {
 	}
 	o := harness.DefaultOptions()
 	o.Widths = []int{*width}
-	if bpred.ByName(*predictor) == nil {
-		log.Fatalf("unknown predictor %q (have %s)", *predictor, strings.Join(bpred.Names(), ", "))
+	rung, err := ladderRung(*predictor)
+	if err != nil {
+		log.Fatal(err)
 	}
-	o.NewPredictor = func() bpred.DirPredictor { return bpred.ByName(*predictor) }
-	o.PredictorName = *predictor
+	if rung != nil {
+		o.NewPredictor, o.PredictorName = rung.New, rung.Name
+	}
 	if *iters > 0 {
 		for i := range o.RefInputs {
 			o.RefInputs[i].Iters = *iters
@@ -113,4 +115,28 @@ func main() {
 		shared.WriteBpred(os.Stdout, []*harness.BenchResult{r}, *width, 10)
 	}
 	sess.Finish()
+}
+
+// ladderRung resolves -predictor to the Section 5.3 ladder rung of that
+// name. The empty name resolves to nil: the Table 1 default, which
+// leaves Options.NewPredictor unset so the runs share spec's cache keys.
+func ladderRung(name string) (*bpred.LadderSpec, error) {
+	if name == "" {
+		return nil, nil
+	}
+	for _, s := range bpred.LadderSpecs() {
+		if s.Name == name {
+			return &s, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown predictor %q (have %s)", name, strings.Join(rungNames(), ", "))
+}
+
+// rungNames lists the ladder rungs -predictor accepts, in ladder order.
+func rungNames() []string {
+	var names []string
+	for _, s := range bpred.LadderSpecs() {
+		names = append(names, s.Name)
+	}
+	return names
 }

@@ -309,10 +309,12 @@ func simUnit(binary, key string, im *ir.Image, cfg pipeline.Config, gm *mem.Memo
 		mach.Sink = trace.Tee(tee...)
 
 		st, simErr := mach.Run()
+		// Close every sink the run fed (the machine tees in its waterfall
+		// recorder); of them only the Chrome writer can fail.
+		if err := mach.Sink.Close(); err != nil {
+			return nil, fmt.Errorf("chrome trace: %w", err)
+		}
 		if chrome != nil {
-			if err := chrome.Close(); err != nil {
-				return nil, fmt.Errorf("chrome trace: %w", err)
-			}
 			log.Printf("wrote %s (load in chrome://tracing or ui.perfetto.dev)", sinks.chrome)
 		}
 		if simErr != nil {

@@ -185,9 +185,6 @@ func (r *Recorder) NoteDBBOverflow() { r.dbbOverflows++ }
 // Counters comparable).
 func (r *Recorder) Totals() [NumCauses]int64 { return r.total }
 
-// Cycles returns the number of charged cycles.
-func (r *Recorder) Cycles() int64 { return r.cycles }
-
 // BranchRow is the attribution of one static BranchID: slots lost to its
 // mispredictions (ordinary and resolve-fire) and slots the issue head
 // spent waiting for its condition (plain BR or decomposed RESOLVE window).

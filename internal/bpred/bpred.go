@@ -180,67 +180,6 @@ func (s *Static) Checkpoint() Hist { return Hist{} }
 // Restore implements DirPredictor.
 func (s *Static) Restore(Hist) {}
 
-// Bimodal is a PC-indexed table of 2-bit counters.
-type Bimodal struct {
-	table []ctr2
-	mask  uint64
-
-	probe   *Probe
-	probeTb int
-}
-
-// NewBimodal builds a bimodal predictor with 2^logSize counters.
-func NewBimodal(logSize int) *Bimodal {
-	n := 1 << logSize
-	t := make([]ctr2, n)
-	for i := range t {
-		t[i] = 1 // weakly not-taken
-	}
-	return &Bimodal{table: t, mask: uint64(n - 1)}
-}
-
-// Name implements DirPredictor.
-func (b *Bimodal) Name() string { return "bimodal" }
-
-// SizeBits implements DirPredictor.
-func (b *Bimodal) SizeBits() int { return len(b.table) * 2 }
-
-// Predict implements DirPredictor.
-func (b *Bimodal) Predict(pc uint64) (bool, Meta) {
-	t := b.table[pc&b.mask].taken()
-	return t, Meta{Pred: t}
-}
-
-// Update implements DirPredictor.
-func (b *Bimodal) Update(pc uint64, taken bool, m Meta) {
-	i := pc & b.mask
-	if b.probe != nil {
-		b.probe.noteEntry(b.probeTb, i, pc)
-	}
-	b.table[i] = b.table[i].train(taken)
-}
-
-// AttachProbe implements Observable.
-func (b *Bimodal) AttachProbe(p *Probe) {
-	b.probe = p
-	p.setProviders("", "bimodal")
-	b.probeTb = p.registerTable("bimodal", len(b.table))
-}
-
-// Survey implements Surveyor.
-func (b *Bimodal) Survey() []TableSurvey {
-	return []TableSurvey{surveyCtr2("bimodal", b.table, 1)}
-}
-
-// PushHistory implements DirPredictor.
-func (b *Bimodal) PushHistory(bool) {}
-
-// Checkpoint implements DirPredictor.
-func (b *Bimodal) Checkpoint() Hist { return Hist{} }
-
-// Restore implements DirPredictor.
-func (b *Bimodal) Restore(Hist) {}
-
 // GShare xors global history into the counter index.
 type GShare struct {
 	table    []ctr2

@@ -42,15 +42,6 @@ func (b *BTB) Insert(pc uint64, target int) {
 	b.tags[i], b.targets[i], b.valid[i] = pc, target, true
 }
 
-// HitRate returns the fraction of lookups that hit.
-func (b *BTB) HitRate() float64 {
-	t := b.hits + b.misses
-	if t == 0 {
-		return 0
-	}
-	return float64(b.hits) / float64(t)
-}
-
 // Lookups returns the raw hit/miss counters (surfaced in run reports).
 func (b *BTB) Lookups() (hits, misses uint64) { return b.hits, b.misses }
 

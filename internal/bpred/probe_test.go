@@ -284,15 +284,14 @@ func TestProbeTournamentChooserArms(t *testing.T) {
 	}
 }
 
-// TestProbeLadderAllRungs attaches a probe to every ladder rung plus the
-// perceptron, drives the full protocol, and requires conservation and a
+// TestProbeLadderAllRungs attaches a probe to every ladder predictor
+// type, drives the full protocol, and requires conservation and a
 // non-empty survey on each — no predictor gets to opt out silently.
 func TestProbeLadderAllRungs(t *testing.T) {
 	preds := []DirPredictor{
-		NewBimodal(8), NewGShare(8, 8), NewTournament(8, 8),
+		NewGShare(8, 8), NewTournament(8, 8),
 		NewTAGE(6, 6, 8, []int{4, 8, 16}),
 		NewISLTAGE(6, 6, 8, []int{4, 8, 16}, 4, 6),
-		NewPerceptron(6, 16),
 	}
 	for _, d := range preds {
 		p := NewProbe(8)

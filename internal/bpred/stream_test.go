@@ -199,17 +199,13 @@ func driveStream(d DirPredictor, p *Probe, evs []streamEvent, pend []streamPendi
 }
 
 // streamPredictors lists every predictor the stream pins: each ladder
-// rung, each ByName configuration, and two TAGE-class predictors with
+// rung and two TAGE-class predictors with
 // 32-entry tables and odd history lengths up to past the 128-bit
 // register. The ladder's tables are large enough that every allocation
 // finds a free slot; the small ones fill up, so the useful-counter decay
 // on a failed allocation runs too.
 func streamPredictors() []LadderSpec {
-	specs := LadderSpecs()
-	for _, name := range []string{"static", "bimodal", "gshare", "default", "tage", "isl-tage", "perceptron"} {
-		specs = append(specs, LadderSpec{Name: "byname-" + name, New: func() DirPredictor { return ByName(name) }})
-	}
-	return append(specs,
+	return append(LadderSpecs(),
 		LadderSpec{"small-tage", func() DirPredictor { return NewTAGE(8, 5, 8, []int{5, 11, 23, 47, 97, 130}) }},
 		LadderSpec{"small-isl-tage", func() DirPredictor { return NewISLTAGE(8, 5, 9, []int{5, 11, 23, 47, 97, 130}, 4, 6) }},
 	)
@@ -275,13 +271,6 @@ var ladderStreamGolden = map[string][2]string{
 	"tage-27KB":          {"8a0455106f585fd2", "3408ea78459280e6"},
 	"tage-50KB":          {"f22f712f8bc05019", "91582ea0ddd5fd8a"},
 	"isl-tage-64KB":      {"1e2ad41dd427159e", "4dbd5605c3dc6879"},
-	"byname-static":      {"d69d5da558281b25", "7b98ac5c67e61bb3"},
-	"byname-bimodal":     {"51c2c39edea9636b", "b1bd0c479756e387"},
-	"byname-gshare":      {"dbf43280056c99f4", "2bece2cb2dbce934"},
-	"byname-default":     {"d06d8fbda8c76466", "af2820ca6956618c"},
-	"byname-tage":        {"8a0455106f585fd2", "3408ea78459280e6"},
-	"byname-isl-tage":    {"1e2ad41dd427159e", "4dbd5605c3dc6879"},
-	"byname-perceptron":  {"679c2e0d0a71b704", "c2242609d67ccb90"},
 	"small-tage":         {"86edab21e58d82bf", "8609b80abc2b37bb"},
 	"small-isl-tage":     {"f93ffaff34fe6d0f", "5134ba29cd8c3972"},
 }
@@ -297,13 +286,6 @@ var deepStreamGolden = map[string][2]string{
 	"tage-27KB":          {"88de77311f9e7468", "9497a2edabc5c94c"},
 	"tage-50KB":          {"8520a34f6b913fd7", "d8c39837cc60aecd"},
 	"isl-tage-64KB":      {"3e3b620960571480", "ad3f95d49f85d3be"},
-	"byname-static":      {"9b0fa10c174318cd", "8e18cb360b9f98dc"},
-	"byname-bimodal":     {"0480e8b130ed6dec", "7160327c49f93525"},
-	"byname-gshare":      {"3f616f3ee4f82f6d", "6c4ff978179bab5c"},
-	"byname-default":     {"a072836933c5f61e", "b793a3d3ad19b456"},
-	"byname-tage":        {"88de77311f9e7468", "9497a2edabc5c94c"},
-	"byname-isl-tage":    {"3e3b620960571480", "ad3f95d49f85d3be"},
-	"byname-perceptron":  {"7772cb0347cd923b", "44dc97bd2f3cd23b"},
 	"small-tage":         {"06d88aa4d0c5ef60", "e53f2776996812f3"},
 	"small-isl-tage":     {"5990fad499d2e542", "15bab3dba0fc23f3"},
 }

@@ -36,7 +36,6 @@ const noMRU = ^uint64(0)
 // (victims are picked by comparing lastUse within one set only), so the
 // fast path leaves hit/miss outcomes and both counters byte-identical.
 type Cache struct {
-	cfg    Config
 	lines  []line   // ways*setCnt entries, set-major
 	mru    []uint64 // per-set MRU tag, noMRU when unknown
 	clock  uint64
@@ -73,7 +72,6 @@ func (cfg Config) Geom() Geom {
 func New(cfg Config) *Cache {
 	g := cfg.Geom()
 	c := &Cache{
-		cfg:    cfg,
 		setCnt: g.SetCnt,
 		ways:   cfg.Ways,
 		shift:  g.Shift,
@@ -85,9 +83,6 @@ func New(cfg Config) *Cache {
 	}
 	return c
 }
-
-// Config returns the level's configuration.
-func (c *Cache) Config() Config { return c.cfg }
 
 // LineAddr returns the line-aligned address.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.shift << c.shift }

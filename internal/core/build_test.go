@@ -120,11 +120,11 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-// TestMaintainedLivenessExact runs speculation, then Transform and
-// if-conversion on clones of the speculated program, over every int2006
-// and fp2006 TRAIN program with the pass's test hook set: after every
-// hoist, decomposition and if-conversion, the liveness the pass maintains
-// must equal ir.ComputeLiveness of the edited function.
+// TestMaintainedLivenessExact runs speculation, then Transform on a
+// clone of the speculated program, over every int2006 and fp2006 TRAIN
+// program with the pass's test hook set: after every hoist and
+// decomposition, the liveness the pass maintains must equal
+// ir.ComputeLiveness of the edited function.
 func TestMaintainedLivenessExact(t *testing.T) {
 	var names []string
 	for _, suite := range []string{"int2006", "fp2006"} {
@@ -132,8 +132,8 @@ func TestMaintainedLivenessExact(t *testing.T) {
 			names = append(names, c.Name)
 		}
 	}
-	// No int2006 or fp2006 hammock is if-convertible (their arms store),
-	// so a loop of convertible ones covers if-conversion's deletions.
+	// A loop of decomposable hammocks edits one function many times, each
+	// decomposition shifting the blocks of the ones still to come.
 	names = append(names, "hammock-chain")
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
@@ -172,26 +172,22 @@ func TestMaintainedLivenessExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			irep, err := run(base.Clone()).ifConvert(prof, DefaultIfConvertOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			edits := len(srep.Speculated) + len(rep.Converted) + len(irep.Converted)
-			if name == "hammock-chain" && len(irep.Converted) == 0 {
-				t.Fatalf("no hammock if-converted: %v", irep.Skipped)
+			edits := len(srep.Speculated) + len(rep.Converted)
+			if name == "hammock-chain" && len(rep.Converted) == 0 {
+				t.Fatalf("no hammock decomposed: %v", rep.Skipped)
 			}
 			if checks != edits || edits == 0 {
-				t.Fatalf("%d liveness checks for %d edits (%d hoists, %d decompositions, %d if-conversions)",
-					checks, edits, len(srep.Speculated), len(rep.Converted), len(irep.Converted))
+				t.Fatalf("%d liveness checks for %d edits (%d hoists, %d decompositions)",
+					checks, edits, len(srep.Speculated), len(rep.Converted))
 			}
-			t.Logf("%d hoists, %d decompositions, %d if-conversions", len(srep.Speculated), len(rep.Converted), len(irep.Converted))
+			t.Logf("%d hoists, %d decompositions", len(srep.Speculated), len(rep.Converted))
 		})
 	}
 }
 
-// hammockChain builds a loop over n if-convertible hammocks (the
-// predHammock shape) and a profile that marks each branch hot and
-// unpredictable, so if-conversion edits one function n times.
+// hammockChain builds a loop over n hammocks and a profile that marks
+// each branch hot, unbiased and predictable, so Transform decomposes
+// them all in one function.
 func hammockChain(n int) (*ir.Program, *profile.Profile) {
 	prof := &profile.Profile{ByID: map[int]*profile.Branch{}}
 	f := &ir.Func{Name: "main"}
@@ -215,7 +211,7 @@ func hammockChain(n int) (*ir.Program, *profile.Profile) {
 		)
 		f.Emit(b, ir.Ld(isa.R(8), isa.R(1), 8), ir.Addi(isa.R(9), isa.R(8), int64(k)), ir.Jmp(c+1))
 		f.Emit(c, ir.Ld(isa.R(8), isa.R(1), 16), ir.Muli(isa.R(10), isa.R(8), 3))
-		prof.ByID[id] = &profile.Branch{ID: id, Forward: true, Execs: 10000, Taken: 5000, Correct: 5500}
+		prof.ByID[id] = &profile.Branch{ID: id, Forward: true, Execs: 10000, Taken: 5000, Correct: 9000}
 	}
 	latch := f.AddBlock("latch")
 	done := f.AddBlock("done")

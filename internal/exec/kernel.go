@@ -38,14 +38,6 @@ const (
 	DispatchSwitch
 )
 
-// String returns the CLI-facing name of the dispatch mode.
-func (d Dispatch) String() string {
-	if d == DispatchSwitch {
-		return "switch"
-	}
-	return "kernels"
-}
-
 // Kernel is one instruction's compiled semantics: calling it executes the
 // instruction exactly as Step would at its compile-time PC (including the
 // final State.PC update) and returns the same Result and error. A kernel

@@ -462,9 +462,6 @@ func NewSuiteCache(o Options) *SuiteCache {
 	return &SuiteCache{o: o, suites: map[string][]*BenchResult{}}
 }
 
-// Options returns the options the cache runs suites under.
-func (sc *SuiteCache) Options() Options { return sc.o }
-
 // Suite runs (or recalls) a whole suite.
 func (sc *SuiteCache) Suite(name string) ([]*BenchResult, error) {
 	sc.mu.Lock()

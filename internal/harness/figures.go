@@ -24,13 +24,6 @@ type Curve struct {
 // CurvePoints matches the paper's top-75 figure width.
 const CurvePoints = 75
 
-// BiasPredictabilityCurve computes the Figure 2 (integer) or Figure 3
-// (floating point) series for a suite. Equivalent to
-// BiasPredictabilityCurveOpts with a zero Options (sequential, uncached).
-func BiasPredictabilityCurve(suite string, in workload.Input) (*Curve, error) {
-	return BiasPredictabilityCurveOpts(suite, in, Options{Jobs: 1})
-}
-
 // benchCurve is one benchmark's resampled curve — the cacheable unit
 // result of the figure-2/3 profiling runs. Empty slices mean the
 // benchmark had too few eligible branches to contribute.
@@ -38,10 +31,11 @@ type benchCurve struct {
 	Bias, Pred []float64
 }
 
-// BiasPredictabilityCurveOpts computes the curve with per-benchmark
-// profiling runs spread over the experiment engine; o contributes only
-// the execution policy (Jobs, Cache, EngineStats).
-func BiasPredictabilityCurveOpts(suite string, in workload.Input, o Options) (*Curve, error) {
+// BiasPredictabilityCurve computes the Figure 2 (integer) or Figure 3
+// (floating point) series for a suite, with per-benchmark profiling runs
+// spread over the experiment engine; o contributes only the execution
+// policy (Jobs, Cache, EngineStats).
+func BiasPredictabilityCurve(suite string, in workload.Input, o Options) (*Curve, error) {
 	var units []engine.Unit[benchCurve]
 	for _, c := range workload.Suite(suite) {
 		units = append(units, engine.Unit[benchCurve]{

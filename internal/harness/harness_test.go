@@ -107,7 +107,7 @@ func TestReportWriters(t *testing.T) {
 }
 
 func TestBiasPredictabilityCurve(t *testing.T) {
-	cur, err := BiasPredictabilityCurve("int2006", workload.Input{Seed: 11, Iters: 1200})
+	cur, err := BiasPredictabilityCurve("int2006", workload.Input{Seed: 11, Iters: 1200}, Options{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

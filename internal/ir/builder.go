@@ -22,9 +22,6 @@ func Mul(d, s1, s2 isa.Reg) isa.Instr { return Op3(isa.MUL, d, s1, s2) }
 // Xor builds d = s1 ^ s2.
 func Xor(d, s1, s2 isa.Reg) isa.Instr { return Op3(isa.XOR, d, s1, s2) }
 
-// And builds d = s1 & s2.
-func And(d, s1, s2 isa.Reg) isa.Instr { return Op3(isa.AND, d, s1, s2) }
-
 // Addi builds d = s1 + imm.
 func Addi(d, s1 isa.Reg, imm int64) isa.Instr {
 	return isa.Instr{Op: isa.ADDI, Dst: d, Src1: s1, Imm: imm, Target: -1}

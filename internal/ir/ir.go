@@ -100,14 +100,6 @@ func (f *Func) NumPreds(i int) int {
 	return k
 }
 
-// ReversePostorder returns block indices in reverse postorder from the
-// entry (block 0). Unreachable blocks are appended afterwards in slice
-// order so analyses still cover them.
-func (f *Func) ReversePostorder() []int {
-	var sc rpoScratch
-	return sc.order(len(f.Blocks), f.Succs)
-}
-
 // rpoScratch holds the storage of an iterative depth-first search, so a
 // caller that orders the same function repeatedly reuses it.
 type rpoScratch struct {

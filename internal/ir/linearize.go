@@ -21,9 +21,6 @@ type Image struct {
 	BlockPCs    [][]int // per function, the start PC of each block
 }
 
-// CodeBytes returns the static code size in bytes.
-func (im *Image) CodeBytes() int { return len(im.Instrs) * isa.InstrBytes }
-
 // PCAddr returns the byte address of the instruction at pc.
 func (im *Image) PCAddr(pc int) uint64 { return CodeBase + uint64(pc)*isa.InstrBytes }
 

@@ -213,11 +213,6 @@ func (i Instr) IsControl() bool {
 	return false
 }
 
-// IsCondBranch reports whether the instruction is conditionally taken
-// (BR or RESOLVE); PREDICT is handled separately because its direction is
-// chosen by the predictor, not by a register.
-func (i Instr) IsCondBranch() bool { return i.Op == BR || i.Op == RESOLVE }
-
 // IsTerminator reports whether the instruction must end a basic block.
 func (i Instr) IsTerminator() bool {
 	switch i.Op {
@@ -235,14 +230,6 @@ func (i Instr) IsLoad() bool { return i.Op == LD || i.Op == LDS }
 
 // IsStore reports whether the instruction writes data memory.
 func (i Instr) IsStore() bool { return i.Op == ST }
-
-// HasSideEffects reports whether the instruction may not be executed
-// speculatively as-is (stores, faulting loads, control transfers). A plain
-// LD is side-effect free architecturally but can fault, so hoisting one
-// above a resolution point requires converting it to LDS first.
-func (i Instr) HasSideEffects() bool {
-	return i.IsStore() || i.IsControl() || i.Op == LD
-}
 
 // String disassembles the instruction.
 func (i Instr) String() string {

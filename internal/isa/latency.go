@@ -12,19 +12,6 @@ const (
 	NumFUClasses
 )
 
-// String names the FU class.
-func (f FU) String() string {
-	switch f {
-	case FUInt:
-		return "INT"
-	case FUMem:
-		return "LD/ST"
-	case FUFP:
-		return "FP"
-	}
-	return "FU?"
-}
-
 // Unit returns the functional-unit class the opcode executes on.
 func (o Op) Unit() FU {
 	switch o {

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"vanguard/internal/core"
-	"vanguard/internal/ir"
 	"vanguard/internal/pipeline"
 	"vanguard/internal/profile"
 )
@@ -45,35 +44,12 @@ func SpeedupPct(baseCycles, expCycles int64) float64 {
 	return (float64(baseCycles)/float64(expCycles) - 1) * 100
 }
 
-// ALPBB returns the static average number of loads per basic block.
-func ALPBB(p *ir.Program) float64 {
-	loads, blocks := 0, 0
-	for _, f := range p.Funcs {
-		for _, b := range f.Blocks {
-			if len(b.Instrs) == 0 {
-				continue
-			}
-			blocks++
-			for _, ins := range b.Instrs {
-				if ins.IsLoad() {
-					loads++
-				}
-			}
-		}
-	}
-	if blocks == 0 {
-		return 0
-	}
-	return float64(loads) / float64(blocks)
-}
-
 // Table2Row is one line of the paper's Table 2.
 type Table2Row struct {
 	Name  string
 	SPD   float64 // % speedup (geomean over REF inputs, 4-wide)
 	PBC   float64 // % of static forward branches converted
 	PDIH  float64 // avg % of dynamic instructions hoisted above converted branches
-	ALPBB float64 // avg loads per basic block
 	ASPCB float64 // avg stall cycles per converted branch execution
 	PHI   float64 // avg % of instructions hoistable from succeeding block
 	MPPKI float64 // branch mispredictions per thousand instructions (baseline)

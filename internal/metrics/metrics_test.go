@@ -6,8 +6,6 @@ import (
 	"testing/quick"
 
 	"vanguard/internal/core"
-	"vanguard/internal/ir"
-	"vanguard/internal/isa"
 	"vanguard/internal/pipeline"
 	"vanguard/internal/profile"
 )
@@ -65,21 +63,6 @@ func TestGeomeanBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestALPBB(t *testing.T) {
-	fn := &ir.Func{Name: "f"}
-	a := fn.AddBlock("a")
-	b := fn.AddBlock("b")
-	fn.Emit(a, ir.Ld(isa.R(1), isa.R(2), 0), ir.LdSpec(isa.R(3), isa.R(2), 8), ir.Jmp(b))
-	fn.Emit(b, ir.St(isa.R(2), 0, isa.R(1)), ir.Halt())
-	p := &ir.Program{Funcs: []*ir.Func{fn}}
-	if got := ALPBB(p); got != 1.0 {
-		t.Errorf("ALPBB = %f, want 1.0 (2 loads / 2 blocks; stores excluded)", got)
-	}
-	if ALPBB(&ir.Program{}) != 0 {
-		t.Error("empty program ALPBB must be 0")
 	}
 }
 

@@ -93,7 +93,8 @@ func TestBpredProbeSteadyStateZeroAllocs(t *testing.T) {
 	prog, m := allocProbeProgram(50_000_000)
 	cfg := DefaultConfig(4)
 	cfg.Probe = true
-	cfg.NewPredictor = func() bpred.DirPredictor { return bpred.ByName("isl-tage") }
+	ladder := bpred.LadderSpecs()
+	cfg.NewPredictor = ladder[len(ladder)-1].New
 	mach := New(ir.MustLinearize(prog), m, cfg)
 	checkSteadyZeroAllocs(t, mach, "probed steady-state cycle loop")
 }

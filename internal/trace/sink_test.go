@@ -55,7 +55,7 @@ func TestRingSink(t *testing.T) {
 // format for issue and mispredict lines.
 func TestTextSinkCompatFormat(t *testing.T) {
 	var buf bytes.Buffer
-	s := NewText(&buf)
+	s := &Text{W: &buf}
 	for _, ev := range testEvents() {
 		s.Emit(ev)
 	}

@@ -13,10 +13,6 @@ type Text struct {
 	All bool
 }
 
-// NewText returns a text sink over w in compatibility (issue+mispredict
-// only) mode.
-func NewText(w io.Writer) *Text { return &Text{W: w} }
-
 // Emit implements Sink.
 func (t *Text) Emit(ev Event) {
 	switch ev.Kind {
