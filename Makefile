@@ -163,8 +163,10 @@ gate-patterns:
 
 # Doc-reference audit: every Test…, Fuzz… or Benchmark… name cited in the
 # top-level docs must be a prefix of at least one test, fuzz target or
-# benchmark that go test -list finds, so a renamed or deleted test cannot
-# stay cited. bench/README.md is not audited yet: bench/ is its own module.
+# benchmark that go test -list finds, and every `make <target>` they cite
+# must name a target of this Makefile, so a renamed or deleted test or
+# target cannot stay cited. bench/README.md is not audited yet: bench/ is
+# its own module.
 DOC_REFS_FILES := README.md DESIGN.md EXPERIMENTS.md results/README.md
 doc-refs:
 	@out="$$($(GO) test -list . ./...)" || { echo "$$out"; exit 1; }; \
@@ -173,8 +175,12 @@ doc-refs:
 	for ref in $$(grep -ohE '\b(Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*' $(DOC_REFS_FILES) | sort -u); do \
 		echo "$$tests" | grep -q "^$$ref" || { echo "doc-refs: $$ref is cited but matches no test"; bad=1; }; \
 	done; \
+	targets="$$(sed -n 's/^\([a-z][a-z0-9-]*\):.*/\1/p' Makefile)"; \
+	for ref in $$(grep -ohE '`make [a-z][a-z0-9-]*' $(DOC_REFS_FILES) | sed 's/^`make //' | sort -u); do \
+		echo "$$targets" | grep -qx -- "$$ref" || { echo "doc-refs: make $$ref is cited but names no Makefile target"; bad=1; }; \
+	done; \
 	if [ $$bad -ne 0 ]; then exit 1; fi; \
-	echo "doc-refs: every cited test name matches a test"
+	echo "doc-refs: every cited test name matches a test and every cited make target exists"
 
 # Reachability audit: build the five CLIs and the examples with coverage
 # over every package, run the -fast experiments, one small leg per
@@ -244,20 +250,23 @@ pipeview-gate:
 	$(GO) test -run '$(PIPEVIEW_GATE_RUN)' -count 1 $(PIPEVIEW_GATE_PKGS)
 
 # Regenerate the committed telemetry baselines under results/ through the
-# experiment engine, then fail if they drifted from the committed files.
+# experiment engine, then fail if they drifted from the committed files:
+# dotproduct.s at widths 2, 4 and 8, and sparse.s at width 4, whose one
+# converted branch pins decomposed code (dotproduct.s converts none).
 # Wall-clock lines (the report's only nondeterministic field) are excluded
 # from the comparison; -no-cache keeps the hit/miss counters at zero so the
 # engine section itself is reproducible. On drift, the regenerated files
 # replace the stale baselines so they can be reviewed and committed.
 results: build vet
 	@drift=0; \
-	for w in 2 4 8; do \
+	for run in dotproduct:2 dotproduct:4 dotproduct:8 sparse:4; do \
+		prog=$${run%%:*} w=$${run#*:}; f=results/$${prog}_w$$w.json; \
 		$(GO) run ./cmd/vgrun -no-hists -no-cache -width $$w \
-			-json results/.regen_w$$w.json -transform examples/asm/dotproduct.s >/dev/null || exit 1; \
-		if ! diff -u -I '"wall_ms"' results/dotproduct_w$$w.json results/.regen_w$$w.json; then \
+			-json results/.regen_$${prog}_w$$w.json -transform examples/asm/$$prog.s >/dev/null || exit 1; \
+		if ! diff -u -I '"wall_ms"' $$f results/.regen_$${prog}_w$$w.json; then \
 			drift=1; \
 		fi; \
-		mv results/.regen_w$$w.json results/dotproduct_w$$w.json; \
+		mv results/.regen_$${prog}_w$$w.json $$f; \
 	done; \
 	if [ $$drift -ne 0 ]; then \
 		echo "results: baselines drifted from committed files (regenerated copies left in place)"; \

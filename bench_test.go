@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"vanguard/internal/engine"
 	"vanguard/internal/harness"
 	"vanguard/internal/ir"
 	"vanguard/internal/mem"
@@ -213,12 +214,11 @@ func benchEngineSuite(b *testing.B, jobs int) {
 	o := harness.FastOptions()
 	o.Jobs = jobs
 	for i := 0; i < b.N; i++ {
-		es := &harness.EngineStats{}
-		o.EngineStats = es
+		o.Recorder = engine.NewSweepRecorder()
 		if _, err := harness.RunSuite("int2006", o); err != nil {
 			b.Fatal(err)
 		}
-		rep := es.Report()
+		rep := o.Recorder.EngineReport()
 		b.ReportMetric(float64(rep.Units), "units")
 		b.ReportMetric(float64(rep.Jobs), "workers")
 	}

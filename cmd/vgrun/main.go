@@ -126,7 +126,7 @@ func main() {
 	}
 
 	if *attrDiff {
-		runAttrDiff(p, im, gm, src, cfg, o, sess, *maxInstrs, *attrCSV)
+		runAttrDiff(p, gm, src, cfg, o, sess, *maxInstrs, *attrCSV)
 		return
 	}
 	// Event tracing needs a live machine, so those runs bypass the cache
@@ -139,7 +139,7 @@ func main() {
 	if !sinks.text && sinks.chrome == "" {
 		key = engine.Key("vgrun/v6", string(src), *transform, *maxInstrs, cfg)
 	}
-	results, est, sweep := simulate(o, sess, simUnit("timing", key, im, cfg, gm, sinks))
+	results, est := simulate(o, sess, simUnit("timing", key, im, cfg, gm, sinks))
 	st := results[0]
 	if est.Units[0].CacheHit {
 		fmt.Fprintf(os.Stderr, "timing run served from the run cache (%s)\n", o.Cache.Dir())
@@ -220,14 +220,7 @@ func main() {
 		}
 		bench.Runs = append(bench.Runs, st.RunReport("timing", *width))
 		report.Benchmarks = append(report.Benchmarks, bench)
-		report.Engine = &trace.EngineReport{
-			Jobs:        est.Jobs,
-			Units:       len(est.Units),
-			CacheHits:   est.CacheHits,
-			CacheMisses: est.CacheMisses,
-			WallMS:      est.Wall.Seconds() * 1000,
-		}
-		report.Sweep = sweep
+		sess.Telemetry(report)
 		cli.Write(*jsonOut, report.Write)
 	}
 }
@@ -332,29 +325,39 @@ func simUnit(binary, key string, im *ir.Image, cfg pipeline.Config, gm *mem.Memo
 
 // simulate runs the units as one engine job set, feeds their results to
 // the monitor and ends the session. It exits on a failed run.
-func simulate(o harness.Options, sess *cli.Session, units ...engine.Unit[*pipeline.Stats]) ([]*pipeline.Stats, engine.Stats, *trace.SweepReport) {
+func simulate(o harness.Options, sess *cli.Session, units ...engine.Unit[*pipeline.Stats]) ([]*pipeline.Stats, engine.Stats) {
 	results, est, err := harness.RunUnits(o, units)
 	harness.ObserveResults(o.Monitor, results...)
-	sweep := sess.Finish()
+	sess.Finish()
 	if err != nil {
 		log.Fatalf("simulate: %v", err)
 	}
-	return results, est, sweep
+	return results, est
 }
 
-// runAttrDiff is the -attr-diff path: build the vanguard binary from the
-// parsed (untransformed) program, simulate both binaries on cfg
-// (attribution on) as engine units (cached, monitored), and render the
-// differential — which causes shrank, and which branches paid off.
-func runAttrDiff(p *ir.Program, baseIm *ir.Image, gm *mem.Memory, src []byte, cfg pipeline.Config,
+// diffBinaries builds -attr-diff's two binaries from the parsed program p,
+// which it leaves untouched: the baseline scheduled for width, and the
+// vanguard binary decomposed and then scheduled (decompose), so the two
+// differ only by the transformation.
+func diffBinaries(p *ir.Program, maxInstrs int64, width int) (base, exp *ir.Image, prof *profile.Profile, rep *core.Report) {
+	baseProg, expProg := p.Clone(), p.Clone()
+	sched.Program(baseProg, sched.DefaultModel(width))
+	prof, rep = decompose(expProg, maxInstrs, width)
+	return ir.MustLinearize(baseProg), ir.MustLinearize(expProg), prof, rep
+}
+
+// runAttrDiff is the -attr-diff path: build both binaries from the parsed
+// (untransformed) program, simulate them on cfg (attribution on) as
+// engine units (cached, monitored), and render the differential — which
+// causes shrank, and which branches paid off.
+func runAttrDiff(p *ir.Program, gm *mem.Memory, src []byte, cfg pipeline.Config,
 	o harness.Options, sess *cli.Session, maxInstrs int64, csvPrefix string) {
-	expProg := p.Clone()
-	prof, rep := decompose(expProg, maxInstrs, cfg.Width)
+	baseIm, expIm, prof, rep := diffBinaries(p, maxInstrs, cfg.Width)
 	unit := func(binary string, im *ir.Image) engine.Unit[*pipeline.Stats] {
-		key := engine.Key("vgrun-attrdiff/v3", string(src), maxInstrs, binary, cfg)
+		key := engine.Key("vgrun-attrdiff/v4", string(src), maxInstrs, binary, cfg)
 		return simUnit(binary, key, im, cfg, gm, eventSinks{})
 	}
-	results, _, _ := simulate(o, sess, unit("base", baseIm), unit("exp", ir.MustLinearize(expProg)))
+	results, _ := simulate(o, sess, unit("base", baseIm), unit("exp", expIm))
 	d := &harness.AttrDiff{
 		Benchmark: flag.Arg(0), Width: cfg.Width,
 		Base: results[0].Attr, Exp: results[1].Attr,

@@ -1,8 +1,15 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
+
+	"vanguard/internal/asm"
+	"vanguard/internal/ir"
+	"vanguard/internal/mem"
+	"vanguard/internal/pipeline"
+	"vanguard/internal/sched"
 )
 
 // TestCheckFlags pins that every flag -attr-diff would silently ignore,
@@ -33,5 +40,46 @@ func TestCheckFlags(t *testing.T) {
 		if err := checkFlags(ok); err != nil {
 			t.Errorf("%v: unexpected error %v", ok, err)
 		}
+	}
+}
+
+// TestDiffBaselineScheduled pins -attr-diff's baseline to the scheduled
+// program: on sparse.s at width 4 its cycle count is that of the program
+// scheduled alone, not of the unscheduled one, so the reported change is
+// the transformation's and not the scheduler's.
+func TestDiffBaselineScheduled(t *testing.T) {
+	src, err := os.ReadFile("../../examples/asm/sparse.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parse := func() *ir.Program {
+		p, err := asm.Parse(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	const width = 4
+	cycles := func(im *ir.Image) int64 {
+		st, err := pipeline.New(im, mem.New(), pipeline.DefaultConfig(width)).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Cycles
+	}
+	p := parse()
+	base, _, _, _ := diffBinaries(p, 50_000_000, width)
+	unscheduled := cycles(ir.MustLinearize(parse()))
+	if got := cycles(ir.MustLinearize(p)); got != unscheduled {
+		t.Errorf("diffBinaries changed its input: %d cycles, want %d", got, unscheduled)
+	}
+	scheduled := parse()
+	sched.Program(scheduled, sched.DefaultModel(width))
+	want := cycles(ir.MustLinearize(scheduled))
+	if got := cycles(base); got != want {
+		t.Errorf("baseline runs %d cycles, the scheduled program %d (unscheduled: %d)", got, want, unscheduled)
+	}
+	if want == unscheduled {
+		t.Errorf("scheduling sparse.s changes nothing (%d cycles): the test cannot tell the binaries apart", want)
 	}
 }

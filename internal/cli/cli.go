@@ -56,8 +56,8 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&f.NoCache, "no-cache", false, "disable the on-disk run cache")
 	fs.BoolVar(&f.Progress, "progress", false, "render a live engine status line on stderr")
 	fs.StringVar(&f.Listen, "listen", "", "serve live progress over HTTP on this address (e.g. :0): "+endpoints)
-	fs.StringVar(&f.SweepTrace, "sweep-trace", "", "record the engine flight recording (one span per unit lifecycle phase) and write it as a "+trace.SweepSchema+" JSON artifact to this file; -json reports gain a sweep section")
-	fs.StringVar(&f.SweepChrome, "sweep-chrome", "", "record the engine flight recording and write it as a Chrome trace_event timeline (one track per worker; open in chrome://tracing or ui.perfetto.dev) to this file")
+	fs.StringVar(&f.SweepTrace, "sweep-trace", "", "write the engine flight recording (one span per unit lifecycle phase) as a "+trace.SweepSchema+" JSON artifact to this file; -json reports gain a sweep section")
+	fs.StringVar(&f.SweepChrome, "sweep-chrome", "", "write the engine flight recording as a Chrome trace_event timeline (one track per worker; open in chrome://tracing or ui.perfetto.dev) to this file")
 	fs.BoolVar(&f.Attr, "attr", false, "charge every issue slot to a cause on every simulation: vgrun prints the CPI stack and offender tables, vanguard the baseline-vs-vanguard cycle stack and per-branch deltas; -json reports gain attribution sections and /metrics per-cause slot counters")
 	fs.BoolVar(&f.BpredReport, "bpred-report", false, "probe the direction predictor on every simulation and print the table-level studies with per-branch predictability classes; -json reports gain bpredstudy sections")
 	fs.StringVar(&f.BpredCSV, "bpred-csv", "", "probe the direction predictor and write the per-branch classifications as CSV to this file (implies -bpred-report)")
@@ -71,15 +71,15 @@ type Session struct {
 	f          *Flags
 	rec        *engine.SweepRecorder
 	cache      *engine.Cache
-	stats      *harness.EngineStats
 	cpu        *os.File
 	stopStatus func()
 	closeSrv   func() error
 }
 
-// Start applies the flags to o — Jobs, Attr, Probe, EngineStats, and the
-// Cache, Monitor and Recorder they ask for — and starts the status line,
-// the monitor server and the CPU profile. -bpred-csv sets BpredReport, and
+// Start applies the flags to o — Jobs, Attr, Probe, the session's
+// Recorder (every engine run of the command books its units there), and
+// the Cache and Monitor they ask for — and starts the status line, the
+// monitor server and the CPU profile. -bpred-csv sets BpredReport, and
 // -cpuprofile leaves o.Cache nil: a cache hit would profile nothing.
 func (f *Flags) Start(o *harness.Options) *Session {
 	if f.BpredCSV != "" {
@@ -88,7 +88,7 @@ func (f *Flags) Start(o *harness.Options) *Session {
 	o.Jobs = f.Jobs
 	o.Attr = f.Attr
 	o.Probe = f.BpredReport
-	o.EngineStats = &harness.EngineStats{}
+	o.Recorder = engine.NewSweepRecorder()
 	switch {
 	case f.NoCache || f.CacheDir == "":
 	case f.CPUProfile != "":
@@ -102,7 +102,7 @@ func (f *Flags) Start(o *harness.Options) *Session {
 	}
 	s := &Session{f: f}
 	if f.Progress || f.Listen != "" {
-		o.Monitor = engine.NewMonitor()
+		o.Monitor = engine.NewMonitor(o.Recorder)
 		if f.Listen != "" {
 			addr, closeSrv, err := o.Monitor.Serve(f.Listen)
 			if err != nil {
@@ -115,9 +115,6 @@ func (f *Flags) Start(o *harness.Options) *Session {
 			s.stopStatus = o.Monitor.StartStatus(os.Stderr, 0)
 		}
 	}
-	if f.SweepTrace != "" || f.SweepChrome != "" {
-		o.Recorder = engine.NewSweepRecorder()
-	}
 	if f.CPUProfile != "" {
 		pf, err := os.Create(f.CPUProfile)
 		if err != nil {
@@ -128,16 +125,15 @@ func (f *Flags) Start(o *harness.Options) *Session {
 		}
 		s.cpu = pf
 	}
-	s.rec, s.cache, s.stats = o.Recorder, o.Cache, o.EngineStats
+	s.rec, s.cache = o.Recorder, o.Cache
 	return s
 }
 
 // Finish ends the session once the command's engine work is done: it
 // stops the status line, the monitor server and the profiles (writing
-// -memprofile), writes the -sweep-trace and -sweep-chrome artifacts (and
-// the copy beside the run cache), and logs the engine summary. It
-// returns the sweep recording, nil without a recorder, for -json reports.
-func (s *Session) Finish() *trace.SweepReport {
+// -memprofile), writes the -sweep-trace and -sweep-chrome artifacts (with
+// either, also the copy beside the run cache), and logs the engine summary.
+func (s *Session) Finish() {
 	if s.stopStatus != nil {
 		s.stopStatus()
 	}
@@ -154,8 +150,7 @@ func (s *Session) Finish() *trace.SweepReport {
 		runtime.GC() // settle the heap so the profile shows live data
 		Write(s.f.MemProfile, func(w io.Writer) error { return pprof.WriteHeapProfile(w) })
 	}
-	sweep, err := harness.WriteSweepArtifacts(s.rec, s.f.SweepTrace, s.f.SweepChrome, s.cache)
-	if err != nil {
+	if err := harness.WriteSweepArtifacts(s.rec, s.f.SweepTrace, s.f.SweepChrome, s.cache); err != nil {
 		log.Fatal(err)
 	}
 	if s.f.SweepTrace != "" {
@@ -164,15 +159,17 @@ func (s *Session) Finish() *trace.SweepReport {
 	if s.f.SweepChrome != "" {
 		log.Printf("wrote %s (load in chrome://tracing or ui.perfetto.dev)", s.f.SweepChrome)
 	}
-	log.Printf("engine: %s", s.stats.Summary())
-	return sweep
+	e := s.rec.EngineReport()
+	log.Printf("engine: %d units on %d workers in %.1fs (run cache: %d hits, %d misses)",
+		e.Units, e.Jobs, e.WallMS/1000, e.CacheHits, e.CacheMisses)
 }
 
-// Telemetry stamps a -json report with the session's engine section and
-// sweep recording.
+// Telemetry stamps a -json report with the engine section of the
+// session's recording and, under -sweep-trace or -sweep-chrome, the
+// recording itself.
 func (s *Session) Telemetry(rep *trace.Report) {
-	rep.Engine = s.stats.Report()
-	if s.rec != nil {
+	rep.Engine = s.rec.EngineReport()
+	if s.f.SweepTrace != "" || s.f.SweepChrome != "" {
 		rep.Sweep = s.rec.Report()
 	}
 }

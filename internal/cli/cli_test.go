@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"io"
@@ -13,8 +14,10 @@ import (
 	"testing"
 
 	"vanguard/internal/bpred"
+	"vanguard/internal/engine"
 	"vanguard/internal/harness"
 	"vanguard/internal/pipeline"
+	"vanguard/internal/trace"
 	"vanguard/internal/workload"
 )
 
@@ -289,4 +292,37 @@ func flagHelp(out string) map[string]string {
 		}
 	}
 	return help
+}
+
+// TestSessionLedger pins the session's views of its one recorder: the
+// -json engine section is always there, while the sweep section and the
+// sweep_trace.json copy beside the run cache appear only under
+// -sweep-trace.
+func TestSessionLedger(t *testing.T) {
+	for _, sweep := range []bool{false, true} {
+		dir := t.TempDir()
+		args := []string{"-cache-dir", filepath.Join(dir, "cache")}
+		if sweep {
+			args = append(args, "-sweep-trace", filepath.Join(dir, "sweep.json"))
+		}
+		var o harness.Options
+		s := parse(t, args...).Start(&o)
+		unit := engine.Unit[int]{Label: "u", Key: engine.Key("session-ledger"), Run: func(context.Context) (int, error) { return 1, nil }}
+		if _, _, err := harness.RunUnits(o, []engine.Unit[int]{unit}); err != nil {
+			t.Fatal(err)
+		}
+		s.Finish()
+		rep := trace.NewReport("test")
+		s.Telemetry(rep)
+		if rep.Engine == nil || rep.Engine.Units != 1 || rep.Engine.CacheMisses != 1 || len(rep.Engine.UnitWall) != 1 {
+			t.Errorf("sweep=%v: engine section %+v, want the one unit, a cache miss", sweep, rep.Engine)
+		}
+		if (rep.Sweep != nil) != sweep {
+			t.Errorf("sweep=%v: report has a sweep section: %v", sweep, rep.Sweep != nil)
+		}
+		_, err := os.Stat(filepath.Join(o.Cache.Dir(), harness.SweepArtifactName))
+		if written := err == nil; written != sweep {
+			t.Errorf("sweep=%v: %s beside the cache: %v", sweep, harness.SweepArtifactName, written)
+		}
+	}
 }

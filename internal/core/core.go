@@ -46,8 +46,6 @@ type Options struct {
 	MinExecs int64
 	// MaxHoist caps the instructions hoisted from each successor.
 	MaxHoist int
-	// MaxConvert caps the number of converted branches (0 = no cap).
-	MaxConvert int
 	// NoSlicePushdown disables moving the condition slice into the
 	// resolution blocks (ablation: how much of the win comes from
 	// overlapping the slice with hoisted work).
@@ -134,10 +132,6 @@ func (ps *pass) transform(prof *profile.Profile, opt Options) (*Report, error) {
 	})
 
 	for _, cand := range cands {
-		if opt.MaxConvert > 0 && len(rep.Converted) >= opt.MaxConvert {
-			rep.Skipped[cand.ID] = "conversion cap reached"
-			continue
-		}
 		fi, bi := findBranch(p, cand.ID)
 		if fi < 0 {
 			rep.Skipped[cand.ID] = "branch not found in IR"

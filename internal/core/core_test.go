@@ -363,47 +363,8 @@ func TestCallInRegionRejected(t *testing.T) {
 	}
 }
 
-func TestMaxConvertCap(t *testing.T) {
-	// Two candidate hammocks in sequence.
-	f := &ir.Func{Name: "main"}
-	init := f.AddBlock("init")
-	a1 := f.AddBlock("A1")
-	b1 := f.AddBlock("B1")
-	c1 := f.AddBlock("C1")
-	a2 := f.AddBlock("A2")
-	b2 := f.AddBlock("B2")
-	c2 := f.AddBlock("C2")
-	d := f.AddBlock("D")
-	f.Emit(init, ir.Li(isa.R(1), dataBase), ir.Li(isa.R(2), 50))
-	f.Emit(a1, ir.Ld(isa.R(6), isa.R(1), 0), ir.Cmp(isa.CMPLT, isa.R(7), isa.R(6), isa.R(2)), ir.BrID(isa.R(7), c1, 1))
-	f.Emit(b1, ir.Addi(isa.R(8), isa.R(8), 1), ir.Jmp(a2))
-	f.Emit(c1, ir.Addi(isa.R(8), isa.R(8), 2))
-	f.Emit(a2, ir.Ld(isa.R(6), isa.R(1), 8), ir.Cmp(isa.CMPLT, isa.R(7), isa.R(6), isa.R(2)), ir.BrID(isa.R(7), c2, 2))
-	f.Emit(b2, ir.Addi(isa.R(9), isa.R(9), 1), ir.Jmp(d))
-	f.Emit(c2, ir.Addi(isa.R(9), isa.R(9), 2))
-	f.Emit(d, ir.St(isa.R(1), 64, isa.R(8)), ir.St(isa.R(1), 72, isa.R(9)), ir.Halt())
-	p := &ir.Program{Funcs: []*ir.Func{f}}
-
-	prof := &profile.Profile{ByID: map[int]*profile.Branch{
-		1: {ID: 1, Forward: true, Execs: 10000, Taken: 6000, Correct: 9200},
-		2: {ID: 2, Forward: true, Execs: 5000, Taken: 2000, Correct: 4600},
-	}}
-	opt := DefaultOptions()
-	opt.MaxConvert = 1
-	rep, err := Transform(p, prof, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Converted) != 1 || rep.Converted[0].ID != 1 {
-		t.Errorf("cap must keep only the hottest branch: %+v", rep.Converted)
-	}
-	if !strings.Contains(rep.Skipped[2], "cap") {
-		t.Errorf("skip reason: %v", rep.Skipped)
-	}
-}
-
 func TestBothBranchesConvertedAndEquivalent(t *testing.T) {
-	// Same double hammock, no cap: both convert, semantics preserved.
+	// Two hammocks in sequence: both convert, semantics preserved.
 	build := func() *ir.Program {
 		f := &ir.Func{Name: "main"}
 		init := f.AddBlock("init")

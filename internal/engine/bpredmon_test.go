@@ -34,7 +34,7 @@ func bpredStudyFixture(predictor string) *bpred.StudyReport {
 // counters with properly escaped labels, and counters accumulate across
 // ObserveBpred calls.
 func TestMonitorBpredMetrics(t *testing.T) {
-	mon := NewMonitor()
+	mon := NewMonitor(NewSweepRecorder())
 	scrape := func() string {
 		rec := httptest.NewRecorder()
 		mon.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -88,7 +88,7 @@ func TestMonitorBpredMetrics(t *testing.T) {
 // TestMonitorBpredDashboard pins /debug/bpred: the empty monitor renders
 // the placeholder, a probed one renders the class and provider tables.
 func TestMonitorBpredDashboard(t *testing.T) {
-	mon := NewMonitor()
+	mon := NewMonitor(NewSweepRecorder())
 	get := func() string {
 		rec := httptest.NewRecorder()
 		mon.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/bpred", nil))

@@ -44,14 +44,10 @@ type Config struct {
 	// result and stores newly computed ones. Results round-trip through
 	// JSON, so T must marshal losslessly enough for downstream use.
 	Cache *Cache
-	// Monitor, when non-nil, receives live progress (unit starts/ends,
-	// cache hits, failures) for the -progress status line and the
-	// -listen HTTP endpoints. Several Run calls may share one monitor.
-	Monitor *Monitor
-	// Recorder, when non-nil, receives one span per unit lifecycle phase
-	// (the sweep flight recording; see SweepRecorder). Like Monitor it is
-	// observability only, may span several Run calls, and costs nothing
-	// when nil.
+	// Recorder is the ledger the run books every unit's lifecycle in (see
+	// SweepRecorder); nil books it in a recorder private to the run. One
+	// recorder may span several Run calls, and a Monitor built over it
+	// shows them live. It never changes scheduling or results.
 	Recorder *SweepRecorder
 }
 
@@ -62,16 +58,17 @@ type UnitStat struct {
 	CacheHit bool
 }
 
-// Stats summarizes one engine run.
+// Stats summarizes one engine run. Run derives it from the run's
+// records in its recorder.
 type Stats struct {
 	// Jobs is the effective worker count (after clamping to the unit count).
 	Jobs int
-	// Wall is the end-to-end run duration.
+	// Wall is the end-to-end run duration: enqueue to the last terminal.
 	Wall time.Duration
 	// Units holds per-unit stats in enumeration order.
 	Units []UnitStat
-	// CacheHits / CacheMisses count cacheable units served from / written
-	// to the cache during this run.
+	// CacheHits / CacheMisses count the units whose run-cache probe found
+	// / did not find a usable entry.
 	CacheHits, CacheMisses int
 }
 
@@ -90,18 +87,14 @@ func Run[T any](ctx context.Context, cfg Config, units []Unit[T]) ([]T, Stats, e
 	if jobs > len(units) {
 		jobs = len(units)
 	}
-	st := Stats{Jobs: jobs, Units: make([]UnitStat, len(units))}
 	if len(units) == 0 {
-		return nil, st, nil
-	}
-	if cfg.Monitor != nil {
-		cfg.Monitor.addRun(len(units), jobs)
+		return nil, Stats{Jobs: jobs}, nil
 	}
 	rec := cfg.Recorder
-	base := 0
-	if rec != nil {
-		base = recorderAddRun(rec, units, jobs)
+	if rec == nil {
+		rec = &SweepRecorder{start: time.Now(), units: make([]unitRec, 0, len(units))}
 	}
+	base := recorderAddRun(rec, units, jobs)
 
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
@@ -112,8 +105,6 @@ func Run[T any](ctx context.Context, cfg Config, units []Unit[T]) ([]T, Stats, e
 		mu       sync.Mutex
 		firstErr error
 		firstIdx int
-		hits     int
-		misses   int
 	)
 	fail := func(i int, err error) {
 		mu.Lock()
@@ -133,66 +124,29 @@ func Run[T any](ctx context.Context, cfg Config, units []Unit[T]) ([]T, Stats, e
 	}
 
 	runUnit := func(wid, i int) {
-		u := units[i]
-		t0 := time.Now()
-		slot := -1
-		if cfg.Monitor != nil {
-			slot = cfg.Monitor.beginUnit(u.Label)
-		}
-		if rec != nil {
-			rec.dequeue(base+i, wid)
-		}
-		var probed, hit bool
-		// finish books the unit's terminal outcome (trace.SweepRetire,
-		// SweepFail or SweepCancel) with every observer.
-		finish := func(outcome string) {
-			if rec != nil {
-				rec.finish(base+i, outcome)
-			}
-			wall := time.Since(t0)
-			st.Units[i] = UnitStat{Label: u.Label, Wall: wall, CacheHit: hit}
-			if slot >= 0 {
-				cfg.Monitor.endUnit(slot, wall, probed, hit, outcome)
-			}
-		}
+		u, id := units[i], base+i
+		rec.dequeue(id, wid)
 		cacheable := cfg.Cache != nil && u.Key != ""
 		if cacheable {
-			var p0 time.Duration
-			if rec != nil {
-				p0 = rec.since()
-			}
+			p0 := rec.since()
 			var v T
-			var corrupt bool
-			probed = true
-			hit, corrupt = cfg.Cache.Load(u.Key, &v)
+			hit, corrupt := cfg.Cache.Load(u.Key, &v)
+			rec.probe(id, p0, hit, corrupt)
 			if hit {
 				results[i] = v
-			}
-			if corrupt && slot >= 0 {
-				cfg.Monitor.noteCorrupt()
-			}
-			if rec != nil {
-				rec.probe(base+i, p0, hit)
-			}
-			if hit {
-				mu.Lock()
-				hits++
-				mu.Unlock()
-				finish(trace.SweepRetire)
+				rec.finish(id, trace.SweepRetire)
 				return
 			}
 		}
 		if ctx.Err() != nil && (parent.Err() != nil || failedBefore(i)) {
-			finish(trace.SweepCancel)
+			rec.finish(id, trace.SweepCancel)
 			return
 		}
-		if rec != nil {
-			rec.computeStart(base + i)
-		}
+		rec.computeStart(id)
 		v, err := u.Run(ctx)
 		if err != nil {
 			fail(i, fmt.Errorf("%s: %w", u.Label, err))
-			finish(trace.SweepFail)
+			rec.finish(id, trace.SweepFail)
 			return
 		}
 		results[i] = v
@@ -200,14 +154,10 @@ func Run[T any](ctx context.Context, cfg Config, units []Unit[T]) ([]T, Stats, e
 			if data, err := json.Marshal(v); err == nil {
 				cfg.Cache.Put(u.Key, data)
 			}
-			mu.Lock()
-			misses++
-			mu.Unlock()
 		}
-		finish(trace.SweepRetire)
+		rec.finish(id, trace.SweepRetire)
 	}
 
-	start := time.Now()
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	worker := func(wid int) {
@@ -220,11 +170,10 @@ func Run[T any](ctx context.Context, cfg Config, units []Unit[T]) ([]T, Stats, e
 		wg.Add(1)
 		go worker(w)
 	}
-	fed := 0
 feed:
-	for ; fed < len(units); fed++ {
+	for i := range units {
 		select {
-		case idx <- fed:
+		case idx <- i:
 		case <-ctx.Done():
 			break feed
 		}
@@ -232,15 +181,9 @@ feed:
 	close(idx)
 	wg.Wait()
 	// A failure drains the units never fed to a worker: they cancel now.
-	if rec != nil {
-		rec.finishRun(base, len(units))
-	}
-	if cfg.Monitor != nil {
-		cfg.Monitor.cancelQueued(len(units) - fed)
-	}
+	rec.finishRun(base, len(units))
 
-	st.Wall = time.Since(start)
-	st.CacheHits, st.CacheMisses = hits, misses
+	st := rec.stats(base, len(units), jobs)
 	if firstErr != nil {
 		return nil, st, firstErr
 	}

@@ -16,57 +16,33 @@ import (
 	"vanguard/internal/trace"
 )
 
-// Monitor makes an engine run inspectable while it executes: workers
-// report unit starts/ends into it, and it renders a consistent progress
-// snapshot as JSON (/progress), Prometheus text (/metrics), or a
-// single-line terminal status. One monitor can span several engine.Run
-// calls (a CLI invocation enqueues unit sets as it goes); totals are
-// additive. All methods are safe for concurrent use.
+// Monitor makes the engine runs booked in one SweepRecorder inspectable
+// while they execute: it renders a consistent progress snapshot of the
+// records as JSON (/progress), Prometheus text (/metrics), an HTML
+// dashboard (/debug/sweep) or a single-line terminal status. Its only own
+// state is the attribution and predictor rollups the harness feeds it
+// (ObserveAttr, ObserveBpred). All methods are safe for concurrent use.
 type Monitor struct {
-	mu          sync.Mutex
-	started     time.Time
-	total       int
-	done        int
-	failed      int
-	cacheHits   int
-	cacheMisses int
-	jobs        int // high-water of configured workers, for the idle-ETA divisor
-	ewma        time.Duration
-	active      map[int]activeUnit
-	nextSlot    int
-	// latency histograms computed-unit wall times in microseconds
-	// (power-of-two buckets, the /metrics histogram and the /debug/sweep
-	// bars); busy accumulates worker-occupied time across retired units
-	// for the busy-ratio gauge.
-	latency trace.Hist
-	busy    time.Duration
+	rec *SweepRecorder
+
+	mu sync.Mutex
 	// attrSlots accumulates per-cause issue-slot totals from attributed
 	// runs (harness calls ObserveAttr once per simulated result). Keys are
-	// the attr cause keys; the map is passed by value semantics only
-	// through Snapshot copies.
+	// the attr cause keys.
 	attrSlots map[string]int64
 	// bpred accumulates the predictor-observatory rollup from probed runs
 	// (ObserveBpred; /metrics vanguard_bpred_* and /debug/bpred).
 	bpred bpredMon
-
-	// cacheCorrupt counts run-cache entries that were present but did not
-	// decode; each was recomputed, so it is also one of cacheMisses.
-	cacheCorrupt int
 }
 
-type activeUnit struct {
-	label string
-	since time.Time
-}
-
-// ewmaAlpha weights the latest unit wall time in the moving average:
+// ewmaAlpha weights the latest unit compute time in the moving average:
 // ewma = (1-alpha)*ewma + alpha*latest.
 const ewmaAlpha = 0.2
 
-// NewMonitor returns an empty monitor; hand it to engine.Config.Monitor
-// and to Serve/StartStatus.
-func NewMonitor() *Monitor {
-	return &Monitor{started: time.Now(), active: make(map[int]activeUnit)}
+// NewMonitor returns a monitor over rec, the recorder the engine runs to
+// watch book into (engine.Config.Recorder); hand it to Serve/StartStatus.
+func NewMonitor(rec *SweepRecorder) *Monitor {
+	return &Monitor{rec: rec}
 }
 
 // ObserveAttr folds one attributed run's per-cause issue-slot totals
@@ -109,82 +85,16 @@ func promLabelEscape(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-// addRun records a new engine.Run joining this monitor.
-func (m *Monitor) addRun(units, jobs int) {
-	m.mu.Lock()
-	m.total += units
-	if jobs > m.jobs {
-		m.jobs = jobs
-	}
-	m.mu.Unlock()
-}
-
-// beginUnit registers a unit starting on some worker and returns the
-// slot token endUnit takes.
-func (m *Monitor) beginUnit(label string) int {
-	m.mu.Lock()
-	slot := m.nextSlot
-	m.nextSlot++
-	m.active[slot] = activeUnit{label: label, since: time.Now()}
-	m.mu.Unlock()
-	return slot
-}
-
-// endUnit retires a unit that ended with outcome (trace.SweepRetire,
-// SweepFail or SweepCancel). Only a unit that probed the run cache counts
-// as a hit or a miss, so uncacheable units (keyless, or run without a
-// cache) are neither. Only a unit computed to completion feeds the EWMA
-// and the latency histogram: hits measure the cache, and failures and
-// cancels did not finish the work.
-func (m *Monitor) endUnit(slot int, wall time.Duration, probed, hit bool, outcome string) {
-	m.mu.Lock()
-	delete(m.active, slot)
-	m.done++
-	m.busy += wall
-	if probed {
-		if hit {
-			m.cacheHits++
-		} else {
-			m.cacheMisses++
-		}
-	}
-	switch {
-	case outcome == trace.SweepFail:
-		m.failed++
-	case outcome == trace.SweepRetire && !hit:
-		if m.ewma == 0 {
-			m.ewma = wall
-		} else {
-			m.ewma = time.Duration((1-ewmaAlpha)*float64(m.ewma) + ewmaAlpha*float64(wall))
-		}
-		m.latency.Observe(int64(wall / time.Microsecond))
-	}
-	m.mu.Unlock()
-}
-
-// cancelQueued retires n units an engine run never dequeued: a failure
-// drained them from the queue, and they cancel at run end.
-func (m *Monitor) cancelQueued(n int) {
-	m.mu.Lock()
-	m.done += n
-	m.mu.Unlock()
-}
-
-// WorkerUnit is one in-flight unit in a Progress snapshot.
+// WorkerUnit is one in-flight unit in a Progress snapshot; Slot is its
+// index in the recorder (enumeration order across runs).
 type WorkerUnit struct {
 	Slot      int     `json:"slot"`
 	Label     string  `json:"label"`
 	RunningMS float64 `json:"running_ms"`
 }
 
-// noteCorrupt records a run-cache entry that did not decode.
-func (m *Monitor) noteCorrupt() {
-	m.mu.Lock()
-	m.cacheCorrupt++
-	m.mu.Unlock()
-}
-
-// Progress is one consistent snapshot of an engine run. ETA is the
+// Progress is one consistent snapshot of the engine runs booked in a
+// recorder. ETA is the
 // remaining-unit estimate remaining×EWMA÷active-workers; it is zero
 // until the first computed unit retires.
 type Progress struct {
@@ -207,8 +117,8 @@ type Progress struct {
 	Jobs       int     `json:"jobs"`
 	QueueDepth int     `json:"queue_depth"`
 	BusyRatio  float64 `json:"busy_ratio"`
-	// UnitLatencyUS is the computed-unit wall-time histogram
-	// (microseconds), present once the first computed unit retires.
+	// UnitLatencyUS is the compute-time histogram (microseconds) of the
+	// units computed to completion, present once the first one retires.
 	UnitLatencyUS *trace.Hist `json:"unit_latency_us,omitempty"`
 
 	// CacheCorrupt counts the cache misses that found an entry which did
@@ -216,53 +126,69 @@ type Progress struct {
 	CacheCorrupt int `json:"cache_corrupt"`
 }
 
-// Snapshot returns the current progress under one lock acquisition, so
+// Snapshot derives the current progress from one copy of the records, so
 // every field is mutually consistent.
 func (m *Monitor) Snapshot() Progress {
-	now := time.Now()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p := Progress{
-		Total:       m.total,
-		Done:        m.done,
-		Failed:      m.failed,
-		CacheHits:   m.cacheHits,
-		CacheMisses: m.cacheMisses,
-		EWMAUnitMS:  float64(m.ewma) / float64(time.Millisecond),
-		ElapsedMS:   float64(now.Sub(m.started)) / float64(time.Millisecond),
-		Jobs:        m.jobs,
-
-		CacheCorrupt: m.cacheCorrupt,
-	}
-	busy := m.busy
-	for slot, a := range m.active {
-		p.Workers = append(p.Workers, WorkerUnit{
-			Slot: slot, Label: a.label,
-			RunningMS: float64(now.Sub(a.since)) / float64(time.Millisecond),
-		})
-		busy += now.Sub(a.since)
-	}
-	sort.Slice(p.Workers, func(i, j int) bool { return p.Workers[i].Slot < p.Workers[j].Slot })
-	if p.QueueDepth = m.total - m.done - len(m.active); p.QueueDepth < 0 {
-		p.QueueDepth = 0
-	}
-	if avail := now.Sub(m.started) * time.Duration(m.jobs); avail > 0 {
-		p.BusyRatio = float64(busy) / float64(avail)
-		if p.BusyRatio > 1 {
-			p.BusyRatio = 1
+	recs, jobs, now := m.rec.snapshot()
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	p := Progress{Total: len(recs), Jobs: jobs, ElapsedMS: ms(now)}
+	var busy time.Duration
+	var lat trace.Hist
+	var computed []*unitRec
+	for i := range recs {
+		u := &recs[i]
+		if u.probed {
+			if u.hit {
+				p.CacheHits++
+			} else {
+				p.CacheMisses++
+			}
+		}
+		if u.corrupt {
+			p.CacheCorrupt++
+		}
+		switch {
+		case u.outcome == "" && u.worker < 0:
+			p.QueueDepth++
+		case u.outcome == "":
+			p.Workers = append(p.Workers, WorkerUnit{Slot: i, Label: u.label, RunningMS: ms(now - u.deq)})
+			busy += now - u.deq
+		default:
+			p.Done++
+			if u.worker >= 0 {
+				busy += u.end - u.deq
+			}
+			if u.outcome == trace.SweepFail {
+				p.Failed++
+			}
+			if u.computed() {
+				computed = append(computed, u)
+				lat.Observe(int64((u.end - u.runStart) / time.Microsecond))
+			}
 		}
 	}
-	if m.latency.Count > 0 {
-		h := m.latency
-		p.UnitLatencyUS = &h
+	if avail := now * time.Duration(jobs); avail > 0 {
+		p.BusyRatio = min(float64(busy)/float64(avail), 1)
 	}
-	if remaining := m.total - m.done; remaining > 0 && m.ewma > 0 {
-		div := len(m.active)
-		if div == 0 {
-			div = m.jobs
+	if lat.Count > 0 {
+		p.UnitLatencyUS = &lat
+	}
+	// The EWMA folds the computed units' compute times in the order they
+	// finished.
+	sort.Slice(computed, func(i, j int) bool { return computed[i].end < computed[j].end })
+	var ewma time.Duration
+	for i, u := range computed {
+		if d := u.end - u.runStart; i == 0 {
+			ewma = d
+		} else {
+			ewma = time.Duration((1-ewmaAlpha)*float64(ewma) + ewmaAlpha*float64(d))
 		}
+	}
+	p.EWMAUnitMS = ms(ewma)
+	if remaining := p.Total - p.Done; remaining > 0 && ewma > 0 {
+		div := len(p.Workers)
 		if div == 0 {
-			div = 1
+			div = max(jobs, 1)
 		}
 		p.ETAMS = float64(remaining) * p.EWMAUnitMS / float64(div)
 	}

@@ -32,11 +32,40 @@ func getBody(t *testing.T, url string) string {
 	return string(b)
 }
 
+// seed returns a recorder with one engine run of n units enqueued on jobs
+// workers, labelled by labels (unlabelled past its end), and a monitor
+// over it.
+func seed(n, jobs int, labels ...string) (*SweepRecorder, *Monitor) {
+	rec := NewSweepRecorder()
+	units := make([]Unit[int], n)
+	for i, l := range labels {
+		units[i].Label = l
+	}
+	recorderAddRun(rec, units, jobs)
+	return rec, NewMonitor(rec)
+}
+
+// book writes unit u's lifecycle to r with exact durations, as the engine
+// hooks would: dequeued at deq, a cache probe when probed (a hit ends the
+// unit), else computed for dur, then the outcome.
+func book(r *SweepRecorder, u int, deq, dur time.Duration, probed, hit bool, outcome string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	rec := &r.units[u]
+	rec.deq, rec.worker = deq, 0
+	rec.probed, rec.hit, rec.probeStart, rec.probeEnd = probed, hit, deq, deq
+	if !hit {
+		rec.ran, rec.runStart = true, deq
+	}
+	rec.end, rec.outcome = deq+dur, outcome
+}
+
 // TestMonitorLiveRun is the acceptance test: during a live engine.Run,
 // /progress reports in-flight workers and /metrics exposes the counters
 // in Prometheus text format; after the run both show completion.
 func TestMonitorLiveRun(t *testing.T) {
-	mon := NewMonitor()
+	rec := NewSweepRecorder()
+	mon := NewMonitor(rec)
 	srv := httptest.NewServer(mon.Handler())
 	defer srv.Close()
 
@@ -65,7 +94,7 @@ func TestMonitorLiveRun(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		results, stats, runErr = Run(context.Background(), Config{Jobs: 2, Monitor: mon}, units)
+		results, stats, runErr = Run(context.Background(), Config{Jobs: 2, Recorder: rec}, units)
 	}()
 
 	// Wait until both workers hold a unit, then inspect mid-run.
@@ -137,7 +166,8 @@ func TestMonitorLiveRun(t *testing.T) {
 // TestMonitorFailuresAndHits checks the classification: failed units
 // count as failed, cache hits as hits, and neither feeds the EWMA.
 func TestMonitorFailuresAndHits(t *testing.T) {
-	mon := NewMonitor()
+	rec := NewSweepRecorder()
+	mon := NewMonitor(rec)
 	cache, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +176,7 @@ func TestMonitorFailuresAndHits(t *testing.T) {
 		{Label: "ok", Key: Key("monitor-test-ok"), Run: func(ctx context.Context) (int, error) { return 1, nil }},
 		{Label: "bad", Run: func(ctx context.Context) (int, error) { return 0, fmt.Errorf("boom") }},
 	}
-	_, _, err = Run(context.Background(), Config{Jobs: 1, Cache: cache, Monitor: mon}, units)
+	_, _, err = Run(context.Background(), Config{Jobs: 1, Cache: cache, Recorder: rec}, units)
 	if err == nil {
 		t.Fatal("expected unit error")
 	}
@@ -156,7 +186,7 @@ func TestMonitorFailuresAndHits(t *testing.T) {
 	}
 
 	// Re-running the cacheable unit alone is a pure cache hit.
-	_, _, err = Run(context.Background(), Config{Jobs: 1, Cache: cache, Monitor: mon}, units[:1])
+	_, _, err = Run(context.Background(), Config{Jobs: 1, Cache: cache, Recorder: rec}, units[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,9 +210,10 @@ func TestMonitorCacheCorrupt(t *testing.T) {
 	}
 	key := Key("monitor-corrupt")
 	cache.Put(key, []byte("{not json"))
-	mon := NewMonitor()
+	rec := NewSweepRecorder()
+	mon := NewMonitor(rec)
 	units := []Unit[int]{{Label: "u", Key: key, Run: func(context.Context) (int, error) { return 7, nil }}}
-	res, _, err := Run(context.Background(), Config{Jobs: 1, Cache: cache, Monitor: mon}, units)
+	res, _, err := Run(context.Background(), Config{Jobs: 1, Cache: cache, Recorder: rec}, units)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +240,7 @@ func TestMonitorCacheCorrupt(t *testing.T) {
 
 	// The recompute rewrote the entry, so a second run is a clean hit and
 	// the counter holds.
-	if _, _, err := Run(context.Background(), Config{Jobs: 1, Cache: cache, Monitor: mon}, units); err != nil {
+	if _, _, err := Run(context.Background(), Config{Jobs: 1, Cache: cache, Recorder: rec}, units); err != nil {
 		t.Fatal(err)
 	}
 	if p := mon.Snapshot(); p.CacheCorrupt != 1 || p.CacheHits != 1 {
@@ -218,10 +249,8 @@ func TestMonitorCacheCorrupt(t *testing.T) {
 }
 
 func TestMonitorStatusLineAndETA(t *testing.T) {
-	mon := NewMonitor()
-	mon.addRun(10, 2)
-	slot := mon.beginUnit("a")
-	mon.endUnit(slot, 100*time.Millisecond, false, false, trace.SweepRetire)
+	rec, mon := seed(10, 2)
+	book(rec, 0, 0, 100*time.Millisecond, false, false, trace.SweepRetire)
 	p := mon.Snapshot()
 	if p.EWMAUnitMS != 100 {
 		t.Errorf("first sample must set the EWMA directly: %v", p.EWMAUnitMS)
@@ -230,8 +259,7 @@ func TestMonitorStatusLineAndETA(t *testing.T) {
 	if p.ETAMS != 450 {
 		t.Errorf("ETA = %v ms, want 450", p.ETAMS)
 	}
-	slot = mon.beginUnit("b")
-	mon.endUnit(slot, 200*time.Millisecond, false, false, trace.SweepRetire)
+	book(rec, 1, 100*time.Millisecond, 200*time.Millisecond, false, false, trace.SweepRetire)
 	if got := mon.Snapshot().EWMAUnitMS; got != 120 {
 		t.Errorf("EWMA after 100,200 = %v, want 0.8*100+0.2*200 = 120", got)
 	}
@@ -261,7 +289,7 @@ func TestMonitorStatusLineAndETA(t *testing.T) {
 // to leak both for the life of the process), and /healthz answers while
 // the server is up.
 func TestMonitorServeClose(t *testing.T) {
-	mon := NewMonitor()
+	mon := NewMonitor(NewSweepRecorder())
 	addr, closeSrv, err := mon.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -287,13 +315,13 @@ func TestMonitorServeClose(t *testing.T) {
 }
 
 // TestMonitorHammer races every mutating and reading entry point under
-// the race detector and then asserts counter conservation: everything
-// begun was ended exactly once, and done partitions into failed + hits +
-// computed (the latency histogram's count).
+// the race detector — the engine's recorder hooks, ObserveAttr, Snapshot,
+// StatusLine and Report — and then asserts counter conservation:
+// everything begun was ended exactly once, and done partitions into
+// failed + hits + computed (the latency histogram's count).
 func TestMonitorHammer(t *testing.T) {
-	mon := NewMonitor()
 	const workers, perWorker = 8, 200
-	mon.addRun(workers*perWorker, workers)
+	rec, mon := seed(workers*perWorker, workers)
 
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -308,6 +336,7 @@ func TestMonitorHammer(t *testing.T) {
 				default:
 					_ = mon.Snapshot()
 					_ = mon.StatusLine()
+					_ = rec.Report()
 				}
 			}
 		}()
@@ -319,15 +348,19 @@ func TestMonitorHammer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				slot := mon.beginUnit(fmt.Sprintf("w%d-%d", g, i))
+				u := g*perWorker + i
+				rec.dequeue(u, g)
 				mon.ObserveAttr(map[string]int64{"base": 2, "br_mispredict": 1})
+				rec.probe(u, rec.since(), i%4 == 1, false)
 				switch i % 4 {
 				case 0:
-					mon.endUnit(slot, time.Microsecond, true, false, trace.SweepFail) // failed
+					rec.computeStart(u)
+					rec.finish(u, trace.SweepFail) // failed
 				case 1:
-					mon.endUnit(slot, time.Microsecond, true, true, trace.SweepRetire) // cache hit
+					rec.finish(u, trace.SweepRetire) // cache hit
 				default:
-					mon.endUnit(slot, time.Microsecond, true, false, trace.SweepRetire) // computed
+					rec.computeStart(u)
+					rec.finish(u, trace.SweepRetire) // computed
 				}
 			}
 		}(g)
@@ -371,13 +404,10 @@ func TestMonitorHammer(t *testing.T) {
 // page renders occupancy bars for active units, the hit-rate, and the
 // latency histogram without needing any client-side script.
 func TestSweepDashboard(t *testing.T) {
-	mon := NewMonitor()
-	mon.addRun(10, 4)
-	slot := mon.beginUnit("done-unit")
-	mon.endUnit(slot, 3*time.Millisecond, true, false, trace.SweepRetire) // computed
-	slot = mon.beginUnit("hit-unit")
-	mon.endUnit(slot, time.Millisecond, true, true, trace.SweepRetire) // cache hit
-	mon.beginUnit("live-unit")                                         // stays active
+	rec, mon := seed(10, 4, "done-unit", "hit-unit", "live-unit")
+	book(rec, 0, 0, 3*time.Millisecond, true, false, trace.SweepRetire) // computed
+	book(rec, 1, 0, time.Millisecond, true, true, trace.SweepRetire)    // cache hit
+	rec.dequeue(2, 0)                                                   // stays active
 
 	srv := httptest.NewServer(mon.Handler())
 	defer srv.Close()
@@ -395,7 +425,7 @@ func TestSweepDashboard(t *testing.T) {
 		}
 	}
 	// The idle dashboard renders too (no units, no division by zero).
-	empty := httptest.NewServer(NewMonitor().Handler())
+	empty := httptest.NewServer(NewMonitor(NewSweepRecorder()).Handler())
 	defer empty.Close()
 	if body := getBody(t, empty.URL+"/debug/sweep"); !strings.Contains(body, "(idle)") {
 		t.Errorf("idle dashboard missing placeholder:\n%s", body)
@@ -479,8 +509,9 @@ func TestMonitorMatchesStatsAndRecording(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			mon, rec := NewMonitor(), NewSweepRecorder()
-			cfg := Config{Jobs: tc.jobs, Cache: cache, Monitor: mon, Recorder: rec}
+			rec := NewSweepRecorder()
+			mon := NewMonitor(rec)
+			cfg := Config{Jobs: tc.jobs, Cache: cache, Recorder: rec}
 			_, st, runErr := Run(context.Background(), cfg, units)
 			if (runErr != nil) == tc.warm {
 				t.Fatalf("run error = %v", runErr)

@@ -6,6 +6,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"vanguard/internal/trace"
 )
@@ -212,14 +213,10 @@ func TestPromValidatorRejectsMalformed(t *testing.T) {
 // every escape — passes the text-format validator with no duplicate
 // series, and the escaped label round-trips.
 func TestMetricsPromFormat(t *testing.T) {
-	mon := NewMonitor()
-	mon.addRun(4, 2)
-	slot := mon.beginUnit("u")
-	mon.endUnit(slot, 0, true, false, trace.SweepRetire) // computed: a cache miss
-	slot = mon.beginUnit("u2")
-	mon.endUnit(slot, 0, true, true, trace.SweepRetire) // cache hit
-	slot = mon.beginUnit("u3")
-	mon.endUnit(slot, 0, true, false, trace.SweepFail) // failed: also a cache miss
+	rec, mon := seed(4, 2, "u", "u2", "u3")
+	book(rec, 0, 0, 0, true, false, trace.SweepRetire) // computed: a cache miss
+	book(rec, 1, 0, 0, true, true, trace.SweepRetire)  // cache hit
+	book(rec, 2, 0, 0, true, false, trace.SweepFail)   // failed: also a cache miss
 	mon.ObserveAttr(map[string]int64{
 		"base":          100,
 		"br_mispredict": 40,
@@ -245,5 +242,49 @@ func TestMetricsPromFormat(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestMetricsFamilies pins the /metrics family list and types, in
+// exposition order, of a monitor that has seen units, attribution and a
+// predictor study, so a family cannot be renamed or dropped unnoticed.
+func TestMetricsFamilies(t *testing.T) {
+	rec, mon := seed(2, 1, "u")
+	book(rec, 0, 0, time.Millisecond, true, false, trace.SweepRetire)
+	mon.ObserveAttr(map[string]int64{"base": 1})
+	mon.ObserveBpred(bpredStudyFixture("tage"))
+	srv := httptest.NewServer(mon.Handler())
+	defer srv.Close()
+	var got []string
+	for _, line := range strings.Split(getBody(t, srv.URL+"/metrics"), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			got = append(got, rest)
+		}
+	}
+	want := []string{
+		"vanguard_units_total counter",
+		"vanguard_units_done gauge",
+		"vanguard_units_failed gauge",
+		"vanguard_cache_hits_total counter",
+		"vanguard_cache_misses_total counter",
+		"vanguard_cache_corrupt_total counter",
+		"vanguard_unit_errors_total counter",
+		"vanguard_workers_active gauge",
+		"vanguard_queue_depth gauge",
+		"vanguard_worker_busy_ratio gauge",
+		"vanguard_unit_latency_ewma_seconds gauge",
+		"vanguard_eta_seconds gauge",
+		"vanguard_unit_latency_seconds histogram",
+		"vanguard_attr_slots_total counter",
+		"vanguard_bpred_studies_total counter",
+		"vanguard_bpred_resolves_total counter",
+		"vanguard_bpred_mispredicts_total counter",
+		"vanguard_bpred_class_branches_total counter",
+		"vanguard_bpred_class_execs_total counter",
+		"vanguard_bpred_class_mispredicts_total counter",
+		"vanguard_bpred_provider_use_total counter",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("/metrics families:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

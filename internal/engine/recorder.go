@@ -7,18 +7,19 @@ import (
 	"vanguard/internal/trace"
 )
 
-// SweepRecorder is the engine flight recorder: when attached via
-// Config.Recorder it captures one span per unit lifecycle phase
-// (enqueued → dequeued → cache probe → compute → terminal) and renders
-// them as a trace.SweepReport. One recorder may span several engine runs (a CLI
+// SweepRecorder is the engine's ledger: every engine run books each
+// unit's lifecycle (enqueued → dequeued → cache probe → compute →
+// terminal) in one, its own when Config.Recorder is nil. Everything else
+// the engine reports is a view of these records: the run's Stats, the
+// engine section of a -json report (EngineReport), the flight recording
+// (Report, the -sweep-trace and -sweep-chrome artifacts) and a Monitor's
+// live progress. One recorder may span several engine runs (a CLI
 // invocation enqueues unit sets as it goes); unit indexes are global
 // across runs in enumeration order, so the span ordering of a recording
 // is deterministic even though wall times vary.
 //
-// All hook methods are safe for concurrent use by the worker pool. A nil
-// recorder costs the engine one pointer test per hook site and nothing
-// else — the contract TestRecorderOffByteIdentical and
-// TestRecorderOffZeroAlloc pin.
+// All methods are safe for concurrent use by the worker pool and by
+// readers.
 type SweepRecorder struct {
 	mu      sync.Mutex
 	start   time.Time
@@ -27,7 +28,9 @@ type SweepRecorder struct {
 }
 
 // unitRec is the mutable per-unit lifecycle record; all times are
-// offsets from the recorder's creation.
+// offsets from the recorder's creation. A unit is queued until
+// dequeued (worker >= 0), active until it has an outcome, and done
+// after.
 type unitRec struct {
 	label, key string
 	enq        time.Duration
@@ -39,9 +42,15 @@ type unitRec struct {
 	worker     int // -1 until dequeued
 	probed     bool
 	hit        bool
+	corrupt    bool // the probe found an entry that did not decode
 	ran        bool
 	outcome    string
 }
+
+// computed reports whether the unit was computed to completion: the only
+// units whose compute time feeds the latency histogram and the EWMA
+// (hits measure the cache; failures and cancels did not finish the work).
+func (u *unitRec) computed() bool { return u.ran && u.outcome == trace.SweepRetire }
 
 // NewSweepRecorder returns an empty recorder; its creation instant is
 // the zero of every recorded timestamp.
@@ -54,12 +63,13 @@ func NewSweepRecorder() *SweepRecorder {
 func (r *SweepRecorder) since() time.Duration { return time.Since(r.start) }
 
 // recorderAddRun registers one engine run's units (all enqueued now),
-// returning the global base index of the run's unit 0. Generic because it
-// reads Unit[T] metadata; a method cannot be.
+// returning the global base index of the run's unit 0. The clock is read
+// under the lock, so enqueue times never decrease with the index.
+// Generic because it reads Unit[T] metadata; a method cannot be.
 func recorderAddRun[T any](r *SweepRecorder, units []Unit[T], jobs int) int {
-	now := r.since()
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	now := r.since()
 	base := len(r.units)
 	for i := range units {
 		r.units = append(r.units, unitRec{
@@ -86,13 +96,14 @@ func (r *SweepRecorder) dequeue(u, wid int) {
 }
 
 // probe records the unit's cache probe: it began at start (on the
-// recorder clock) and resolved now as a hit or a miss.
-func (r *SweepRecorder) probe(u int, start time.Duration, hit bool) {
+// recorder clock) and resolved now as a hit, a miss or a corrupt miss.
+func (r *SweepRecorder) probe(u int, start time.Duration, hit, corrupt bool) {
 	now := r.since()
 	r.mu.Lock()
 	rec := &r.units[u]
 	rec.probed = true
 	rec.hit = hit
+	rec.corrupt = corrupt
 	rec.probeStart = start
 	rec.probeEnd = now
 	r.mu.Unlock()
@@ -108,7 +119,8 @@ func (r *SweepRecorder) computeStart(u int) {
 	r.mu.Unlock()
 }
 
-// finish records the unit's terminal outcome.
+// finish records the unit's terminal outcome (trace.SweepRetire,
+// SweepFail or SweepCancel).
 func (r *SweepRecorder) finish(u int, outcome string) {
 	now := r.since()
 	r.mu.Lock()
@@ -133,6 +145,76 @@ func (r *SweepRecorder) finishRun(base, n int) {
 		}
 	}
 	r.mu.Unlock()
+}
+
+// snapshot copies the records out under the lock, with the worker
+// high-water and the clock, so views compute without holding it.
+func (r *SweepRecorder) snapshot() ([]unitRec, int, time.Duration) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]unitRec(nil), r.units...), r.workers, r.since()
+}
+
+// stats derives the Stats of the n units from base, one engine run.
+func (r *SweepRecorder) stats(base, n, jobs int) Stats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return statsOf(r.units[base:base+n], jobs)
+}
+
+// statsOf derives Stats from records: each finished unit's wall time from
+// dequeue to terminal, the probes' hits and misses, and as Wall the time
+// during which at least one unit was in the engine (the union of the
+// units' enqueue-to-terminal intervals, so several runs add up).
+func statsOf(recs []unitRec, jobs int) Stats {
+	st := Stats{Jobs: jobs, Units: make([]UnitStat, len(recs))}
+	var from, to time.Duration
+	for i := range recs {
+		u := &recs[i]
+		st.Units[i] = UnitStat{Label: u.label, CacheHit: u.hit}
+		if u.probed {
+			if u.hit {
+				st.CacheHits++
+			} else {
+				st.CacheMisses++
+			}
+		}
+		if u.outcome == "" {
+			continue // still in the engine: no wall time yet
+		}
+		if u.worker >= 0 {
+			st.Units[i].Wall = u.end - u.deq
+		}
+		// Enqueue times never decrease with the index (recorderAddRun).
+		if u.enq > to {
+			st.Wall += to - from
+			from, to = u.enq, u.end
+		} else if u.end > to {
+			to = u.end
+		}
+	}
+	st.Wall += to - from
+	return st
+}
+
+// EngineReport renders the recording as the engine section of a -json
+// report: the worker high-water, the probes' hits and misses, the wall
+// time units were in the engine, and every unit's wall time in
+// enumeration order.
+func (r *SweepRecorder) EngineReport() *trace.EngineReport {
+	r.mu.Lock()
+	st := statsOf(r.units, r.workers)
+	r.mu.Unlock()
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	e := &trace.EngineReport{
+		Jobs: st.Jobs, Units: len(st.Units),
+		CacheHits: st.CacheHits, CacheMisses: st.CacheMisses,
+		WallMS: ms(st.Wall),
+	}
+	for _, u := range st.Units {
+		e.UnitWall = append(e.UnitWall, trace.EngineUnit{Label: u.Label, WallMS: ms(u.Wall), CacheHit: u.CacheHit})
+	}
+	return e
 }
 
 // Report renders the recording as a trace.SweepReport: spans in unit
@@ -208,10 +290,9 @@ func (r *SweepRecorder) Report() *trace.SweepReport {
 				Unit: u, Label: rec.label, Phase: trace.SweepPhaseCompute,
 				Worker: rec.worker, StartUS: us(rec.runStart), DurUS: cw,
 			})
-			switch outcome {
-			case trace.SweepRetire:
+			if rec.computed() {
 				s.UnitLatency.Observe(cw)
-			case trace.SweepFail:
+			} else if outcome == trace.SweepFail {
 				s.WastedUS += cw
 			}
 		}

@@ -58,6 +58,11 @@ func TestRecorderLifecycle(t *testing.T) {
 	if s.Workers != 2 {
 		t.Errorf("workers = %d, want 2", s.Workers)
 	}
+	// The engine section is a view of the same records.
+	if e := rec.EngineReport(); e.Units != 18 || len(e.UnitWall) != 18 || e.CacheHits != 9 ||
+		e.CacheMisses != 9 || e.Jobs != 2 || e.WallMS <= 0 || e.WallMS > float64(s.WallUS)/1000+1 {
+		t.Errorf("engine report %+v disagrees with the recording (%d units, wall %d us)", e, s.Units, s.WallUS)
+	}
 
 	// Spans come out in unit enumeration order with a fixed per-unit
 	// phase order, so the recording is deterministic modulo wall times.
@@ -166,9 +171,9 @@ func TestRecorderMidRunReport(t *testing.T) {
 	}
 }
 
-// TestRecorderOffByteIdentical is the nil-hook contract: attaching a
-// recorder must not change results or engine statistics in any way —
-// byte-identical outputs, identical hit/miss accounting.
+// TestRecorderOffByteIdentical: a run booked in the caller's recorder and
+// one booked in a private recorder (Config.Recorder nil) must not differ
+// in any way — byte-identical outputs, identical hit/miss accounting.
 func TestRecorderOffByteIdentical(t *testing.T) {
 	run := func(rec *SweepRecorder) ([]int, Stats, []int, Stats) {
 		t.Helper()
@@ -209,11 +214,10 @@ func TestRecorderOffByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRecorderOffZeroAlloc pins the hot-path cost of the nil recorder:
-// the marginal allocations per additional unit must not grow when the
-// recorder hooks are compiled in but disabled. The engine itself
-// allocates a fixed small amount per unit (monitor-free, cache-free
-// path); the recorder must add zero to that margin.
+// TestRecorderOffZeroAlloc pins the hot-path cost of a run with no
+// recorder of its own: the marginal allocations per additional unit. The
+// private recorder is sized once per run, so its books add no per-unit
+// allocation (cache-free path).
 func TestRecorderOffZeroAlloc(t *testing.T) {
 	mk := func(n int) []Unit[int] {
 		units := make([]Unit[int], n)
@@ -233,8 +237,7 @@ func TestRecorderOffZeroAlloc(t *testing.T) {
 	}
 	small, big := measure(1), measure(101)
 	perUnit := (big - small) / 100
-	// The scalar path costs one allocation per unit (its finish closure);
-	// any recorder bookkeeping on the off path would push this up.
+	// Per-unit bookkeeping that allocates would push this up.
 	if perUnit > 1.5 {
 		t.Errorf("nil-recorder marginal cost = %.2f allocs/unit (1 unit: %.0f, 101 units: %.0f), want <= 1.5",
 			perUnit, small, big)

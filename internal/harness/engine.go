@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"vanguard/internal/core"
 	"vanguard/internal/engine"
@@ -14,7 +13,6 @@ import (
 	"vanguard/internal/pipeline"
 	"vanguard/internal/pipeview"
 	"vanguard/internal/profile"
-	"vanguard/internal/trace"
 	"vanguard/internal/workload"
 )
 
@@ -319,7 +317,7 @@ func (j *benchJob) units(jobIdx int) []engine.Unit[*pipeline.Stats] {
 // runBenchJobs executes a (possibly heterogeneous) set of benchmark jobs
 // as one engine job set and aggregates per-job BenchResults in
 // enumeration order. Jobs that share an input share its products
-// (shareInputs). The execution policy (Jobs, Cache, EngineStats) comes
+// (shareInputs). The execution policy (Jobs, Cache, Recorder) comes
 // from o (RunUnits); each job's own Options govern what it simulates.
 func runBenchJobs(jobs []*benchJob, o Options) ([]*BenchResult, error) {
 	shareInputs(jobs)
@@ -360,14 +358,10 @@ func runBenchJobs(jobs []*benchJob, o Options) ([]*BenchResult, error) {
 }
 
 // RunUnits runs units on the experiment engine under o's execution
-// policy (Jobs, Cache, Monitor, Recorder) and adds the run's telemetry to
-// o.EngineStats. Every engine run of the harness and the commands goes
-// through it.
+// policy (Jobs, Cache) and books them in o.Recorder. Every engine run of
+// the harness and the commands goes through it.
 func RunUnits[T any](o Options, units []engine.Unit[T]) ([]T, engine.Stats, error) {
-	results, est, err := engine.Run(context.Background(),
-		engine.Config{Jobs: o.Jobs, Cache: o.Cache, Monitor: o.Monitor, Recorder: o.Recorder}, units)
-	o.EngineStats.add(est)
-	return results, est, err
+	return engine.Run(context.Background(), engine.Config{Jobs: o.Jobs, Cache: o.Cache, Recorder: o.Recorder}, units)
 }
 
 // ObserveResults feeds a result set's attribution slot totals and
@@ -388,63 +382,6 @@ func ObserveResults(m *engine.Monitor, results ...*pipeline.Stats) {
 		}
 		m.ObserveBpred(st.Bpred)
 	}
-}
-
-// EngineStats accumulates experiment-engine telemetry across every
-// harness call that shares it (via Options.EngineStats). Safe for
-// concurrent use; the zero value is ready.
-type EngineStats struct {
-	mu    sync.Mutex
-	jobs  int
-	wall  time.Duration
-	units []trace.EngineUnit
-	hits  int
-	miss  int
-}
-
-// add folds one engine run's telemetry into the totals (RunUnits calls
-// it). A nil receiver ignores the run.
-func (s *EngineStats) add(est engine.Stats) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if est.Jobs > s.jobs {
-		s.jobs = est.Jobs
-	}
-	s.wall += est.Wall
-	s.hits += est.CacheHits
-	s.miss += est.CacheMisses
-	for _, u := range est.Units {
-		s.units = append(s.units, trace.EngineUnit{
-			Label:    u.Label,
-			WallMS:   float64(u.Wall) / float64(time.Millisecond),
-			CacheHit: u.CacheHit,
-		})
-	}
-}
-
-// Report renders the accumulated telemetry in the shared schema.
-func (s *EngineStats) Report() *trace.EngineReport {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return &trace.EngineReport{
-		Jobs:        s.jobs,
-		Units:       len(s.units),
-		CacheHits:   s.hits,
-		CacheMisses: s.miss,
-		WallMS:      float64(s.wall) / float64(time.Millisecond),
-		UnitWall:    append([]trace.EngineUnit(nil), s.units...),
-	}
-}
-
-// Summary returns a one-line human summary for CLI logs.
-func (s *EngineStats) Summary() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return fmt.Sprintf("%d units on %d workers in %.1fs (run cache: %d hits, %d misses)",
-		len(s.units), s.jobs, s.wall.Seconds(), s.hits, s.miss)
 }
 
 // SuiteCache memoizes RunSuite results per suite name for one Options

@@ -47,8 +47,7 @@ func TestJobsDifferential(t *testing.T) {
 
 	o1 := fastOptions()
 	o1.Jobs = 1
-	es1 := &EngineStats{}
-	o1.EngineStats = es1
+	o1.Recorder = engine.NewSweepRecorder()
 	r1, err := RunBenchmarks(cs, o1)
 	if err != nil {
 		t.Fatal(err)
@@ -56,8 +55,7 @@ func TestJobsDifferential(t *testing.T) {
 
 	o8 := fastOptions()
 	o8.Jobs = 8
-	es8 := &EngineStats{}
-	o8.EngineStats = es8
+	o8.Recorder = engine.NewSweepRecorder()
 	r8, err := RunBenchmarks(cs, o8)
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +67,7 @@ func TestJobsDifferential(t *testing.T) {
 	}
 
 	// The engine section still records what actually happened.
-	rep1, rep8 := es1.Report(), es8.Report()
+	rep1, rep8 := o1.Recorder.EngineReport(), o8.Recorder.EngineReport()
 	if rep1.Jobs != 1 {
 		t.Errorf("jobs=1 run reported %d workers", rep1.Jobs)
 	}
@@ -209,14 +207,12 @@ func TestWarmCache(t *testing.T) {
 
 	run := func() ([]*BenchResult, *trace.EngineReport) {
 		o := fastOptions()
-		o.Cache = cache
-		es := &EngineStats{}
-		o.EngineStats = es
+		o.Cache, o.Recorder = cache, engine.NewSweepRecorder()
 		rs, err := RunBenchmarks([]workload.Config{c}, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rs, es.Report()
+		return rs, o.Recorder.EngineReport()
 	}
 
 	cold, coldRep := run()
@@ -254,7 +250,8 @@ func TestMonitorFeedsCachedResults(t *testing.T) {
 	run := func() (string, *trace.EngineReport) {
 		o := fastOptions()
 		o.Attr, o.Probe = true, true
-		o.Cache, o.Monitor, o.EngineStats = cache, engine.NewMonitor(), &EngineStats{}
+		o.Cache, o.Recorder = cache, engine.NewSweepRecorder()
+		o.Monitor = engine.NewMonitor(o.Recorder)
 		if _, err := RunBenchmarks([]workload.Config{c}, o); err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +263,7 @@ func TestMonitorFeedsCachedResults(t *testing.T) {
 				fed = append(fed, line)
 			}
 		}
-		return strings.Join(fed, "\n"), o.EngineStats.Report()
+		return strings.Join(fed, "\n"), o.Recorder.EngineReport()
 	}
 	cold, coldRep := run()
 	warm, warmRep := run()
@@ -286,7 +283,7 @@ func TestMonitorFeedsCachedResults(t *testing.T) {
 	// Nothing to feed is not an error: no monitor, a build unit's nil
 	// result, a run with neither section.
 	ObserveResults(nil, &pipeline.Stats{})
-	ObserveResults(engine.NewMonitor(), nil, &pipeline.Stats{})
+	ObserveResults(engine.NewMonitor(engine.NewSweepRecorder()), nil, &pipeline.Stats{})
 }
 
 // TestAnonymousPredictorBypassesCache: a NewPredictor closure without a

@@ -34,7 +34,7 @@ type benchCurve struct {
 // BiasPredictabilityCurve computes the Figure 2 (integer) or Figure 3
 // (floating point) series for a suite, with per-benchmark profiling runs
 // spread over the experiment engine; o contributes only the execution
-// policy (Jobs, Cache, EngineStats).
+// policy (Jobs, Cache, Recorder).
 func BiasPredictabilityCurve(suite string, in workload.Input, o Options) (*Curve, error) {
 	var units []engine.Unit[benchCurve]
 	for _, c := range workload.Suite(suite) {

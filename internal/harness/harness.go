@@ -52,23 +52,19 @@ type Options struct {
 	// Execution policy (see the experiment engine in internal/engine):
 	// Jobs bounds the worker pool (<= 0 selects GOMAXPROCS), Cache is the
 	// content-keyed on-disk run cache (nil disables cross-invocation
-	// reuse), and EngineStats, when non-nil, accumulates scheduling and
-	// cache telemetry across every harness call sharing it. None of the
-	// three changes simulated results: aggregation is deterministic in
-	// enumeration order regardless of scheduling.
-	Jobs        int
-	Cache       *engine.Cache
-	EngineStats *EngineStats
-	// Monitor, when non-nil, receives live per-unit progress from every
-	// engine run this options value drives (the -progress / -listen
-	// observability surface).
-	Monitor *engine.Monitor
-	// Recorder, when non-nil, captures the sweep flight recording — one
-	// span per unit lifecycle phase — across every engine run this
-	// options value drives (the -sweep-trace observability surface). Like
-	// Monitor it is pure observability: it never changes scheduling,
-	// results, or run-cache keys.
+	// reuse), and Recorder, when non-nil, is the ledger every engine run
+	// this options value drives books its units in (the source of a
+	// command's engine telemetry, sweep recording and live progress; nil
+	// gives each run a private one). None of the three changes simulated
+	// results: aggregation is deterministic in enumeration order
+	// regardless of scheduling.
+	Jobs     int
+	Cache    *engine.Cache
 	Recorder *engine.SweepRecorder
+	// Monitor, when non-nil, is the live view of Recorder (-progress,
+	// -listen); the harness feeds it each result's attribution and
+	// predictor-study rollups (ObserveResults).
+	Monitor *engine.Monitor
 
 	// SampleWindow enables the pipeline's cycle-window time-series
 	// sampler on every simulation (pipeline.Config.SampleWindow). It is

@@ -60,10 +60,10 @@ func TestRunCacheKeyCoversOptions(t *testing.T) {
 	}
 	// optionsPolicy lists the fields that steer execution or observation
 	// but cannot change any simulated result: Verify only cross-checks,
-	// Jobs/Cache/EngineStats are scheduling policy (the jobs differential
-	// proves byte-identity), Monitor and Recorder only watch.
+	// Jobs/Cache are scheduling policy (the jobs differential proves
+	// byte-identity), Monitor and Recorder only watch.
 	optionsPolicy := map[string]bool{
-		"Verify": true, "Jobs": true, "Cache": true, "EngineStats": true,
+		"Verify": true, "Jobs": true, "Cache": true,
 		"Monitor": true, "Recorder": true,
 	}
 	ot := reflect.TypeOf(Options{})

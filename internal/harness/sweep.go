@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 
 	"vanguard/internal/engine"
-	"vanguard/internal/trace"
 )
 
 // SweepArtifactName is the recording persisted next to the run cache, so
@@ -17,33 +16,32 @@ const SweepArtifactName = "sweep_trace.json"
 // WriteSweepArtifacts renders rec's flight recording and writes every
 // requested artifact: the versioned JSON recording to tracePath, the
 // Chrome trace_event timeline to chromePath (either may be empty), and —
-// when cache is non-nil — a copy of the JSON recording next to the run
-// cache. It returns the report so callers can also embed it as the
-// `sweep` section of a -json telemetry report. A nil rec is a no-op, so
-// CLIs call this unconditionally.
-func WriteSweepArtifacts(rec *engine.SweepRecorder, tracePath, chromePath string, cache *engine.Cache) (*trace.SweepReport, error) {
-	if rec == nil {
-		return nil, nil
+// when one of the two is requested and cache is non-nil — a copy of the
+// JSON recording next to the run cache. With neither path it writes
+// nothing, so CLIs call it unconditionally.
+func WriteSweepArtifacts(rec *engine.SweepRecorder, tracePath, chromePath string, cache *engine.Cache) error {
+	if tracePath == "" && chromePath == "" {
+		return nil
 	}
 	s := rec.Report()
 	if tracePath != "" {
 		if err := s.WriteFile(tracePath); err != nil {
-			return nil, fmt.Errorf("sweep trace: %w", err)
+			return fmt.Errorf("sweep trace: %w", err)
 		}
 	}
 	if chromePath != "" {
 		f, err := os.Create(chromePath)
 		if err != nil {
-			return nil, fmt.Errorf("sweep chrome trace: %w", err)
+			return fmt.Errorf("sweep chrome trace: %w", err)
 		}
 		if err := s.WriteChrome(f); err != nil { // WriteChrome closes f
-			return nil, fmt.Errorf("sweep chrome trace: %w", err)
+			return fmt.Errorf("sweep chrome trace: %w", err)
 		}
 	}
 	if cache != nil {
 		if err := s.WriteFile(filepath.Join(cache.Dir(), SweepArtifactName)); err != nil {
-			return nil, fmt.Errorf("sweep trace (cache dir): %w", err)
+			return fmt.Errorf("sweep trace (cache dir): %w", err)
 		}
 	}
-	return s, nil
+	return nil
 }

@@ -14,8 +14,8 @@ import (
 
 // TestWriteSweepArtifacts drives the artifact fan-out: the JSON
 // recording, the Chrome timeline, and the run-cache copy are all
-// written, parse back, and satisfy the conservation invariant; a nil
-// recorder writes nothing.
+// written, parse back, and satisfy the conservation invariant; with no
+// artifact requested nothing is written, not even the run-cache copy.
 func TestWriteSweepArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := engine.Open(filepath.Join(dir, "cache"))
@@ -39,15 +39,8 @@ func TestWriteSweepArtifacts(t *testing.T) {
 
 	tracePath := filepath.Join(dir, "sweep.json")
 	chromePath := filepath.Join(dir, "sweep.trace")
-	s, err := WriteSweepArtifacts(rec, tracePath, chromePath, cache)
-	if err != nil {
+	if err := WriteSweepArtifacts(rec, tracePath, chromePath, cache); err != nil {
 		t.Fatal(err)
-	}
-	if s == nil || s.Units != 4 {
-		t.Fatalf("returned report = %+v, want 4 units", s)
-	}
-	if err := s.Check(); err != nil {
-		t.Fatalf("report violates conservation: %v", err)
 	}
 
 	// Both JSON copies parse back and still satisfy Check.
@@ -82,20 +75,23 @@ func TestWriteSweepArtifacts(t *testing.T) {
 		t.Error("chrome artifact has no events")
 	}
 
-	// Nil recorder: no-op, no files.
-	noneTrace := filepath.Join(dir, "none.json")
-	if s, err := WriteSweepArtifacts(nil, noneTrace, "", nil); err != nil || s != nil {
-		t.Fatalf("nil recorder returned %+v, %v", s, err)
+	// Nothing requested: no files.
+	quiet, err := engine.Open(filepath.Join(dir, "quiet"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(noneTrace); !os.IsNotExist(err) {
-		t.Error("nil recorder wrote an artifact")
+	if err := WriteSweepArtifacts(rec, "", "", quiet); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(quiet.Dir(), SweepArtifactName)); !os.IsNotExist(err) {
+		t.Error("a run with no sweep artifact requested wrote one beside the cache")
 	}
 }
 
 // TestSweepGateConservation is the make sweep-gate acceptance: an
 // uncached end-to-end benchmark run with the flight recorder attached
 // produces a recording that satisfies Check and reconciles span-for-span
-// with what the engine says it executed.
+// with the units the harness handed the engine.
 func TestSweepGateConservation(t *testing.T) {
 	c, ok := workload.ByName("h264ref")
 	if !ok {
@@ -105,19 +101,17 @@ func TestSweepGateConservation(t *testing.T) {
 	o.Jobs = 4
 	rec := engine.NewSweepRecorder()
 	o.Recorder = rec
-	es := &EngineStats{}
-	o.EngineStats = es
 	if _, err := RunBenchmark(c, o); err != nil {
 		t.Fatal(err)
 	}
+	executed := len(newBenchJob(c, o).units(0))
 
 	s := rec.Report()
 	if err := s.Check(); err != nil {
 		t.Fatalf("flight recording violates conservation: %v", err)
 	}
-	er := es.Report()
-	if s.Units != er.Units {
-		t.Fatalf("recorder saw %d units, engine executed %d", s.Units, er.Units)
+	if s.Units != executed {
+		t.Fatalf("recorder saw %d units, engine executed %d", s.Units, executed)
 	}
 	var unitSpans int
 	for _, sp := range s.Spans {
@@ -128,15 +122,15 @@ func TestSweepGateConservation(t *testing.T) {
 			}
 		}
 	}
-	if unitSpans != er.Units {
-		t.Fatalf("%d unit spans for %d executed units", unitSpans, er.Units)
+	if unitSpans != executed {
+		t.Fatalf("%d unit spans for %d executed units", unitSpans, executed)
 	}
 	// Uncached run: no probes recorded, everything computed.
 	if s.CacheHits != 0 || s.CacheMisses != 0 {
 		t.Errorf("uncached run recorded %d hits / %d misses", s.CacheHits, s.CacheMisses)
 	}
-	if s.UnitLatency == nil || s.UnitLatency.Count != int64(er.Units) {
-		t.Errorf("latency histogram = %+v, want %d observations", s.UnitLatency, er.Units)
+	if s.UnitLatency == nil || s.UnitLatency.Count != int64(executed) {
+		t.Errorf("latency histogram = %+v, want %d observations", s.UnitLatency, executed)
 	}
 	if s.WallUS <= 0 || s.Workers <= 0 {
 		t.Errorf("degenerate recording: wall %d us, %d workers", s.WallUS, s.Workers)

@@ -181,19 +181,6 @@ func (m *Memory) MustStore(addr uint64, v int64) {
 	}
 }
 
-// StoreWords writes a contiguous slice of words starting at base.
-func (m *Memory) StoreWords(base uint64, vs []int64) error {
-	for i, v := range vs {
-		if err := m.Store(base+uint64(i)*8, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Footprint returns the number of distinct pages ever written.
-func (m *Memory) Footprint() int { return len(m.pages) }
-
 // Clone returns a copy with value semantics: a store to either memory
 // never shows in the other. The copy is lazy: Clone copies the page
 // table, marks every page shared on both sides, and each side copies a

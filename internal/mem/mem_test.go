@@ -77,27 +77,6 @@ func TestMustStorePanicsOnFault(t *testing.T) {
 	New().MustStore(0, 1)
 }
 
-func TestStoreWords(t *testing.T) {
-	m := New()
-	vs := []int64{1, -2, 3, -4, 5}
-	base := uint64(PageBytes - 16) // straddles a page boundary
-	if base < FaultBoundary {
-		t.Fatal("test base must be valid")
-	}
-	if err := m.StoreWords(base, vs); err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range vs {
-		got, err := m.Load(base + uint64(i)*8)
-		if err != nil || got != want {
-			t.Errorf("word %d = %d, %v; want %d", i, got, err, want)
-		}
-	}
-	if m.Footprint() != 2 {
-		t.Errorf("Footprint() = %d, want 2 (write straddles pages)", m.Footprint())
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	m := New()
 	m.MustStore(FaultBoundary, 11)

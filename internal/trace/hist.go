@@ -73,24 +73,6 @@ func (h *Hist) ObserveN(v, n int64) {
 	h.Buckets[bucketOf(v)] += n
 }
 
-// Merge folds o into h.
-func (h *Hist) Merge(o *Hist) {
-	if o.Count == 0 {
-		return
-	}
-	if h.Count == 0 || o.MinV < h.MinV {
-		h.MinV = o.MinV
-	}
-	if h.Count == 0 || o.MaxV > h.MaxV {
-		h.MaxV = o.MaxV
-	}
-	h.Count += o.Count
-	h.Sum += o.Sum
-	for i := range h.Buckets {
-		h.Buckets[i] += o.Buckets[i]
-	}
-}
-
 // Mean returns the exact sample mean (0 when empty).
 func (h *Hist) Mean() float64 {
 	if h.Count == 0 {

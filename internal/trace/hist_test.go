@@ -96,38 +96,6 @@ func TestHistObserveAndQuantile(t *testing.T) {
 	}
 }
 
-func TestHistMerge(t *testing.T) {
-	var a, b Hist
-	for v := int64(0); v < 100; v++ {
-		a.Observe(v)
-	}
-	for v := int64(100); v < 200; v++ {
-		b.Observe(v)
-	}
-	merged := a
-	merged.Merge(&b)
-	var want Hist
-	for v := int64(0); v < 200; v++ {
-		want.Observe(v)
-	}
-	if merged != want {
-		t.Errorf("merge mismatch:\n got %+v\nwant %+v", merged, want)
-	}
-	// Merging into an empty hist copies it.
-	var empty Hist
-	empty.Merge(&a)
-	if empty != a {
-		t.Errorf("merge into empty mismatch")
-	}
-	// Merging an empty hist is a no-op.
-	before := a
-	var e2 Hist
-	a.Merge(&e2)
-	if a != before {
-		t.Errorf("merge of empty not a no-op")
-	}
-}
-
 func TestHistJSONRoundTrip(t *testing.T) {
 	var h Hist
 	for _, v := range []int64{0, 1, 1, 5, 300, 70000, -3} {

@@ -5,7 +5,7 @@
 # Builds the five experiment CLIs and the four examples with coverage
 # over every package, runs the -fast experiments with observers off
 # (spec -all, figures -fig 2/3 and -sensitivity, ablate -sweep all, and
-# make results' three vgrun runs), then one small leg with each observer
+# make results' four vgrun runs), then one small leg with each observer
 # or output switch on, then the examples. It folds the coverage per
 # function and fails when a function no run reached is missing from
 # scripts/reach_allow.txt, or when an allowlist entry names a function
@@ -39,8 +39,9 @@ run figures -fast -fig 2
 run figures -fast -fig 3
 run figures -fast -sensitivity
 run ablate -fast -sweep all -json "$out/ablate.json"
-for w in 2 4 8; do
-	run vgrun -no-hists -no-cache -width $w -json "$out/dot$w.json" -transform examples/asm/dotproduct.s
+for leg in dotproduct:2 dotproduct:4 dotproduct:8 sparse:4; do
+	prog=${leg%%:*} w=${leg#*:}
+	run vgrun -no-hists -no-cache -width $w -json "$out/${prog}_w$w.json" -transform examples/asm/$prog.s
 done
 
 # One small leg per observer switch, on a transformable assembly
