@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet race bench-module bench bench-all bench-diff bench-json results results-full attr-gate sim-gate staticcheck pipeview-gate kernel-gate sweep-gate bpred-gate sched-gate core-gate fuzz-smoke gate-patterns doc-refs reach
+.PHONY: all build test check fmt vet race bench-module bench bench-all results results-full attr-gate sim-gate staticcheck pipeview-gate kernel-gate sweep-gate bpred-gate sched-gate core-gate fuzz-smoke gate-patterns doc-refs reach
 
 # Pinned staticcheck version: `go run` resolves it through the module
 # proxy, so the exact analyzer version is reproducible everywhere.
@@ -163,10 +163,13 @@ gate-patterns:
 
 # Doc-reference audit: every Test…, Fuzz… or Benchmark… name cited in the
 # top-level docs must be a prefix of at least one test, fuzz target or
-# benchmark that go test -list finds, and every `make <target>` they cite
-# must name a target of this Makefile, so a renamed or deleted test or
-# target cannot stay cited. bench/README.md is not audited yet: bench/ is
-# its own module.
+# benchmark that go test -list finds, every `make <target>` they cite
+# must name a target of this Makefile, and every cmd/, internal/,
+# examples/, scripts/ or results/ path they cite must exist (a pkg.Symbol
+# suffix such as internal/exec.Step is dropped first; a path inside
+# another one, such as an import path's .../cmd/..., is not a repo path),
+# so a renamed or deleted test, target or file cannot stay cited.
+# bench/README.md is not audited yet: bench/ is its own module.
 DOC_REFS_FILES := README.md DESIGN.md EXPERIMENTS.md results/README.md
 doc-refs:
 	@out="$$($(GO) test -list . ./...)" || { echo "$$out"; exit 1; }; \
@@ -179,8 +182,12 @@ doc-refs:
 	for ref in $$(grep -ohE '`make [a-z][a-z0-9-]*' $(DOC_REFS_FILES) | sed 's/^`make //' | sort -u); do \
 		echo "$$targets" | grep -qx -- "$$ref" || { echo "doc-refs: make $$ref is cited but names no Makefile target"; bad=1; }; \
 	done; \
+	for ref in $$(grep -ohE '(^|[^A-Za-z0-9_./-])(\./)?(cmd|internal|examples|scripts|results)/[A-Za-z0-9_./-]*' $(DOC_REFS_FILES) \
+		| sed -E 's/^[^a-z.]//; s/^\.\///; s/\.[A-Z][^/]*$$//; s/[./]+$$//' | sort -u); do \
+		[ -e "$$ref" ] || { echo "doc-refs: $$ref is cited but no such path exists"; bad=1; }; \
+	done; \
 	if [ $$bad -ne 0 ]; then exit 1; fi; \
-	echo "doc-refs: every cited test name matches a test and every cited make target exists"
+	echo "doc-refs: every cited test name matches a test, every cited make target and repo path exists"
 
 # Reachability audit: build the five CLIs and the examples with coverage
 # over every package, run the -fast experiments, one small leg per
@@ -211,34 +218,16 @@ ATTR_GATE_PKGS := ./internal/pipeline/ ./internal/harness/
 attr-gate:
 	$(GO) test -run '$(ATTR_GATE_RUN)' -count 1 $(ATTR_GATE_PKGS)
 
-# Simulator-throughput benchmarks (simulated MIPS + allocation counts),
-# benchstat-friendly: five samples per benchmark, compare against the
-# committed results/bench_baseline.txt with
-#   make bench | tee new.txt && benchstat results/bench_baseline.txt new.txt
+# Simulator-throughput microbenchmarks (simulated MIPS + allocation
+# counts), five samples per benchmark. No baseline is committed: compare
+# a change against its parent on the same host, run for run. End-to-end
+# claims go through bench/ (bash bench/run.sh ... -compare).
 bench:
 	$(GO) test -bench Sim -benchmem -count 5 -run '^$$' .
 
 # Quick smoke pass over every table/figure benchmark.
 bench-all:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-
-# Throughput-regression gate: rerun the Sim benchmarks and compare the
-# per-benchmark mean sim-MIPS against the committed baseline with the
-# in-tree comparator (no benchstat dependency). Fails on a >10% drop.
-bench-diff:
-	$(GO) test -bench Sim -benchmem -count 3 -run '^$$' . | tee results/.bench_new.txt
-	$(GO) run ./cmd/benchdiff results/bench_baseline.txt results/.bench_new.txt
-	@rm -f results/.bench_new.txt
-
-# Perf-trajectory bookkeeping: rerun the Sim benchmarks and append the
-# per-benchmark mean sim-MIPS and allocs/op to results/bench_trajectory.json
-# under the current short revision, so throughput history accumulates
-# commit by commit (re-running a commit updates its entry in place).
-bench-json:
-	$(GO) test -bench Sim -benchmem -count 3 -run '^$$' . | tee results/.bench_new.txt
-	$(GO) run ./cmd/benchdiff -json results/bench_trajectory.json \
-		-label "$$(git rev-parse --short HEAD)" results/.bench_new.txt
-	@rm -f results/.bench_new.txt
 
 # Pipeview gate: the lifetime-capture invariants (every fetched
 # instruction reaches exactly one terminal, stage cycles are monotonic),

@@ -23,16 +23,11 @@ import (
 	"vanguard/internal/workload"
 )
 
-func benchOptions() harness.Options {
-	o := harness.DefaultOptions()
-	return o
-}
-
 // suiteGeomean runs a whole suite at the given widths and returns the
 // per-width geomean speedups.
 func suiteGeomean(b *testing.B, suite string, widths []int, bestRef bool) map[int]float64 {
 	b.Helper()
-	o := benchOptions()
+	o := harness.DefaultOptions()
 	o.Widths = widths
 	rs, err := harness.RunSuite(suite, o)
 	if err != nil {
@@ -81,7 +76,7 @@ func BenchmarkFig3PredictabilityVsBiasFP(b *testing.B) {
 
 // BenchmarkTable2Metrics regenerates Table 2 (SPEC 2006 INT+FP at 4-wide).
 func BenchmarkTable2Metrics(b *testing.B) {
-	o := benchOptions()
+	o := harness.DefaultOptions()
 	o.Widths = []int{4}
 	for i := 0; i < b.N; i++ {
 		var all []*harness.BenchResult
@@ -153,7 +148,7 @@ func BenchmarkFig13SpeedupFP2000(b *testing.B) {
 
 // BenchmarkFig14IssuedIncrease regenerates Figure 14.
 func BenchmarkFig14IssuedIncrease(b *testing.B) {
-	o := benchOptions()
+	o := harness.DefaultOptions()
 	o.Widths = []int{4}
 	for i := 0; i < b.N; i++ {
 		rs, err := harness.RunSuite("int2006", o)
@@ -170,7 +165,7 @@ func BenchmarkFig14IssuedIncrease(b *testing.B) {
 
 // BenchmarkSensitivityPredictorLadder regenerates the Section 5.3 study.
 func BenchmarkSensitivityPredictorLadder(b *testing.B) {
-	o := benchOptions()
+	o := harness.DefaultOptions()
 	o.Widths = []int{4}
 	for i := 0; i < b.N; i++ {
 		rows, err := harness.Sensitivity(harness.SensitivityBenchmarks(), o)
@@ -191,7 +186,7 @@ func BenchmarkSensitivityPredictorLadder(b *testing.B) {
 
 // BenchmarkSec61CodeSizeICache regenerates the Section 6.1 study.
 func BenchmarkSec61CodeSizeICache(b *testing.B) {
-	o := benchOptions()
+	o := harness.DefaultOptions()
 	for i := 0; i < b.N; i++ {
 		rows, err := harness.RunICacheStudy("int2006", o)
 		if err != nil {
@@ -237,11 +232,12 @@ func BenchmarkEngineSuiteJobsMax(b *testing.B) { benchEngineSuite(b, 0) }
 // These benchmarks measure the single-machine hot path — pipeline.Machine
 // cycling one loaded program — as simulated MIPS (committed instructions
 // per wall second, in millions). `make bench` runs exactly this suite
-// (-bench Sim -benchmem -count 5) against results/bench_baseline.txt, so
-// core regressions show up as a diffable drop in sim-MIPS or a nonzero
-// rise in allocs/op. The build products (profile, transform, schedule) are
-// constructed once and shared; each iteration simulates a fresh machine
-// over a fresh memory clone, exactly like one harness simulation unit.
+// (-bench Sim -benchmem -count 5). No baseline is committed: compare a
+// change against its parent on the same host, where a core regression
+// shows up as a drop in sim-MIPS or a rise in allocs/op. The build
+// products (profile, transform, schedule) are constructed once and
+// shared; each iteration simulates a fresh machine over a fresh memory
+// clone, exactly like one harness simulation unit.
 
 var simSetup struct {
 	once      sync.Once
@@ -399,7 +395,7 @@ func BenchmarkSimSweepW4(b *testing.B) {
 // benchmark — so substrate performance regressions are visible.
 func BenchmarkTable1Machine(b *testing.B) {
 	c, _ := workload.ByName("perlbench")
-	o := benchOptions()
+	o := harness.DefaultOptions()
 	o.Widths = []int{4}
 	o.Verify = false
 	b.ResetTimer()

@@ -1,11 +1,13 @@
 // Command vgrun assembles a vanguard assembly file and runs it — on the
 // golden-model interpreter, on the Table 1 cycle-level machine, or both —
-// optionally applying the Decomposed Branch Transformation first.
+// optionally applying the Decomposed Branch Transformation first. Every
+// binary is scheduled for the machine's width, so the plain run is the
+// baseline -transform and -attr-diff compare against.
 //
-//	vgrun prog.s                      # interpret + simulate, print stats
+//	vgrun prog.s                      # schedule, interpret + simulate, print stats
 //	vgrun -width 8 prog.s             # 8-wide machine
-//	vgrun -transform prog.s           # profile, decompose, then simulate
-//	vgrun -dump -transform prog.s     # print the transformed assembly
+//	vgrun -transform prog.s           # profile, decompose, schedule, then simulate
+//	vgrun -dump -transform prog.s     # print the transformed, scheduled assembly
 //	vgrun -json out.json prog.s       # machine-readable telemetry report
 //	vgrun -chrome-trace t.json prog.s # timeline for chrome://tracing / Perfetto
 //	vgrun -attr-diff prog.s           # baseline-vs-vanguard cycle attribution
@@ -50,7 +52,7 @@ func main() {
 	var (
 		width     = flag.Int("width", 4, "issue width")
 		transform = flag.Bool("transform", false, "apply the decomposed branch transformation (profile-guided)")
-		dump      = flag.Bool("dump", false, "print the (possibly transformed) assembly and exit")
+		dump      = flag.Bool("dump", false, "print the scheduled (and, with -transform, transformed) assembly and exit")
 		maxInstrs = flag.Int64("max-instrs", 50_000_000, "functional instruction cap")
 		doTrace   = flag.Bool("trace", false, "print issue/mispredict events from the timing run (historical line format)")
 		traceAll  = flag.Bool("trace-all", false, "like -trace, but print every lifecycle event (fetch, commit, squash, DBB push/pop, cache misses, faults)")
@@ -88,19 +90,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var rep *core.Report
-	if *transform {
-		_, rep = decompose(p, *maxInstrs, *width)
+	bin, _, rep := build(p, *transform, *maxInstrs, *width)
+	if rep != nil {
 		fmt.Fprintf(os.Stderr, "converted %d branch(es), code size %+.1f%%\n",
 			len(rep.Converted), rep.PISCS())
 	}
 	if *dump {
-		fmt.Print(asm.Format(p))
+		fmt.Print(asm.Format(bin))
 		sess.Finish()
 		return
 	}
 
-	im := ir.MustLinearize(p)
+	im := ir.MustLinearize(bin)
 	gm := mem.New()
 	gst, fstats, err := interp.Run(im, gm, interp.Options{MaxInstrs: *maxInstrs})
 	if err != nil {
@@ -126,7 +127,7 @@ func main() {
 	}
 
 	if *attrDiff {
-		runAttrDiff(p, gm, src, cfg, o, sess, *maxInstrs, *attrCSV)
+		runAttrDiff(p, im, gm, src, cfg, o, sess, *maxInstrs, *attrCSV)
 		return
 	}
 	// Event tracing needs a live machine, so those runs bypass the cache
@@ -137,7 +138,7 @@ func main() {
 	sinks := eventSinks{text: *doTrace || *traceAll, all: *traceAll, chrome: *chromeOut}
 	key := ""
 	if !sinks.text && sinks.chrome == "" {
-		key = engine.Key("vgrun/v6", string(src), *transform, *maxInstrs, cfg)
+		key = engine.Key("vgrun/v7", string(src), *transform, *maxInstrs, cfg)
 	}
 	results, est := simulate(o, sess, simUnit("timing", key, im, cfg, gm, sinks))
 	st := results[0]
@@ -254,20 +255,25 @@ func checkFlags(given map[string]bool) error {
 	return nil
 }
 
-// decompose profiles p, applies the Decomposed Branch Transformation to
-// it in place and schedules it for width: the build behind -transform and
-// behind the vanguard binary of -attr-diff.
-func decompose(p *ir.Program, maxInstrs int64, width int) (*profile.Profile, *core.Report) {
-	prof, err := profile.CollectDefault(ir.MustLinearize(p), mem.New(), maxInstrs)
-	if err != nil {
-		log.Fatalf("profile: %v", err)
+// build returns the binary vgrun simulates from the parsed program p,
+// which it leaves untouched: a copy of p scheduled for width, after
+// profiling it and applying the Decomposed Branch Transformation under
+// transform (rep is then the transformation's report). The plain run, the
+// -transform run and both binaries of -attr-diff all come from here, so
+// any two of them differ only by the transformation.
+func build(p *ir.Program, transform bool, maxInstrs int64, width int) (bin *ir.Program, prof *profile.Profile, rep *core.Report) {
+	bin = p.Clone()
+	if transform {
+		var err error
+		if prof, err = profile.CollectDefault(ir.MustLinearize(bin), mem.New(), maxInstrs); err != nil {
+			log.Fatalf("profile: %v", err)
+		}
+		if rep, err = core.Transform(bin, prof, core.DefaultOptions()); err != nil {
+			log.Fatalf("transform: %v", err)
+		}
 	}
-	rep, err := core.Transform(p, prof, core.DefaultOptions())
-	if err != nil {
-		log.Fatalf("transform: %v", err)
-	}
-	sched.Program(p, sched.DefaultModel(width))
-	return prof, rep
+	sched.Program(bin, sched.DefaultModel(width))
+	return bin, prof, rep
 }
 
 // eventSinks are the lifecycle-event consumers a timing run attaches:
@@ -335,29 +341,18 @@ func simulate(o harness.Options, sess *cli.Session, units ...engine.Unit[*pipeli
 	return results, est
 }
 
-// diffBinaries builds -attr-diff's two binaries from the parsed program p,
-// which it leaves untouched: the baseline scheduled for width, and the
-// vanguard binary decomposed and then scheduled (decompose), so the two
-// differ only by the transformation.
-func diffBinaries(p *ir.Program, maxInstrs int64, width int) (base, exp *ir.Image, prof *profile.Profile, rep *core.Report) {
-	baseProg, expProg := p.Clone(), p.Clone()
-	sched.Program(baseProg, sched.DefaultModel(width))
-	prof, rep = decompose(expProg, maxInstrs, width)
-	return ir.MustLinearize(baseProg), ir.MustLinearize(expProg), prof, rep
-}
-
-// runAttrDiff is the -attr-diff path: build both binaries from the parsed
-// (untransformed) program, simulate them on cfg (attribution on) as
-// engine units (cached, monitored), and render the differential — which
-// causes shrank, and which branches paid off.
-func runAttrDiff(p *ir.Program, gm *mem.Memory, src []byte, cfg pipeline.Config,
+// runAttrDiff is the -attr-diff path: simulate the plain run's image base
+// and the vanguard binary built from the parsed (untransformed) program p
+// on cfg (attribution on) as engine units (cached, monitored), and render
+// the differential — which causes shrank, and which branches paid off.
+func runAttrDiff(p *ir.Program, base *ir.Image, gm *mem.Memory, src []byte, cfg pipeline.Config,
 	o harness.Options, sess *cli.Session, maxInstrs int64, csvPrefix string) {
-	baseIm, expIm, prof, rep := diffBinaries(p, maxInstrs, cfg.Width)
+	exp, prof, rep := build(p, true, maxInstrs, cfg.Width)
 	unit := func(binary string, im *ir.Image) engine.Unit[*pipeline.Stats] {
 		key := engine.Key("vgrun-attrdiff/v4", string(src), maxInstrs, binary, cfg)
 		return simUnit(binary, key, im, cfg, gm, eventSinks{})
 	}
-	results, _ := simulate(o, sess, unit("base", baseIm), unit("exp", expIm))
+	results, _ := simulate(o, sess, unit("base", base), unit("exp", ir.MustLinearize(exp)))
 	d := &harness.AttrDiff{
 		Benchmark: flag.Arg(0), Width: cfg.Width,
 		Base: results[0].Attr, Exp: results[1].Attr,

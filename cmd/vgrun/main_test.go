@@ -43,10 +43,13 @@ func TestCheckFlags(t *testing.T) {
 	}
 }
 
-// TestDiffBaselineScheduled pins -attr-diff's baseline to the scheduled
-// program: on sparse.s at width 4 its cycle count is that of the program
-// scheduled alone, not of the unscheduled one, so the reported change is
-// the transformation's and not the scheduler's.
+// TestDiffBaselineScheduled pins the plain run's binary, which main also
+// hands to -attr-diff as its baseline, to the scheduled program: on
+// sparse.s at width 4 its cycle count is that of the program scheduled
+// alone, not of the unscheduled one, so the change that -transform and
+// -attr-diff show against it is the transformation's and not the
+// scheduler's. build leaves its input untouched and decomposes only under
+// transform.
 func TestDiffBaselineScheduled(t *testing.T) {
 	src, err := os.ReadFile("../../examples/asm/sparse.s")
 	if err != nil {
@@ -59,27 +62,37 @@ func TestDiffBaselineScheduled(t *testing.T) {
 		}
 		return p
 	}
-	const width = 4
-	cycles := func(im *ir.Image) int64 {
-		st, err := pipeline.New(im, mem.New(), pipeline.DefaultConfig(width)).Run()
+	const width, maxInstrs = 4, 50_000_000
+	cycles := func(p *ir.Program) int64 {
+		st, err := pipeline.New(ir.MustLinearize(p), mem.New(), pipeline.DefaultConfig(width)).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return st.Cycles
 	}
 	p := parse()
-	base, _, _, _ := diffBinaries(p, 50_000_000, width)
-	unscheduled := cycles(ir.MustLinearize(parse()))
-	if got := cycles(ir.MustLinearize(p)); got != unscheduled {
-		t.Errorf("diffBinaries changed its input: %d cycles, want %d", got, unscheduled)
+	plain, _, rep := build(p, false, maxInstrs, width)
+	if rep != nil {
+		t.Errorf("plain build transformed the program (%d branches converted)", len(rep.Converted))
+	}
+	exp, _, rep := build(p, true, maxInstrs, width)
+	if rep == nil || len(rep.Converted) == 0 {
+		t.Fatal("-transform build converted no branch of sparse.s")
+	}
+	unscheduled := cycles(parse())
+	if got := cycles(p); got != unscheduled {
+		t.Errorf("build changed its input: %d cycles, want %d", got, unscheduled)
 	}
 	scheduled := parse()
 	sched.Program(scheduled, sched.DefaultModel(width))
-	want := cycles(ir.MustLinearize(scheduled))
-	if got := cycles(base); got != want {
-		t.Errorf("baseline runs %d cycles, the scheduled program %d (unscheduled: %d)", got, want, unscheduled)
+	want := cycles(scheduled)
+	if got := cycles(plain); got != want {
+		t.Errorf("plain run takes %d cycles, the scheduled program %d (unscheduled: %d)", got, want, unscheduled)
 	}
 	if want == unscheduled {
 		t.Errorf("scheduling sparse.s changes nothing (%d cycles): the test cannot tell the binaries apart", want)
+	}
+	if got := cycles(exp); got >= want {
+		t.Errorf("vanguard binary takes %d cycles, not fewer than the baseline's %d", got, want)
 	}
 }

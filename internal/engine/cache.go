@@ -23,8 +23,8 @@ const Version = "vanguard-engine/v1"
 // are safe for concurrent use; writes are atomic (temp file + rename), so
 // concurrent processes can share one directory.
 type Cache struct {
-	dir                   string
-	hits, misses, corrupt atomic.Int64
+	dir  string
+	hits atomic.Int64
 }
 
 // Open creates (if needed) and opens a cache directory.
@@ -59,7 +59,7 @@ func (c *Cache) path(key string) string {
 
 // Get returns the stored bytes for key, if present. It counts nothing:
 // only the caller's decode tells a usable entry from a corrupt one, so
-// the counters belong to Load.
+// the hit counter belongs to Load.
 func (c *Cache) Get(key string) ([]byte, bool) {
 	data, err := os.ReadFile(c.path(key))
 	return data, err == nil
@@ -67,18 +67,16 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 
 // Load decodes the JSON entry stored under key into v and reports whether
 // it did (hit), and whether an entry was present but did not decode
-// (corrupt). An absent entry counts as a miss; a corrupt one counts as a
-// miss and as corrupt, and the caller recomputes it. A null entry is
-// corrupt: it decodes without error but leaves no result.
+// (corrupt). An absent or corrupt entry is a miss, and the caller
+// recomputes it. A null entry is corrupt: it decodes without error but
+// leaves no result.
 func (c *Cache) Load(key string, v any) (hit, corrupt bool) {
 	data, ok := c.Get(key)
-	if ok && (bytes.Equal(bytes.TrimSpace(data), []byte("null")) || json.Unmarshal(data, v) != nil) {
-		c.corrupt.Add(1)
-		ok, corrupt = false, true
-	}
 	if !ok {
-		c.misses.Add(1)
-		return false, corrupt
+		return false, false
+	}
+	if bytes.Equal(bytes.TrimSpace(data), []byte("null")) || json.Unmarshal(data, v) != nil {
+		return false, true
 	}
 	c.hits.Add(1)
 	return true, false
@@ -112,14 +110,6 @@ func (c *Cache) Put(key string, data []byte) {
 
 // Hits returns the lifetime lookup-hit count of this handle.
 func (c *Cache) Hits() int64 { return c.hits.Load() }
-
-// Misses returns the lifetime lookup-miss count of this handle, corrupt
-// entries included.
-func (c *Cache) Misses() int64 { return c.misses.Load() }
-
-// Corrupt returns how many lookups of this handle found an entry that did
-// not decode.
-func (c *Cache) Corrupt() int64 { return c.corrupt.Load() }
 
 // Key derives a content key from the JSON encodings of parts, prefixed by
 // the engine Version. Parts must be pure data (JSON-encodable); a

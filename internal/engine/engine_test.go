@@ -5,12 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"vanguard/internal/trace"
 )
 
 // TestRunOrder: results come back in enumeration order no matter how the
@@ -278,9 +278,10 @@ func TestRunPartialCache(t *testing.T) {
 }
 
 // TestCacheCorruptEntry: a mangled cache file, or a null one (which
-// decodes without error but leaves a pointer result nil), is recomputed,
-// not trusted, and the handle counts the lookup as a corrupt miss, not a
-// hit. The recompute repairs the entry.
+// decodes without error but leaves a pointer result nil), is not
+// trusted. Load reports an absent entry as a plain miss and a bad one as
+// a corrupt miss, the recorder books the unit's probe as a corrupt miss,
+// the unit is recomputed, and the recompute repairs the entry.
 func TestCacheCorruptEntry(t *testing.T) {
 	for name, entry := range map[string]string{"garbage": "{not json", "null": "null\n"} {
 		t.Run(name, func(t *testing.T) {
@@ -290,11 +291,19 @@ func TestCacheCorruptEntry(t *testing.T) {
 				t.Fatal(err)
 			}
 			key := Key("corrupt", name)
+			var p *payload
+			if hit, corrupt := c.Load(key, &p); hit || corrupt {
+				t.Fatalf("absent entry: hit=%v corrupt=%v, want a plain miss", hit, corrupt)
+			}
 			c.Put(key, []byte(entry))
+			if hit, corrupt := c.Load(key, &p); hit || !corrupt {
+				t.Fatalf("%s entry: hit=%v corrupt=%v, want a corrupt miss", name, hit, corrupt)
+			}
 			unit := Unit[*payload]{Label: "u", Key: key, Run: func(context.Context) (*payload, error) {
 				return &payload{A: 7}, nil
 			}}
-			res, st, err := Run(context.Background(), Config{Cache: c}, []Unit[*payload]{unit})
+			rec := NewSweepRecorder()
+			res, st, err := Run(context.Background(), Config{Cache: c, Recorder: rec}, []Unit[*payload]{unit})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -304,16 +313,16 @@ func TestCacheCorruptEntry(t *testing.T) {
 			if st.CacheHits != 0 || st.CacheMisses != 1 {
 				t.Fatalf("corrupt entry counted as a hit (hits=%d misses=%d)", st.CacheHits, st.CacheMisses)
 			}
-			if c.Hits() != 0 || c.Misses() != 1 || c.Corrupt() != 1 {
-				t.Fatalf("cache handle counted hits=%d misses=%d corrupt=%d, want 0/1/1", c.Hits(), c.Misses(), c.Corrupt())
+			recs, _, _ := rec.snapshot()
+			if u := recs[0]; !u.probed || u.hit || !u.corrupt || !u.ran || u.outcome != trace.SweepRetire {
+				t.Fatalf("recorded probed=%v hit=%v corrupt=%v ran=%v outcome=%q, want a corrupt miss recomputed to retire",
+					u.probed, u.hit, u.corrupt, u.ran, u.outcome)
 			}
-			b, err := os.ReadFile(filepath.Join(dir, key[:2], key+".json"))
-			if err != nil {
-				t.Fatal(err)
+			if c.Hits() != 0 {
+				t.Fatalf("cache handle counted %d hits, want 0", c.Hits())
 			}
-			var p payload
-			if err := json.Unmarshal(b, &p); err != nil || p.A != 7 {
-				t.Fatalf("cache entry not repaired: %q err=%v", b, err)
+			if hit, corrupt := c.Load(key, &p); !hit || corrupt || p == nil || p.A != 7 {
+				t.Fatalf("cache entry not repaired: hit=%v corrupt=%v value %+v", hit, corrupt, p)
 			}
 		})
 	}

@@ -570,9 +570,6 @@ func (m *Machine) takeException() {
 	}
 }
 
-// Stats returns the run statistics (valid after Run).
-func (m *Machine) Stats() *Stats { return &m.stats }
-
 // Memory returns the machine's architectural memory (for post-run
 // verification against a golden model).
 func (m *Machine) Memory() *mem.Memory { return m.mem }

@@ -211,7 +211,7 @@ func TestProgramObservers(t *testing.T) {
 		if got[i].err != "" || want.err != "" {
 			t.Fatalf("machine %d: errors shared=%q new=%q", i, got[i].err, want.err)
 		}
-		st := got[i].mach.Stats()
+		st := &got[i].mach.stats
 		if st.Attr == nil || st.Samples == nil || st.Pipeview == nil || st.Bpred == nil {
 			t.Fatalf("machine %d: missing telemetry report (attr=%v samples=%v pipeview=%v bpred=%v)",
 				i, st.Attr != nil, st.Samples != nil, st.Pipeview != nil, st.Bpred != nil)

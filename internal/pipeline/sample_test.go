@@ -113,7 +113,7 @@ func TestSteadyStateZeroAllocsWithSampling(t *testing.T) {
 	cfg.SampleWindow = 1000
 	mach := New(ir.MustLinearize(prog), m, cfg)
 	checkSteadyZeroAllocs(t, mach, "sampling cycle loop")
-	if mach.sampler.Len() == 0 {
+	if len(mach.sampler.Series().Windows) == 0 {
 		t.Fatal("no windows recorded during the measurement loop")
 	}
 }

@@ -176,9 +176,6 @@ func (s *Sampler) EnableAttr() {
 	s.attrOn = true
 }
 
-// Window returns the configured window length in cycles.
-func (s *Sampler) Window() int64 { return s.window }
-
 // NextAt returns the cycle at which the current window closes; callers
 // check `now >= NextAt()` (one compare) before paying for Record.
 func (s *Sampler) NextAt() int64 { return s.nextAt }
@@ -244,17 +241,6 @@ func (s *Sampler) Flush(now int64, c Counters, dbbHigh int) {
 	}
 	s.Record(now, c, dbbHigh)
 }
-
-// Len returns the number of retained windows.
-func (s *Sampler) Len() int {
-	if s.wrapped {
-		return len(s.ring)
-	}
-	return s.next
-}
-
-// Dropped returns how many windows were overwritten after the ring filled.
-func (s *Sampler) Dropped() int64 { return s.dropped }
 
 // Series copies the retained windows out, oldest first. Call after the
 // run; this is the one allocating method.

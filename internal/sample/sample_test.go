@@ -72,15 +72,15 @@ func TestFlushNoOpWhenNothingHappened(t *testing.T) {
 	c := counters(100)
 	s.Record(100, c, 1)
 	s.Flush(100, c, 1) // same cycle, same counters: nothing to close
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d after no-op flush, want 1", s.Len())
+	if n := len(s.Series().Windows); n != 1 {
+		t.Fatalf("%d windows after no-op flush, want 1", n)
 	}
 	// Same cycle but a counter moved (resolution work on the final cycle):
 	// the flush must still record it so sums stay exact.
 	c.Committed++
 	s.Flush(100, c, 1)
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d after counter-moving flush, want 2", s.Len())
+	if n := len(s.Series().Windows); n != 2 {
+		t.Fatalf("%d windows after counter-moving flush, want 2", n)
 	}
 	got := s.Series().Windows[1]
 	if got.Committed != 1 || got.Cycles() != 0 {
@@ -93,13 +93,10 @@ func TestRingOverflowKeepsNewestOldestFirst(t *testing.T) {
 	for i := int64(1); i <= 7; i++ {
 		s.Record(i*10, counters(i*10), 0)
 	}
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", s.Len())
-	}
-	if s.Dropped() != 3 {
-		t.Errorf("Dropped = %d, want 3", s.Dropped())
-	}
 	sr := s.Series()
+	if len(sr.Windows) != 4 {
+		t.Fatalf("%d windows, want 4", len(sr.Windows))
+	}
 	if sr.Dropped != 3 {
 		t.Errorf("Series.Dropped = %d, want 3", sr.Dropped)
 	}
@@ -113,8 +110,8 @@ func TestRingOverflowKeepsNewestOldestFirst(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	s := New(0, 0)
-	if s.Window() != DefaultWindow {
-		t.Errorf("Window = %d, want %d", s.Window(), DefaultWindow)
+	if s.window != DefaultWindow {
+		t.Errorf("window = %d, want %d", s.window, DefaultWindow)
 	}
 	if len(s.ring) != defaultCap {
 		t.Errorf("cap = %d, want %d", len(s.ring), defaultCap)

@@ -20,8 +20,8 @@ func TestRingMultiWrapOrdering(t *testing.T) {
 		if r.Len() != capacity {
 			t.Fatalf("total %d: Len = %d, want %d", total, r.Len(), capacity)
 		}
-		if want := total - capacity; r.Dropped() != want {
-			t.Errorf("total %d: Dropped = %d, want %d", total, r.Dropped(), want)
+		if want := total - capacity; r.dropped != want {
+			t.Errorf("total %d: Dropped = %d, want %d", total, r.dropped, want)
 		}
 		evs := r.Events()
 		for i, ev := range evs {

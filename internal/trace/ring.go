@@ -42,9 +42,6 @@ func (r *Ring) Len() int {
 	return r.next
 }
 
-// Dropped returns how many events were overwritten after the ring filled.
-func (r *Ring) Dropped() int64 { return r.dropped }
-
 // Events returns the retained events, oldest first.
 func (r *Ring) Events() []Event {
 	if !r.wrapped {

@@ -32,8 +32,8 @@ func TestRingSink(t *testing.T) {
 	if r.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", r.Len())
 	}
-	if r.Dropped() != int64(len(evs)-4) {
-		t.Errorf("Dropped = %d, want %d", r.Dropped(), len(evs)-4)
+	if r.dropped != int64(len(evs)-4) {
+		t.Errorf("Dropped = %d, want %d", r.dropped, len(evs)-4)
 	}
 	got := r.Events()
 	want := evs[len(evs)-4:]
@@ -46,8 +46,8 @@ func TestRingSink(t *testing.T) {
 	r2 := NewRing(16)
 	r2.Emit(evs[0])
 	r2.Emit(evs[1])
-	if r2.Len() != 2 || r2.Dropped() != 0 || r2.Events()[0] != evs[0] {
-		t.Errorf("under-capacity ring wrong: len=%d dropped=%d", r2.Len(), r2.Dropped())
+	if r2.Len() != 2 || r2.dropped != 0 || r2.Events()[0] != evs[0] {
+		t.Errorf("under-capacity ring wrong: len=%d dropped=%d", r2.Len(), r2.dropped)
 	}
 }
 
