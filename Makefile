@@ -1,10 +1,11 @@
 # Developer entry points. `make check` is the pre-PR gate referenced in
-# README.md: formatting, vet, a full build, and the race-enabled test
-# suite must all pass before a change ships.
+# README.md: formatting, vet, a full build, and the whole test suite,
+# once plain and once under the race detector, must all pass before a
+# change ships.
 
 GO ?= go
 
-.PHONY: all build test check fmt vet race bench-module bench bench-all results results-full attr-gate sim-gate staticcheck pipeview-gate kernel-gate sweep-gate bpred-gate sched-gate core-gate fuzz-smoke gate-patterns doc-refs reach
+.PHONY: all build test check fmt vet race bench-module bench bench-all results results-full staticcheck fuzz-smoke doc-refs reach
 
 # Pinned staticcheck version: `go run` resolves it through the module
 # proxy, so the exact analyzer version is reproducible everywhere.
@@ -15,8 +16,11 @@ all: build
 build:
 	$(GO) build ./...
 
+# Every test uncached, without the race detector: some run only here,
+# such as the benchmark matrix of TestSkipMatchesStepper, which skips
+# under -race.
 test:
-	$(GO) test ./...
+	$(GO) test -count 1 ./...
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -27,8 +31,10 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# Every test again under the race detector, uncached, so the concurrency
+# tests (engine, monitor, shared Programs) run on every check.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -count 1 ./...
 
 # Pinned static analysis. Offline-gated: `go run pkg@version` must
 # download the tool, so when the module proxy is unreachable (air-gapped
@@ -49,126 +55,29 @@ staticcheck:
 		echo "staticcheck: module proxy unreachable under GOFLAGS= and GOFLAGS=-mod=mod, skipping (offline)"; \
 	fi
 
-# Kernel-dispatch gate: the switch-vs-kernels differentials — the
-# per-opcode exec property fuzz (and the seeds of its native fuzz target,
-# kernels and pure forms against Step), the pipeline stats/memory A/B, the
-# functional simulator A/B (including adversarial PREDICT oracles and
-# instruction-cap straddling), the shared-Program differentials, and the
-# end-to-end harness byte-identity — under the race detector and
-# uncached, so the predecoded kernel table can never change a result byte
-# or be shared unsafely across concurrent machines.
-KERNEL_GATE_RUN := TestKernel|FuzzKernelMatchesStep|TestDispatch|TestProgram|TestInterpDispatch|TestCompileRejects|TestStepUnknown|TestDivRem|TestFus
-KERNEL_GATE_PKGS := ./internal/exec/ ./internal/pipeline/ ./internal/interp/ ./internal/harness/
-kernel-gate:
-	$(GO) test -race -count 1 -run '$(KERNEL_GATE_RUN)' $(KERNEL_GATE_PKGS)
-
-# Sweep flight-recorder gate: an uncached end-to-end benchmark run with
-# the recorder attached must satisfy the span conservation invariant
-# (exactly one terminal per unit, phases nested, counters reconciled),
-# the recorder-off path must stay byte-identical and allocation-free,
-# and the monitor surface (/metrics exposition, /debug/sweep, the
-# concurrency hammer) must hold up; and the studies' job sets must share
-# each (workload, input)'s products and render the same at any worker
-# count and with every job run alone — all under the race detector.
-SWEEP_GATE_RUN := TestSweep|TestRecorder|TestMonitor|TestMetricsPromFormat|TestPromValidator|TestReportSchema|TestWriteSweepArtifacts|TestJobSetSharing
-SWEEP_GATE_PKGS := ./internal/engine/ ./internal/harness/ ./internal/trace/
-sweep-gate:
-	$(GO) test -race -count 1 -run '$(SWEEP_GATE_RUN)' $(SWEEP_GATE_PKGS)
-
-# Predictor-observatory gate: the probe's conservation invariant (every
-# resolve lands in exactly one provider/class bucket) on unit traces and
-# on a real benchmark end to end, probe-off byte-identity and zero
-# steady-state allocations, the v6 telemetry round-trip, the run-cache
-# key audit (harness.Options classified, every pipeline.Config leaf
-# perturbed), the monitor's /metrics + /debug/bpred surface, and the
-# stream-level golden digests of every predictor (predictions, Meta,
-# table state, probe books) under a shallow and a deep update window,
-# TAGE's folded-history registers and prediction-hash memo against Fold,
-# and its geometry checks — all under the race detector and uncached.
-BPRED_GATE_RUN := TestProbe|TestHist|TestCtr2|TestLadderStream|TestTAGEGeometry|TestTAGEMemo|FuzzFoldedHistory|TestBpredProbe|TestReportSchema|TestRunBpredDiff|TestDiffSurfacesGolden|TestWriteBpredCSV|TestBpredCSVImpliesReport|TestRunCacheKey|TestSimKey|TestMonitorBpred
-BPRED_GATE_PKGS := ./internal/bpred/ ./internal/pipeline/ ./internal/trace/ ./internal/harness/ ./internal/engine/ ./internal/cli/
-bpred-gate:
-	$(GO) test -race -count 1 -run '$(BPRED_GATE_RUN)' $(BPRED_GATE_PKGS)
-
-# Scheduler gate: the near-linear block scheduler against the quadratic
-# reference scheduler kept in sched_test.go, on every region of every
-# benchmark's speculated baseline and transformed programs at two TRAIN
-# seeds (the full matrix, so never -short), uncached.
-SCHED_GATE_RUN := TestScheduleMatchesReference
-SCHED_GATE_PKGS := ./internal/sched/
-sched-gate:
-	$(GO) test -count 1 -run '$(SCHED_GATE_RUN)' $(SCHED_GATE_PKGS)
-
-# Core gate: the liveness the transformation passes maintain across
-# their edits against a from-scratch recomputation after every hoist and
-# decomposition of every int2006 and fp2006 TRAIN program, the per-edit
-# allocation bound of speculation plus transformation on gobmk and gcc,
-# the passes' structure and semantics tests, and the seeds of the
-# transform-preserves-semantics fuzz target, uncached.
-CORE_GATE_RUN := TestMaintainedLivenessExact|TestLiveness|TestBuildAllocs|TestTransform|TestSpeculate|FuzzTransformPreservesSemantics
-CORE_GATE_PKGS := ./internal/ir/ ./internal/core/
-core-gate:
-	$(GO) test -count 1 -run '$(CORE_GATE_RUN)' $(CORE_GATE_PKGS)
-
-# Simulator gate: frozen-cycle skipping against the per-cycle stepper
-# (Stats JSON with every observer section, error, final memory and event
-# stream) on random loops under every machine variation and on every
-# int2006 and fp2006 -fast binary at widths 2/4/8, the fuzz target's
-# seeds, the cycle-cap errors the skip's cap wake must reproduce, and the
-# timing litmus tests (closed-form cycle counts of crafted programs, under
-# both the skip and the stepper), uncached.
-SIM_GATE_RUN := TestSkipMatchesStepper|FuzzSkipMatchesStepper|TestCycleCapErrors|TestProgramCycleCap|TestLitmus
-SIM_GATE_PKGS := ./internal/pipeline/
-sim-gate:
-	$(GO) test -count 1 -run '$(SIM_GATE_RUN)' $(SIM_GATE_PKGS)
-
-# Fuzz smoke: ten seconds of each native fuzz target on top of its seed
-# corpus (go test -fuzz takes one target and one package per run). The
-# minimizer's default 60 s budget per new input would spend the whole
-# smoke shrinking the first few finds, so it is capped by count.
+# Fuzz smoke: ten seconds of each native fuzz target that go test -list
+# finds, on top of its seed corpus (go test -fuzz takes one target and
+# one package per run, so they run one by one). The minimizer's default
+# 60 s budget per new input would spend the whole smoke shrinking the
+# first few finds, so it is capped by count.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzScheduleMatchesReference -fuzztime 10s -fuzzminimizetime 100x ./internal/sched/
-	$(GO) test -run '^$$' -fuzz FuzzFoldMatchesReference -fuzztime 10s -fuzzminimizetime 100x ./internal/bpred/
-	$(GO) test -run '^$$' -fuzz FuzzFoldedHistoryMatchesFold -fuzztime 10s -fuzzminimizetime 100x ./internal/bpred/
-	$(GO) test -run '^$$' -fuzz FuzzAsmRoundTrip -fuzztime 10s -fuzzminimizetime 100x ./internal/asm/
-	$(GO) test -run '^$$' -fuzz FuzzObserversDoNotSteer -fuzztime 10s -fuzzminimizetime 100x ./internal/pipeline/
-	$(GO) test -run '^$$' -fuzz FuzzSkipMatchesStepper -fuzztime 10s -fuzzminimizetime 100x ./internal/pipeline/
-	$(GO) test -run '^$$' -fuzz FuzzKernelMatchesStep -fuzztime 10s -fuzzminimizetime 100x ./internal/exec/
-	$(GO) test -run '^$$' -fuzz FuzzReadReport -fuzztime 10s -fuzzminimizetime 100x ./internal/trace/
-	$(GO) test -run '^$$' -fuzz FuzzParseKonata -fuzztime 10s -fuzzminimizetime 100x ./internal/pipeview/
-	$(GO) test -run '^$$' -fuzz FuzzCloneIsolation -fuzztime 10s -fuzzminimizetime 100x ./internal/mem/
-	$(GO) test -run '^$$' -fuzz FuzzTransformPreservesSemantics -fuzztime 10s -fuzzminimizetime 100x ./internal/core/
-	$(GO) test -run '^$$' -fuzz FuzzMissBufferMatchesReference -fuzztime 10s -fuzzminimizetime 100x ./internal/cache/
-
-# Gate-pattern audit: every -run alternative of every *-gate must name
-# at least one test or fuzz target (whose seed corpus -run executes) in
-# the gate's packages (go test -list), so a renamed or folded test cannot
-# silently drop out of its gate.
-gate-patterns:
-	@check() { \
-		tests="$$($(GO) test -list . $$2 | grep -E '^(Test|Fuzz)')" || exit 1; \
-		for alt in $$(echo "$$1" | tr '|' ' '); do \
-			echo "$$tests" | grep -q -- "$$alt" || { echo "gate-patterns: -run alternative $$alt matches no test in $$2"; exit 1; }; \
-		done; \
-	}; \
-	check '$(KERNEL_GATE_RUN)' '$(KERNEL_GATE_PKGS)' && \
-	check '$(SWEEP_GATE_RUN)' '$(SWEEP_GATE_PKGS)' && \
-	check '$(BPRED_GATE_RUN)' '$(BPRED_GATE_PKGS)' && \
-	check '$(SCHED_GATE_RUN)' '$(SCHED_GATE_PKGS)' && \
-	check '$(CORE_GATE_RUN)' '$(CORE_GATE_PKGS)' && \
-	check '$(SIM_GATE_RUN)' '$(SIM_GATE_PKGS)' && \
-	check '$(ATTR_GATE_RUN)' '$(ATTR_GATE_PKGS)' && \
-	check '$(PIPEVIEW_GATE_RUN)' '$(PIPEVIEW_GATE_PKGS)' && \
-	echo "gate-patterns: every -run alternative matches a test"
+	@out="$$($(GO) test -list '^Fuzz' ./...)" || { echo "$$out"; exit 1; }; \
+	targets="$$(echo "$$out" | awk '/^Fuzz/ { n[++k] = $$1; next } /^ok/ { for (i = 1; i <= k; i++) print $$2 ":" n[i]; k = 0 }')"; \
+	echo "fuzz-smoke: $$(echo "$$targets" | wc -w) targets"; \
+	for t in $$targets; do \
+		echo "fuzz-smoke: $$t"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime 10s -fuzzminimizetime 100x $${t%%:*} || exit 1; \
+	done
 
 # Doc-reference audit: every Test…, Fuzz… or Benchmark… name cited in the
 # top-level docs must be a prefix of at least one test, fuzz target or
 # benchmark that go test -list finds, every `make <target>` they cite
 # must name a target of this Makefile, and every cmd/, internal/,
-# examples/, scripts/ or results/ path they cite must exist (a pkg.Symbol
-# suffix such as internal/exec.Step is dropped first; a path inside
-# another one, such as an import path's .../cmd/..., is not a repo path),
-# so a renamed or deleted test, target or file cannot stay cited.
+# examples/, scripts/, results/ or bench/ path they cite, and a cited
+# BENCHMARK.json, must exist (a pkg.Symbol suffix such as
+# internal/exec.Step is dropped first; a path inside another one, such as
+# an import path's .../cmd/..., is not a repo path), so a renamed or
+# deleted test, target or file cannot stay cited.
 # bench/README.md is not audited yet: bench/ is its own module.
 DOC_REFS_FILES := README.md DESIGN.md EXPERIMENTS.md results/README.md
 doc-refs:
@@ -182,8 +91,8 @@ doc-refs:
 	for ref in $$(grep -ohE '`make [a-z][a-z0-9-]*' $(DOC_REFS_FILES) | sed 's/^`make //' | sort -u); do \
 		echo "$$targets" | grep -qx -- "$$ref" || { echo "doc-refs: make $$ref is cited but names no Makefile target"; bad=1; }; \
 	done; \
-	for ref in $$(grep -ohE '(^|[^A-Za-z0-9_./-])(\./)?(cmd|internal|examples|scripts|results)/[A-Za-z0-9_./-]*' $(DOC_REFS_FILES) \
-		| sed -E 's/^[^a-z.]//; s/^\.\///; s/\.[A-Z][^/]*$$//; s/[./]+$$//' | sort -u); do \
+	for ref in $$(grep -ohE '(^|[^A-Za-z0-9_./-])(\./)?((cmd|internal|examples|scripts|results|bench)/[A-Za-z0-9_./-]*|BENCHMARK\.json)' $(DOC_REFS_FILES) \
+		| sed -E 's/^[^A-Za-z.]//; s/^\.\///; s/\.[A-Z][^/]*$$//; s/[./]+$$//' | sort -u); do \
 		[ -e "$$ref" ] || { echo "doc-refs: $$ref is cited but no such path exists"; bad=1; }; \
 	done; \
 	if [ $$bad -ne 0 ]; then exit 1; fi; \
@@ -204,19 +113,7 @@ bench-module:
 	cd bench && GOFLAGS= $(GO) vet ./... && GOFLAGS= $(GO) test ./...
 
 # Pre-PR gate: run this before every commit.
-check: fmt vet build staticcheck gate-patterns doc-refs bench-module kernel-gate sweep-gate bpred-gate sched-gate core-gate sim-gate attr-gate pipeview-gate fuzz-smoke race
-
-# Attribution-conservation gate: every attributed fast-suite simulation
-# must charge exactly cycles x width issue slots (pipeline invariant
-# sweeps), match the aggregate counters per static branch, and leave
-# attribution-off runs byte-identical (alone and with every other
-# observer, plus the fuzz target's seeds); the differential path must
-# hold the same books on both binaries of a real benchmark; and the Stats
-# of fully observed fast-suite runs must match their pinned digests.
-ATTR_GATE_RUN := TestAttr|TestRunAttrDiff|TestDiffSurfacesGolden|TestObservedStatsDigest|TestObserversDoNotSteer|FuzzObserversDoNotSteer
-ATTR_GATE_PKGS := ./internal/pipeline/ ./internal/harness/
-attr-gate:
-	$(GO) test -run '$(ATTR_GATE_RUN)' -count 1 $(ATTR_GATE_PKGS)
+check: fmt vet build staticcheck doc-refs bench-module test race fuzz-smoke
 
 # Simulator-throughput microbenchmarks (simulated MIPS + allocation
 # counts), five samples per benchmark. No baseline is committed: compare
@@ -228,15 +125,6 @@ bench:
 # Quick smoke pass over every table/figure benchmark.
 bench-all:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-
-# Pipeview gate: the lifetime-capture invariants (every fetched
-# instruction reaches exactly one terminal, stage cycles are monotonic),
-# the off-path byte-identity contract, the golden Konata/waterfall
-# renderings and the Konata reader's fuzz seeds, uncached.
-PIPEVIEW_GATE_RUN := TestPipeview|TestLifecycle|TestKonata|TestWaterfall|TestObserversDoNotSteer|FuzzParseKonata
-PIPEVIEW_GATE_PKGS := ./internal/pipeline/ ./internal/pipeview/ ./internal/textplot/ ./internal/trace/
-pipeview-gate:
-	$(GO) test -run '$(PIPEVIEW_GATE_RUN)' -count 1 $(PIPEVIEW_GATE_PKGS)
 
 # Regenerate the committed telemetry baselines under results/ through the
 # experiment engine, then fail if they drifted from the committed files:

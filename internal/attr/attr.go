@@ -1,7 +1,7 @@
 // Package attr implements simulation-time cycle attribution: a Yasin-style
 // top-down accounting that charges every issue slot of every cycle to
 // exactly one cause. The invariant the whole layer is built around (and
-// that make attr-gate enforces) is conservation: summed over all causes,
+// that TestAttrInvariant enforces) is conservation: summed over all causes,
 // charged slots equal cycles × issue width, always.
 //
 // The Recorder is the hot-path half: flat preallocated arrays indexed by

@@ -108,7 +108,8 @@ func TestRecorderLifecycle(t *testing.T) {
 
 // TestRecorderFailureAndCancel: a failing unit records a fail terminal,
 // units drained by the cancellation record cancels, and the recording
-// still satisfies Check (the sweep-gate property).
+// still satisfies Check (the conservation TestSweepGateConservation pins
+// on a real run).
 func TestRecorderFailureAndCancel(t *testing.T) {
 	rec := NewSweepRecorder()
 	units := make([]Unit[int], 8)

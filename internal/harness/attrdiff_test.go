@@ -11,8 +11,8 @@ import (
 // TestRunAttrDiff drives the differential attribution end to end on a
 // real benchmark: both binaries must conserve their slot accounting, the
 // branch deltas must join the transform report and TRAIN profile, and the
-// CSV exports must parse back with the advertised shapes. `make attr-gate`
-// leans on this test plus the pipeline invariant tests.
+// CSV exports must parse back with the advertised shapes. With
+// TestAttrInvariant it holds the attribution books.
 func TestRunAttrDiff(t *testing.T) {
 	c, ok := workload.ByName("mcf")
 	if !ok {

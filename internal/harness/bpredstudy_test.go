@@ -10,8 +10,8 @@ import (
 // benchmark: both binaries' studies must satisfy their conservation
 // invariant, the classification × conversion join must annotate the
 // attribution deltas with measured predictability, and the text and CSV
-// surfaces must render with the advertised shapes. `make bpred-gate`
-// leans on this test plus the pipeline invariant tests.
+// surfaces must render with the advertised shapes. With
+// TestBpredProbeConservation it holds the probe's books.
 func TestRunBpredDiff(t *testing.T) {
 	d, err := RunBpredDiff(mustBench(t, "mcf"), fastOptions(), 4)
 	if err != nil {

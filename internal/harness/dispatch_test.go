@@ -8,8 +8,8 @@ import (
 	"vanguard/internal/workload"
 )
 
-// TestKernelDispatchDifferential is the in-process face of `make
-// kernel-gate`: the full harness pipeline — build, profile, transform,
+// TestKernelDispatchDifferential is the end-to-end dispatch
+// differential: the full harness pipeline — build, profile, transform,
 // golden check, timing simulation, report — must produce byte-identical
 // reports (modulo the engine section) under kernel and switch dispatch,
 // on one worker and on eight. Runs under -race in `make check`, so it

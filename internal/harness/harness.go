@@ -82,9 +82,9 @@ type Options struct {
 	// golden run (pipeline.Config.Dispatch / interp.Options.Dispatch):
 	// compiled per-PC kernels (the zero value and the default) or the
 	// reference exec.Step switch. The two are byte-identical on stats and
-	// reports (make kernel-gate), but Dispatch is still part of the
-	// run-cache key so an A/B sweep never serves one mode's entries to
-	// the other.
+	// reports (TestKernelDispatchDifferential), but Dispatch is still part
+	// of the run-cache key so an A/B sweep never serves one mode's entries
+	// to the other.
 	Dispatch exec.Dispatch
 
 	// PipeviewBench names one benchmark whose simulations run with the

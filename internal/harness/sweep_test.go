@@ -88,7 +88,7 @@ func TestWriteSweepArtifacts(t *testing.T) {
 	}
 }
 
-// TestSweepGateConservation is the make sweep-gate acceptance: an
+// TestSweepGateConservation pins the engine ledger's conservation: an
 // uncached end-to-end benchmark run with the flight recorder attached
 // produces a recording that satisfies Check and reconciles span-for-span
 // with the units the harness handed the engine.

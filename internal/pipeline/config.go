@@ -72,7 +72,7 @@ type Config struct {
 	// calls the per-PC kernel compiled at predecode, operands already
 	// resolved; exec.DispatchSwitch calls the reference exec.Step switch.
 	// The two are byte-identical on stats, telemetry and architectural
-	// results (make kernel-gate proves it); the knob exists for A/B
+	// results (TestDispatchDifferential); the knob exists for A/B
 	// measurement and as an escape hatch back to the reference semantics.
 	Dispatch exec.Dispatch
 

@@ -13,7 +13,7 @@ import (
 	"vanguard/internal/mem"
 )
 
-// TestDispatchDifferential is the timing half of the kernel-gate claim:
+// TestDispatchDifferential is the timing half of the dispatch claim:
 // the predecoded-kernel dispatch engine must produce byte-identical
 // statistics — every cycle count, stall histogram, and branch counter —
 // and identical architectural memory to the reference switch dispatch,

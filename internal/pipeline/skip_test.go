@@ -179,7 +179,7 @@ endfunc
 // widths 2/4/8 with every observer on. The race detector slows that
 // matrix past the package's test timeout and has nothing to find in a
 // single-goroutine machine, so under -race only the random loops run;
-// make sim-gate runs the whole matrix uninstrumented.
+// make check's plain test step runs the whole matrix.
 func TestSkipMatchesStepper(t *testing.T) {
 	t.Run("random", func(t *testing.T) {
 		capped := 0

@@ -8,22 +8,15 @@ type Ring struct {
 	buf     []Event
 	next    int
 	wrapped bool
-	dropped int64
 }
 
-// NewRing builds a ring holding the last n events (n <= 0 defaults to 256).
+// NewRing builds a ring holding the last n events; n must be positive.
 func NewRing(n int) *Ring {
-	if n <= 0 {
-		n = 256
-	}
 	return &Ring{buf: make([]Event, n)}
 }
 
 // Emit implements Sink.
 func (r *Ring) Emit(ev Event) {
-	if r.wrapped {
-		r.dropped++
-	}
 	r.buf[r.next] = ev
 	r.next++
 	if r.next == len(r.buf) {
