@@ -132,18 +132,21 @@ bench-all:
 # converted branch pins decomposed code (dotproduct.s converts none).
 # Wall-clock lines (the report's only nondeterministic field) are excluded
 # from the comparison; -no-cache keeps the hit/miss counters at zero so the
-# engine section itself is reproducible. On drift, the regenerated files
-# replace the stale baselines so they can be reviewed and committed.
+# engine section itself is reproducible. A regenerated file replaces its
+# baseline only when it drifted, so it can be reviewed and committed; one
+# that did not is deleted, so a clean run leaves the tree clean.
 results: build vet
 	@drift=0; \
 	for run in dotproduct:2 dotproduct:4 dotproduct:8 sparse:4; do \
 		prog=$${run%%:*} w=$${run#*:}; f=results/$${prog}_w$$w.json; \
 		$(GO) run ./cmd/vgrun -no-hists -no-cache -width $$w \
 			-json results/.regen_$${prog}_w$$w.json -transform examples/asm/$$prog.s >/dev/null || exit 1; \
-		if ! diff -u -I '"wall_ms"' $$f results/.regen_$${prog}_w$$w.json; then \
+		if diff -u -I '"wall_ms"' $$f results/.regen_$${prog}_w$$w.json; then \
+			rm results/.regen_$${prog}_w$$w.json; \
+		else \
 			drift=1; \
+			mv results/.regen_$${prog}_w$$w.json $$f; \
 		fi; \
-		mv results/.regen_$${prog}_w$$w.json $$f; \
 	done; \
 	if [ $$drift -ne 0 ]; then \
 		echo "results: baselines drifted from committed files (regenerated copies left in place)"; \

@@ -124,7 +124,8 @@ func BenchmarkBuild(b *testing.B) {
 // clone of the speculated program, over every int2006 and fp2006 TRAIN
 // program with the pass's test hook set: after every hoist and
 // decomposition, the liveness the pass maintains must equal
-// ir.ComputeLiveness of the edited function.
+// ir.ComputeLiveness of the edited function, and its predecessor counts
+// Func.NumPreds.
 func TestMaintainedLivenessExact(t *testing.T) {
 	var names []string
 	for _, suite := range []string{"int2006", "fp2006"} {
@@ -155,6 +156,10 @@ func TestMaintainedLivenessExact(t *testing.T) {
 					if lv.In[i] != want.In[i] || lv.Out[i] != want.Out[i] {
 						t.Fatalf("edit %d, block %d (%s): maintained in %v out %v, recomputed in %v out %v",
 							checks, i, f.Blocks[i].Label, lv.In[i], lv.Out[i], want.In[i], want.Out[i])
+					}
+					if got, want := lv.NumPreds(i), f.NumPreds(i); got != want {
+						t.Fatalf("edit %d, block %d (%s): maintained %d predecessors, func has %d",
+							checks, i, f.Blocks[i].Label, got, want)
 					}
 				}
 			}

@@ -23,10 +23,11 @@ func (ps *pass) decompose(fi, a int, cand *profile.Branch, opt Options) (*Conver
 		return nil, "successor out of range"
 	}
 	// a is a predecessor of both.
-	if f.NumPreds(b) != 1 {
+	lv := ps.liveness(fi)
+	if lv.NumPreds(b) != 1 {
 		return nil, "fall-through successor has multiple predecessors"
 	}
-	if f.NumPreds(c) != 1 {
+	if lv.NumPreds(c) != 1 {
 		return nil, "taken successor has multiple predecessors"
 	}
 	condReg := term.Src1
@@ -41,7 +42,6 @@ func (ps *pass) decompose(fi, a int, cand *profile.Branch, opt Options) (*Conver
 		}
 	}
 
-	lv := ps.liveness(fi)
 	liveB, liveC := lv.In[b], lv.In[c]
 
 	// Condition slice push-down (optional; correctness never depends on it).

@@ -86,7 +86,8 @@ func (ps *pass) speculateOne(fi, a int, prof *profile.Branch, opt SpeculateOptio
 	} else {
 		hot, cold = c, b
 	}
-	if f.NumPreds(hot) != 1 { // a is one of them
+	lv := ps.liveness(fi)
+	if lv.NumPreds(hot) != 1 { // a is one of them
 		return 0
 	}
 	for _, bi := range []int{a, hot} {
@@ -96,7 +97,6 @@ func (ps *pass) speculateOne(fi, a int, prof *profile.Branch, opt SpeculateOptio
 			}
 		}
 	}
-	lv := ps.liveness(fi)
 	temps := newTempPool(f, a, hot, cold, lv)
 	sel := selectHoist(f.Blocks[hot], lv.In[cold], term.Src1, temps, opt.MaxHoist)
 	if len(sel.hoisted) == 0 {

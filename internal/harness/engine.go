@@ -23,29 +23,31 @@ import (
 const harnessVersion = "harness/v7"
 
 // benchJob is one (benchmark, options) experiment. The engine expands it
-// into a build unit (profile, transform, schedule — shared products) plus
-// one simulation unit per (input, width, binary).
+// into a build unit (profile, speculate, transform: the analysis the
+// report reads) plus one simulation unit per (input, width, binary). The
+// first simulation of a binary that misses the run cache schedules it.
 type benchJob struct {
 	c    workload.Config
 	o    Options
 	arts *jobArts
 }
 
-// jobArts holds the per-job shared build products. They are constructed
-// at most once (sync.Once) by whichever unit needs them first; every
-// product is read-only after construction, so simulation units on other
-// workers may consume them concurrently. Each simulation still gets its
-// own pipeline.Machine and copy-on-write memory clone — the "one machine
-// per goroutine" contract DESIGN.md documents — over a Program shared per
-// patched image.
+// jobArts holds the per-job shared products, each built at most once
+// (sync.Once) by whichever unit needs it first and read-only afterwards,
+// so simulation units on other workers may consume them concurrently: the
+// analysis the build unit makes, which every report reads, and per binary
+// its scheduled image, which only a simulation of that binary that runs
+// builds. Each simulation still gets its own pipeline.Machine and
+// copy-on-write memory clone — the "one machine per goroutine" contract
+// DESIGN.md documents — over a Program shared per patched image.
 type jobArts struct {
 	once sync.Once
 	err  error
 
-	baseIm, expIm         *ir.Image
 	prof                  *profile.Profile
 	rep                   *core.Report
 	staticBase, staticExp int
+	base, exp             binArts
 
 	// train and inputs may be shared with other jobs of the job set
 	// (shareInputs).
@@ -68,6 +70,15 @@ type progKey struct {
 type progArts struct {
 	once sync.Once
 	prog *pipeline.Program
+}
+
+// binArts is one binary of a job: the analysis's unscheduled program
+// until the first simulation of the binary schedules and linearizes it
+// into im (and drops prog).
+type binArts struct {
+	once sync.Once
+	prog *ir.Program
+	im   *ir.Image
 }
 
 // trainArts holds the products of one (workload, TRAIN input): the
@@ -146,7 +157,8 @@ func (j *benchJob) trainProducts() *trainArts {
 	return t
 }
 
-// artifacts builds (once) and returns the job's shared binaries.
+// artifacts builds (once) and returns the job's analysis. The static
+// sizes are taken before scheduling, which does not change them.
 func (j *benchJob) artifacts() (*jobArts, error) {
 	a := j.arts
 	a.once.Do(func() {
@@ -156,11 +168,25 @@ func (j *benchJob) artifacts() (*jobArts, error) {
 			a.err = err
 			return
 		}
-		a.baseIm, a.expIm = ir.MustLinearize(base), ir.MustLinearize(exp)
 		a.prof, a.rep = prof, rep
 		a.staticBase, a.staticExp = base.NumInstrs(), exp.NumInstrs()
+		a.base.prog, a.exp.prog = base, exp
 	})
 	return a, a.err
+}
+
+// image schedules and linearizes (once) the job's binary and returns its
+// image. The analysis must be built.
+func (a *jobArts) image(binary string) *ir.Image {
+	b := &a.base
+	if binary == "exp" {
+		b = &a.exp
+	}
+	b.once.Do(func() {
+		schedule(b.prog)
+		b.im, b.prog = ir.MustLinearize(b.prog), nil
+	})
+	return b.im
 }
 
 // program builds (once) and returns the predecoded binary patched to
@@ -172,11 +198,7 @@ func (j *benchJob) program(binary string, iters int64) (*pipeline.Program, error
 	}
 	pa := a.progs[progKey{binary, iters}]
 	pa.once.Do(func() {
-		im := a.baseIm
-		if binary == "exp" {
-			im = a.expIm
-		}
-		pa.prog = pipeline.Predecode(j.c.PatchIters(im, iters))
+		pa.prog = pipeline.Predecode(j.c.PatchIters(a.image(binary), iters))
 	})
 	return pa.prog, nil
 }
@@ -287,7 +309,8 @@ func (j *benchJob) simulate(inputIdx int, binary string, cfg pipeline.Config) (*
 // build unit first, then (input x width x {base, exp}) simulations. The
 // build unit is uncacheable on purpose — the aggregated BenchResult needs
 // the profile and transform report even when every simulation below is a
-// cache hit.
+// cache hit — but it stops at the analysis: a binary is scheduled only
+// by a simulation of it that runs.
 func (j *benchJob) units(jobIdx int) []engine.Unit[*pipeline.Stats] {
 	us := []engine.Unit[*pipeline.Stats]{{
 		Label: fmt.Sprintf("%d/%s/build", jobIdx, j.c.Name),

@@ -240,15 +240,24 @@ func (o *Options) predictor() bpred.DirPredictor {
 }
 
 // BuildBinaries produces the scheduled baseline and experimental programs
-// for a benchmark, plus the TRAIN profile and transform report.
+// for a benchmark, plus the TRAIN profile and transform report: buildFrom,
+// then schedule on both binaries.
 func BuildBinaries(c workload.Config, o Options) (base, exp *ir.Program, prof *profile.Profile, rep *core.Report, err error) {
 	trainProg, trainMem := c.Generate(o.TrainInput)
-	return buildFrom(c, o, trainProg, ir.MustLinearize(trainProg), trainMem)
+	base, exp, prof, rep, err = buildFrom(c, o, trainProg, ir.MustLinearize(trainProg), trainMem)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	schedule(base)
+	schedule(exp)
+	return base, exp, prof, rep, nil
 }
 
-// buildFrom is BuildBinaries after Generate: it profiles im, the
-// linearized trainProg, over trainMem (which the profiling run mutates)
-// and builds both binaries from clones of trainProg, which it only reads.
+// buildFrom is the analysis half of BuildBinaries after Generate: it
+// profiles im, the linearized trainProg, over trainMem (which the
+// profiling run mutates) and returns the speculated baseline and the
+// transformed program, both unscheduled clones of trainProg, which it
+// only reads.
 func buildFrom(c workload.Config, o Options, trainProg *ir.Program, im *ir.Image, trainMem *mem.Memory) (base, exp *ir.Program, prof *profile.Profile, rep *core.Report, err error) {
 	prof, err = profile.Collect(im, trainMem, o.predictor(), 200_000_000)
 	if err != nil {
@@ -264,10 +273,14 @@ func buildFrom(c workload.Config, o Options, trainProg *ir.Program, im *ir.Image
 	if err != nil {
 		return nil, nil, nil, nil, fmt.Errorf("%s: transform: %w", c.Name, err)
 	}
-	model := sched.DefaultModel(4)
-	sched.Program(base, model)
-	sched.Program(exp, model)
 	return base, exp, prof, rep, nil
+}
+
+// schedule list-schedules a binary in place for the 4-wide machine model.
+// It only reorders instructions within a block, so the binary's static
+// size is the same before and after.
+func schedule(p *ir.Program) {
+	sched.Program(p, sched.DefaultModel(4))
 }
 
 // RunBenchmark measures one benchmark under the options.

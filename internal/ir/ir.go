@@ -86,7 +86,8 @@ func (f *Func) Succs(i int) (s [2]int, n int) {
 }
 
 // NumPreds returns the number of CFG edges into block i. It scans every
-// block's terminator and does not allocate.
+// block's terminator and does not allocate; a pass that edits the
+// function reads the count its maintained Liveness keeps instead.
 func (f *Func) NumPreds(i int) int {
 	k := 0
 	for j := range f.Blocks {

@@ -7,7 +7,8 @@ import (
 )
 
 // Liveness holds the per-block live-in/live-out register sets of a
-// function, computed by the standard backward dataflow iteration.
+// function, computed by the standard backward dataflow iteration, and
+// each block's predecessor count (NumPreds).
 //
 // It also keeps what the solution is computed from: each block's summary
 // (upward-exposed uses, definitions, successors) and the block order. A
@@ -26,6 +27,7 @@ type Liveness struct {
 	cfgStale bool  // Remap ran: every block's successors are reread
 	solved   bool  // In/Out match the summaries
 	order    []int // reverse postorder over the cached successors
+	npred    []int // CFG edges into each block over the cached successors
 	rpo      rpoScratch
 	spare    []blockSummary // Remap's second buffer
 }
@@ -107,6 +109,7 @@ func (lv *Liveness) Update(f *Func) {
 	}
 	if reorder {
 		lv.order = lv.rpo.order(len(lv.sum), lv.succs)
+		lv.countPreds()
 	}
 	lv.cfgStale = false
 	if !lv.solved {
@@ -127,6 +130,22 @@ func (s *blockSummary) scan(b *Block) {
 		s.def.Add(ins.Def())
 	}
 }
+
+// countPreds recounts every block's CFG in-edges over the cached
+// successors.
+func (lv *Liveness) countPreds() {
+	lv.npred = append(lv.npred[:0], make([]int, len(lv.sum))...)
+	for i := range lv.sum {
+		s := &lv.sum[i]
+		for _, t := range s.succ[:s.nsucc] {
+			lv.npred[t]++
+		}
+	}
+}
+
+// NumPreds returns the number of CFG edges into block i as of the last
+// Update: Func.NumPreds of the function, without its scan.
+func (lv *Liveness) NumPreds(i int) int { return lv.npred[i] }
 
 // succs reads the cached successors of block i.
 func (lv *Liveness) succs(i int) ([2]int, int) { return lv.sum[i].succ, lv.sum[i].nsucc }
